@@ -18,7 +18,7 @@ from typing import TypeVar
 
 from .clustering import Clustering
 from .detect import maximal_bad_star_forest
-from .graphs import BLUE, CorrelationGraph, cluster_decomposition
+from .graphs import CorrelationGraph, cluster_decomposition
 
 V = TypeVar("V", bound=Hashable)
 
@@ -57,20 +57,35 @@ def bipartite_min_vertex_cover(b: BipartiteGraph) -> frozenset:
     match_left: dict = {}
     match_right: dict = {}
 
-    def augment(l, visited: set) -> bool:
-        for r in adj[l]:
-            if r in visited:
-                continue
-            visited.add(r)
-            if r not in match_right or augment(match_right[r], visited):
-                match_left[l] = r
-                match_right[r] = l
-                return True
+    def augment(root) -> bool:
+        # depth-first search for an augmenting path with an explicit stack:
+        # stack[i] holds a left vertex and its untried edges, path[i] the
+        # right vertex through which stack[i + 1] was entered
+        visited: set = set()
+        stack = [(root, iter(adj[root]))]
+        path: list = []
+        while stack:
+            for r in stack[-1][1]:
+                if r in visited:
+                    continue
+                visited.add(r)
+                path.append(r)
+                if r not in match_right:
+                    for (left, _), right in zip(stack, path):
+                        match_left[left] = right
+                        match_right[right] = left
+                    return True
+                stack.append((match_right[r], iter(adj[match_right[r]])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
         return False
 
     for l in b.left:
         if adj[l]:
-            augment(l, set())
+            augment(l)
 
     # alternating reachability from unmatched left vertices: non-matching
     # edges forward, matching edges back; cover = unreached left + reached right
@@ -147,7 +162,7 @@ def candidate_solutions(g: CorrelationGraph) -> tuple[SimpleSolutionParts, ...]:
     for clique in cliques:
         members = sorted(clique)
         edges = tuple(
-            (s, c) for s in s_sorted for c in members if g.label(s, c) is BLUE
+            (s, c) for s in s_sorted for c in g._blue_adj[s] if c in clique
         )
         covers[clique] = bipartite_min_vertex_cover(
             BipartiteGraph(tuple(s_sorted), tuple(members), edges)

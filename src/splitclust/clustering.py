@@ -25,7 +25,10 @@ from .graphs import (
     RED,
     CorrelationGraph,
     FormatError,
+    _blue_sets,
+    _pair,
     blue_components,
+    cluster_decomposition,
     significant_lines,
 )
 
@@ -107,20 +110,56 @@ class ValidationReport:
 
 
 def verify_clustering(g: CorrelationGraph, f: Clustering) -> ValidationReport:
-    """Check the three validity conditions and report every violation."""
-    idx = [set(w) for w in f.membership(g.n)]
-    uncovered_vertices = tuple(v for v in range(g.n) if not idx[v])
+    """Check the three validity conditions and report every violation.
+
+    Complete graphs take O(n + blue pairs + memberships + violations): only
+    pairs inside one single-cluster group, or touching an uncovered vertex,
+    can be unresolved red pairs.  Incomplete graphs check each stored red
+    pair.
+    """
+    where = f.membership(g.n)
+    idx = [set(w) for w in where]
+    uncovered_vertices = tuple(v for v in range(g.n) if not where[v])
     uncovered_blue = tuple(
-        (u, v) for u, v in g.blue_edges() if not (idx[u] & idx[v])
+        (u, v) for u, v in g.blue_edges() if idx[u].isdisjoint(idx[v])
     )
-    unresolved = []
-    for u, v in g.red_edges():
-        # resolved iff some i in idx[u], j in idx[v] with i != j
-        if not idx[u] or not idx[v]:
-            unresolved.append((u, v))
-        elif idx[u] == idx[v] and len(idx[u]) == 1:
-            unresolved.append((u, v))
+    if g.complete:
+        unresolved = _unresolved_red_complete(g, where)
+    else:
+        unresolved = [(u, v) for u, v in g.red_edges() if not _resolved(idx, u, v)]
     return ValidationReport(uncovered_blue, tuple(unresolved), uncovered_vertices)
+
+
+def _unresolved_red_complete(
+    g: CorrelationGraph, where: list[list[int]]
+) -> list[tuple[int, int]]:
+    """Sorted red pairs of a complete graph that ``where`` leaves unresolved.
+
+    A red pair is unresolved iff an endpoint is uncovered, or both endpoints
+    lie in exactly one cluster and it is the same one.
+    """
+    blue = _blue_sets(g)
+    groups: dict[int, list[int]] = {}
+    for v, w in enumerate(where):
+        if len(w) == 1:
+            groups.setdefault(w[0], []).append(v)
+    unresolved = []
+    for members in groups.values():
+        for i, u in enumerate(members):
+            bu = blue[u]
+            unresolved.extend((u, v) for v in members[i + 1 :] if v not in bu)
+    for u, w in enumerate(where):
+        if w:
+            continue
+        bu = blue[u]
+        # pairs of two uncovered vertices are taken from their smaller end
+        unresolved.extend(
+            _pair(u, v)
+            for v in range(g.n)
+            if v != u and v not in bu and (where[v] or v > u)
+        )
+    unresolved.sort()
+    return unresolved
 
 
 def parse_clustering(data: bytes | str) -> Clustering:
@@ -245,8 +284,12 @@ class _DisjointSets:
 def has_erroneous_cycle(g: CorrelationGraph) -> bool:
     """Whether some simple cycle contains exactly one red edge.
 
-    Equivalent test: some red pair lies within one blue component.
+    Equivalent test: some red pair lies within one blue component.  In a
+    complete graph every non-blue pair is red, so that happens iff some
+    blue component is not a clique.
     """
+    if g.complete:
+        return cluster_decomposition(g) is None
     ds = _DisjointSets(g.n)
     for u, v in g.blue_edges():
         ds.union(u, v)

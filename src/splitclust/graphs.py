@@ -212,6 +212,7 @@ def blue_components(
             if not 0 <= v < g.n:
                 raise ValueError(f"vertex {v} out of range")
     pool_set = set(pool)
+    adj = g._blue_adj
     seen: set[int] = set()
     components: list[list[int]] = []
     for start in pool:
@@ -222,7 +223,7 @@ def blue_components(
         stack = [start]
         while stack:
             u = stack.pop()
-            for w in g.blue_neighbors(u):
+            for w in adj[u]:
                 if w in pool_set and w not in seen:
                     seen.add(w)
                     comp.append(w)
@@ -239,16 +240,37 @@ def cluster_decomposition(
 
     A graph whose blue components are all blue cliques is a cluster graph;
     the decomposition lists the cliques ordered by smallest member.
+    O(n + blue pairs).
     """
-    comps = blue_components(g, within)
-    out: list[frozenset[int]] = []
-    for comp in comps:
-        for i, u in enumerate(comp):
-            for v in comp[i + 1 :]:
-                if g.label(u, v) is not BLUE:
-                    return None
-        out.append(frozenset(comp))
-    return out
+    pool = None if within is None else set(within)
+    comps = blue_components(g, pool)
+    if not all(_is_blue_clique(g, comp, pool) for comp in comps):
+        return None
+    return [frozenset(comp) for comp in comps]
+
+
+def _is_blue_clique(
+    g: CorrelationGraph, comp: list[int], pool: set[int] | None = None
+) -> bool:
+    """Whether a blue component of the pool (default: all vertices) is a clique.
+
+    Every blue neighbour of a member inside the pool lies in the component,
+    so it is a clique iff each member has ``len(comp) - 1`` of them.
+    """
+    want = len(comp) - 1
+    adj = g._blue_adj
+    if pool is None:
+        return all(len(adj[v]) == want for v in comp)
+    return all(len(pool.intersection(adj[v])) == want for v in comp)
+
+
+def _blue_sets(g: CorrelationGraph) -> list[set[int]]:
+    """Blue neighbours of every vertex as sets, built in O(n + blue pairs).
+
+    Complete-graph routines build these per call for membership tests, so
+    that graphs themselves store only the sorted lists.
+    """
+    return [set(row) for row in g._blue_adj]
 
 
 def _decode(data: bytes | str) -> str:

@@ -20,14 +20,14 @@ witness of weight above k, or shrunk to an equivalent instance of at most
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .clustering import Clustering
 from .detect import BadStar, BadStarForest, maximal_bad_star_forest
 from .graphs import (
-    BLUE,
-    RED,
     CorrelationGraph,
     FormatError,
+    _is_blue_clique,
     blue_components,
     cluster_decomposition,
     significant_lines,
@@ -121,14 +121,6 @@ def rule_remove_isolated_cliques(
     return reduced, tuple(removed), id_map
 
 
-def _is_blue_clique(g: CorrelationGraph, vertices: list[int]) -> bool:
-    return all(
-        g.label(u, v) is BLUE
-        for i, u in enumerate(vertices)
-        for v in vertices[i + 1 :]
-    )
-
-
 def kernelize(g: CorrelationGraph, k: int) -> KernelResult:
     """Shrink to an equivalent instance or reject with a forest witness.
 
@@ -165,15 +157,15 @@ def kernelize(g: CorrelationGraph, k: int) -> KernelResult:
             raise AssertionError("witness forest must exceed the budget")
         return NoInstance(witness)
 
+    # cliques lie outside S, so s-v is red exactly when v is no blue neighbour
+    s_blue = [set(g._blue_adj[s]) for s in sorted(s_vertices)]
     clusters = []
     for clique in cliques:
         members = sorted(clique)
         marked: set[int] = set()
-        for s in sorted(s_vertices):
-            blues = [v for v in members if g.label(s, v) is BLUE]
-            reds = [v for v in members if g.label(s, v) is RED]
-            marked.update(blues[: k + 1])
-            marked.update(reds[: k + 1])
+        for blue in s_blue:
+            marked.update(islice((v for v in members if v in blue), k + 1))
+            marked.update(islice((v for v in members if v not in blue), k + 1))
         removed = clique - marked
         clusters.append((clique, frozenset(marked), removed))
         survivors -= removed
@@ -194,16 +186,14 @@ def _many_cliques_witness(
     their S endpoint form bad stars once a center has two leaves.  With at
     least 4k+1 cliques and at most 3k centers the weight exceeds k.
     """
+    s_sorted = sorted(s_vertices)
     leaves_by_center: dict[int, list[int]] = {}
     for clique in cliques:
-        chosen = None
-        for s in sorted(s_vertices):
-            for v in sorted(clique):
-                if g.label(s, v) is BLUE:
-                    chosen = (s, v)
-                    break
-            if chosen:
-                break
+        # smallest s with a blue edge into the clique, then its smallest end
+        chosen = next(
+            ((s, v) for s in s_sorted for v in g._blue_adj[s] if v in clique),
+            None,
+        )
         if chosen is None:
             raise AssertionError("surviving clique with no blue edge to the forest")
         leaves_by_center.setdefault(chosen[0], []).append(chosen[1])

@@ -17,19 +17,22 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .clustering import Clustering, RealizedGraph, splits_to_clustering, verify_clustering
+from .clustering import (
+    Clustering,
+    RealizedGraph,
+    _DisjointSets,
+    splits_to_clustering,
+    verify_clustering,
+)
 from .graphs import (
     BLUE,
     RED,
     CorrelationGraph,
     FormatError,
+    _pair,
     incomplete_graph,
     significant_lines,
 )
-
-
-def _pair(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 class MulticutInstance:
@@ -161,22 +164,6 @@ class MulticutSolution:
 
     def __repr__(self) -> str:
         return f"MulticutSolution({len(self.splits)} splits, cost {self.cost})"
-
-
-class _DisjointSets:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
 
 
 def _split_layout(

@@ -6,6 +6,13 @@ clustering cost, subset enumeration for covers, assignment enumeration
 for colorability, and exhaustive split enumeration with a local
 union-find for multicut.  Only data accessors of the package types are
 used.
+
+The pair-by-pair references at the end are the package's original,
+straightforward versions of routines that now run on neighbour sets: the
+greedy bad star forest that rescans from vertex 0 for every star, the
+pairwise clustering check, the clique test over all member pairs, and the
+recursive augmenting-path matching.  The fast versions must agree with
+them exactly, down to order.
 """
 
 from __future__ import annotations
@@ -190,3 +197,127 @@ def brute_min_multicut_cost(inst: MulticutInstance, cap: int) -> int | None:
 
     rec(0, 0)
     return best
+
+
+def first_bad_triangle(
+    g: CorrelationGraph, within=None
+) -> tuple[int, int, int] | None:
+    """Lexicographically smallest bad triangle (u, v, w), u < w, by label()."""
+    pool = range(g.n) if within is None else sorted(set(within))
+    allowed = set(pool)
+    for u in pool:
+        for v in g.blue_neighbors(u):
+            if v not in allowed:
+                continue
+            for w in g.blue_neighbors(v):
+                if w > u and w in allowed and g.label(u, w) is RED:
+                    return (u, v, w)
+    return None
+
+
+def greedy_bad_star_forest(g: CorrelationGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(center, sorted leaves) per star of the greedy forest, rescanning each time."""
+    unused = set(range(g.n))
+    stars = []
+    while True:
+        triangle = first_bad_triangle(g, unused)
+        if triangle is None:
+            return tuple(stars)
+        u, center, w = triangle
+        leaves = [u, w]
+        for x in sorted(unused):
+            if x in (u, center, w):
+                continue
+            if g.label(center, x) is BLUE and all(
+                g.label(x, leaf) is RED for leaf in leaves
+            ):
+                leaves.append(x)
+        stars.append((center, tuple(sorted(leaves))))
+        unused -= {center, *leaves}
+
+
+def pairwise_verify(g: CorrelationGraph, clusters) -> tuple[tuple, tuple, tuple]:
+    """(uncovered blue, unresolved red, uncovered vertices), checking every pair."""
+    where = [set() for _ in range(g.n)]
+    for i, cluster in enumerate(clusters):
+        for v in cluster:
+            where[v].add(i)
+    uncovered_blue = []
+    unresolved_red = []
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            color = g.label(u, v)
+            if color is BLUE and not (where[u] & where[v]):
+                uncovered_blue.append((u, v))
+            if color is RED and (
+                not where[u]
+                or not where[v]
+                or (where[u] == where[v] and len(where[u]) == 1)
+            ):
+                unresolved_red.append((u, v))
+    uncovered = tuple(v for v in range(g.n) if not where[v])
+    return tuple(uncovered_blue), tuple(unresolved_red), uncovered
+
+
+def pairwise_cluster_decomposition(g: CorrelationGraph, within=None):
+    """Blue components of the pool as frozensets if all are cliques, else None."""
+    pool = sorted(range(g.n) if within is None else set(within))
+    allowed = set(pool)
+    seen: set[int] = set()
+    out = []
+    for start in pool:
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            for w in g.blue_neighbors(u):
+                if w in allowed and w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        seen |= comp
+        if any(g.label(u, v) is not BLUE for u, v in combinations(sorted(comp), 2)):
+            return None
+        out.append(frozenset(comp))
+    return out
+
+
+def recursive_min_vertex_cover(left, right, edges) -> frozenset:
+    """Minimum vertex cover by recursive augmenting paths, then Koenig's sets."""
+    adj: dict = {l: [] for l in left}
+    for l, r in dict.fromkeys(edges):
+        adj[l].append(r)
+    match_left: dict = {}
+    match_right: dict = {}
+
+    def augment(l, visited: set) -> bool:
+        for r in adj[l]:
+            if r in visited:
+                continue
+            visited.add(r)
+            if r not in match_right or augment(match_right[r], visited):
+                match_left[l] = r
+                match_right[r] = l
+                return True
+        return False
+
+    for l in left:
+        if adj[l]:
+            augment(l, set())
+    reach_left = {l for l in left if l not in match_left}
+    reach_right: set = set()
+    frontier = list(reach_left)
+    while frontier:
+        l = frontier.pop()
+        for r in adj[l]:
+            if match_left.get(l) == r or r in reach_right:
+                continue
+            reach_right.add(r)
+            back = match_right.get(r)
+            if back is not None and back not in reach_left:
+                reach_left.add(back)
+                frontier.append(back)
+    return frozenset(
+        [l for l in left if l not in reach_left] + [r for r in right if r in reach_right]
+    )

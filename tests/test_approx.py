@@ -69,6 +69,30 @@ def test_min_vertex_cover_matches_brute(data):
     assert len(cover) == brute_bipartite_cover_size(left, right, edges)
 
 
+def _alternating_chain(pairs: int, tail: bool) -> BipartiteGraph:
+    """Path l0 r0 l1 r1 ... listing every (l[i+1], r[i]) before the (l[i], r[i]).
+
+    Each left vertex first grabs r[i-1], so l[i] has to re-route all of
+    l[0..i-1]: augmenting paths grow as long as the chain.  With ``tail``
+    an extra l[pairs] hangs off r[pairs - 1].
+    """
+    left = [f"l{i}" for i in range(pairs + tail)]
+    right = [f"r{i}" for i in range(pairs)]
+    edges = [(left[i + 1], right[i]) for i in range(len(left) - 1)]
+    edges += [(left[i], right[i]) for i in range(pairs)]
+    return BipartiteGraph(tuple(left), tuple(right), tuple(edges))
+
+
+@pytest.mark.parametrize("pairs, tail, n_edges", [(1500, False, 2999), (1500, True, 3000)])
+def test_min_vertex_cover_long_alternating_chain(pairs, tail, n_edges):
+    # the recursive augmenting search used to raise RecursionError here
+    b = _alternating_chain(pairs, tail)
+    assert len(b.edges) == n_edges
+    cover = bipartite_min_vertex_cover(b)
+    assert _cover_is_valid(b, cover)
+    assert len(cover) == pairs
+
+
 def test_argument_errors():
     with pytest.raises(ValueError):
         approximate(incomplete_graph(3, [(0, 1)], [(0, 2)]))

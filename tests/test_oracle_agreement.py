@@ -1,0 +1,188 @@
+"""The set-based scans against the pair-by-pair references in ``oracles``.
+
+Forests, bad triangles, validation reports, clique decompositions and
+vertex covers must come out exactly as the straightforward versions
+compute them, order included, on random and planted graphs.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from splitclust import (
+    BipartiteGraph,
+    Clustering,
+    CorrelationGraph,
+    Kernelized,
+    approximate,
+    bipartite_min_vertex_cover,
+    cluster_decomposition,
+    complete_graph,
+    cost,
+    find_bad_triangle,
+    gen_random,
+    has_erroneous_cycle,
+    kernelize,
+    lower_bound,
+    maximal_bad_star_forest,
+    verify_clustering,
+)
+from oracles import (
+    first_bad_triangle,
+    greedy_bad_star_forest,
+    pairwise_cluster_decomposition,
+    pairwise_verify,
+    recursive_min_vertex_cover,
+)
+
+P_BLUE = st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9])
+
+
+def planted(
+    n: int, clusters: int, overlaps: int, flips: int, seed: int
+) -> tuple[CorrelationGraph, Clustering]:
+    """Complete graph blue on co-clustered pairs, with a few pairs flipped.
+
+    Every vertex has a home cluster and ``overlaps`` of them join one more,
+    so overlapping vertices are bad-star centers.  The clustering returned
+    is the planted one, valid when ``flips`` is 0.
+    """
+    rng = random.Random(seed)
+    members: list[set[int]] = [set() for _ in range(clusters)]
+    for v in range(n):
+        members[v if v < clusters else rng.randrange(clusters)].add(v)
+    for v in rng.sample(range(n), overlaps):
+        members[rng.randrange(clusters)].add(v)
+    blue = {(u, v) for m in members for u in m for v in m if u < v}
+    for _ in range(flips):
+        u, v = sorted(rng.sample(range(n), 2))
+        blue ^= {(u, v)}
+    return complete_graph(n, blue), Clustering(members)
+
+
+def forest_stars(g: CorrelationGraph):
+    return tuple((s.center, s.leaves) for s in maximal_bad_star_forest(g).stars)
+
+
+def report_fields(g: CorrelationGraph, f: Clustering):
+    r = verify_clustering(g, f)
+    return r.uncovered_blue, r.unresolved_red, r.uncovered_vertices
+
+
+@given(st.integers(4, 30), P_BLUE, st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_forest_matches_rescanning_greedy_on_random(n, p_blue, seed):
+    g = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed)
+    assert forest_stars(g) == greedy_bad_star_forest(g)
+
+
+@given(
+    st.integers(20, 90),
+    st.integers(2, 8),
+    st.integers(0, 8),
+    st.integers(0, 6),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_forest_matches_rescanning_greedy_on_planted(n, clusters, overlaps, flips, seed):
+    g, _ = planted(n, clusters, overlaps, flips, seed)
+    assert forest_stars(g) == greedy_bad_star_forest(g)
+
+
+@given(st.integers(2, 25), P_BLUE, st.floats(0.0, 1.0), st.integers(0, 10_000), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bad_triangle_matches_reference_on_incomplete(n, p_blue, red_share, seed, data):
+    # the remaining share of pairs stays neutral and must never close a triangle
+    g = gen_random(n, p_blue, (1 - p_blue) * red_share, complete=False, seed=seed)
+    within = data.draw(st.none() | st.sets(st.integers(0, n - 1)))
+    assert find_bad_triangle(g, within) == first_bad_triangle(g, within)
+    assert cluster_decomposition(g, within) == pairwise_cluster_decomposition(g, within)
+
+
+@given(st.integers(2, 25), P_BLUE, st.integers(0, 10_000), st.data())
+@settings(max_examples=100, deadline=None)
+def test_bad_triangle_and_cliques_match_reference_on_complete(n, p_blue, seed, data):
+    g = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed)
+    within = data.draw(st.none() | st.sets(st.integers(0, n - 1)))
+    assert find_bad_triangle(g, within) == first_bad_triangle(g, within)
+    assert cluster_decomposition(g, within) == pairwise_cluster_decomposition(g, within)
+    assert has_erroneous_cycle(g) == (pairwise_cluster_decomposition(g) is None)
+
+
+def mutations(f: Clustering, rng: random.Random) -> list[Clustering]:
+    """f itself, f with one membership dropped, two clusters merged, one duplicated."""
+    clusters = [set(c) for c in f]
+    out = [f]
+    i = rng.randrange(len(clusters))
+    dropped = [set(c) for c in clusters]
+    dropped[i].discard(rng.choice(sorted(dropped[i])))
+    out.append(Clustering(c for c in dropped if c))
+    if len(clusters) >= 2:
+        a, b = rng.sample(range(len(clusters)), 2)
+        merged = [c for j, c in enumerate(clusters) if j not in (a, b)]
+        out.append(Clustering([clusters[a] | clusters[b], *merged]))
+    out.append(Clustering([*clusters, clusters[i]]))
+    return out
+
+
+@given(st.integers(4, 30), P_BLUE, st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_verify_matches_pairwise_on_random(n, p_blue, seed):
+    g = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed)
+    rng = random.Random(seed)
+    for f in mutations(approximate(g), rng):
+        assert report_fields(g, f) == pairwise_verify(g, f)
+    # arbitrary families: uncovered vertices, several of them adjacent
+    family = Clustering(
+        rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 5))
+    )
+    assert report_fields(g, family) == pairwise_verify(g, family)
+
+
+@given(
+    st.integers(20, 90),
+    st.integers(2, 8),
+    st.integers(0, 8),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=50, deadline=None)
+def test_verify_matches_pairwise_on_planted(n, clusters, overlaps, seed):
+    g, f = planted(n, clusters, overlaps, 0, seed)
+    assert verify_clustering(g, f).ok
+    for mutated in mutations(f, random.Random(seed)):
+        assert report_fields(g, mutated) == pairwise_verify(g, mutated)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_iterative_cover_matches_recursive(data):
+    left = tuple(range(data.draw(st.integers(1, 7))))
+    right = tuple(range(10, 10 + data.draw(st.integers(1, 7))))
+    edges = tuple(
+        data.draw(
+            st.lists(st.tuples(st.sampled_from(left), st.sampled_from(right)), max_size=25)
+        )
+    )
+    assert bipartite_min_vertex_cover(
+        BipartiteGraph(left, right, edges)
+    ) == recursive_min_vertex_cover(left, right, edges)
+
+
+def test_complete_graph_pipeline_makes_no_label_calls(monkeypatch):
+    g, planted_f = planted(200, 7, 6, 0, seed=5)
+
+    def refuse(self, u, v):
+        raise AssertionError("label() called in a complete-graph scan")
+
+    monkeypatch.setattr(CorrelationGraph, "label", refuse)
+    assert lower_bound(g) >= 1
+    f = approximate(g)
+    assert verify_clustering(g, f).ok
+    assert verify_clustering(g, planted_f).ok
+    result = kernelize(g, cost(f, g.n))
+    assert isinstance(result, Kernelized)
+    with pytest.raises(AssertionError):
+        g.label(0, 1)
