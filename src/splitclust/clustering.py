@@ -18,7 +18,7 @@ directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 
 from .graphs import (
     BLUE,
@@ -27,9 +27,11 @@ from .graphs import (
     FormatError,
     _blue_sets,
     _pair,
+    _read_counts,
+    _read_document,
+    _read_ids,
     blue_components,
     cluster_decomposition,
-    significant_lines,
 )
 
 
@@ -164,36 +166,15 @@ def _unresolved_red_complete(
 
 def parse_clustering(data: bytes | str) -> Clustering:
     """Parse the ``clu`` text format: header ``clustering <t>``, then t ``c`` lines."""
-    lines = significant_lines(data)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty document: missing clustering header") from None
-    fields = header.split()
-    if len(fields) != 2 or fields[0] != "clustering":
-        raise FormatError(f"line {lineno}: expected 'clustering <t>'")
-    try:
-        t = int(fields[1])
-    except ValueError:
-        raise FormatError(f"line {lineno}: cluster count {fields[1]!r} is not an integer") from None
-    if t < 0:
-        raise FormatError(f"line {lineno}: negative cluster count {t}")
+    lineno, header, lines = _read_document(data, "clustering", 2, "clustering <t>")
+    (t,) = _read_counts(lineno, header[1:], "cluster count")
     clusters = []
-    for lineno, line in lines:
-        fields = line.split()
+    for lineno, fields in lines:
         if fields[0] != "c":
             raise FormatError(f"line {lineno}: expected 'c <v1> <v2> ...'")
         if len(fields) < 2:
             raise FormatError(f"line {lineno}: empty cluster")
-        try:
-            ids = [int(x) for x in fields[1:]]
-        except ValueError:
-            raise FormatError(f"line {lineno}: vertex ids must be integers") from None
-        if any(v < 0 for v in ids):
-            raise FormatError(f"line {lineno}: negative vertex id")
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise FormatError(f"line {lineno}: ids must be strictly increasing")
-        clusters.append(ids)
+        clusters.append(_read_ids(lineno, fields[1:]))
     if len(clusters) != t:
         raise FormatError(f"header says {t} clusters, found {len(clusters)}")
     return Clustering(clusters)
@@ -358,26 +339,42 @@ def splits_to_clustering(r: RealizedGraph) -> Clustering:
     # red pairs between descendants of distinct originals must stay resolved
     red_pairs = sorted(
         {
-            tuple(sorted((r.ancestors[x], r.ancestors[y])))
+            _pair(r.ancestors[x], r.ancestors[y])
             for x, y in base.red_edges()
             if r.ancestors[x] != r.ancestors[y]
         }
     )
-    membership: list[set[int]] = [set() for _ in range(r.original_n)]
-    for i, cluster in enumerate(clusters):
-        for v in cluster:
-            membership[v].add(i)
     counts = [0] * r.original_n
     for a in r.ancestors:
         counts[a] += 1
-    for u, v in red_pairs:
+    split = {v for v, c in enumerate(counts) if c >= 2}
+    return _add_singletons(clusters, r.original_n, red_pairs, split)
+
+
+def _add_singletons(
+    clusters: Iterable[frozenset[int]],
+    n: int,
+    pairs: Iterable[tuple[int, int]],
+    split: Container[int],
+) -> Clustering:
+    """Resolve each pair the clusters leave unresolved with a singleton.
+
+    Clusters read off a split graph leave a pair (u, v) unresolved only
+    when both endpoints' copies merged into one cluster, which needs a
+    split endpoint; the smaller one gains a singleton cluster.  Pairs are
+    taken in order, and each singleton counts for the pairs after it.
+    """
+    clusters = list(clusters)
+    membership: list[set[int]] = [set() for _ in range(n)]
+    for i, cluster in enumerate(clusters):
+        for v in cluster:
+            membership[v].add(i)
+    for u, v in pairs:
         if _resolved(membership, u, v):
             continue
-        # merging duplicates can only leave (u, v) unresolved when both
-        # endpoints were split; give the smaller one a singleton cluster
-        split_endpoints = [w for w in (u, v) if counts[w] >= 2]
+        split_endpoints = [w for w in (u, v) if w in split]
         if not split_endpoints:
-            raise AssertionError("unresolved red pair with no split endpoint")
+            raise AssertionError("unresolved pair with no split endpoint")
         w = min(split_endpoints)
         membership[w].add(len(clusters))
         clusters.append(frozenset((w,)))

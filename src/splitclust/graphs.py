@@ -126,17 +126,6 @@ class CorrelationGraph:
             if (u, v) not in blue
         ]
 
-    def colored_pairs(self) -> Iterator[tuple[int, int, EdgeColor]]:
-        """All non-neutral pairs (u, v, color), sorted by (u, v)."""
-        if self.complete:
-            blue = {k for k, c in self._labels.items() if c is BLUE}
-            for u in range(self.n):
-                for v in range(u + 1, self.n):
-                    yield u, v, (BLUE if (u, v) in blue else RED)
-        else:
-            for (u, v), c in sorted(self._labels.items()):
-                yield u, v, c
-
     def count_colors(self) -> tuple[int, int]:
         """(blue pair count, red pair count)."""
         n_blue = sum(1 for c in self._labels.values() if c is BLUE)
@@ -282,63 +271,121 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
-def significant_lines(data: bytes | str) -> Iterator[tuple[int, str]]:
-    """(line number, stripped text) for lines that are not blank or comments."""
+def significant_lines(data: bytes | str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for lines that are not blank or comments."""
     for lineno, raw in enumerate(_decode(data).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        fields = raw.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
 
 
-def parse_graph(data: bytes | str) -> CorrelationGraph:
-    """Parse the ``ccg`` text format."""
+def _read_document(
+    data: bytes | str, keyword: str, arity: int | None, usage: str
+) -> tuple[int, list[str], Iterator[tuple[int, list[str]]]]:
+    """Header of a line-oriented document, then its later lines split.
+
+    The header is the first significant line; it starts with ``keyword``
+    and has ``arity`` fields (any number when None).  Returns its line
+    number and fields, and (line number, fields) for every later line.
+    """
     lines = significant_lines(data)
     try:
         lineno, header = next(lines)
     except StopIteration:
-        raise FormatError("empty document: missing ccg header") from None
-    fields = header.split()
-    if len(fields) != 3 or fields[0] != "ccg":
-        raise FormatError(f"line {lineno}: expected 'ccg <n> complete|incomplete'")
+        raise FormatError(f"empty document: missing {keyword} header") from None
+    if header[0] != keyword or (arity is not None and len(header) != arity):
+        raise FormatError(f"line {lineno}: expected {usage!r}")
+    return lineno, header, lines
+
+
+def _read_ints(lineno: int, tokens: list[str], what: str = "vertex ids") -> list[int]:
+    """Integer fields, or a FormatError naming the line."""
     try:
-        n = int(fields[1])
+        return [int(t) for t in tokens]
     except ValueError:
-        raise FormatError(f"line {lineno}: vertex count {fields[1]!r} is not an integer") from None
-    if n < 0:
-        raise FormatError(f"line {lineno}: negative vertex count {n}")
+        raise FormatError(f"line {lineno}: expected integer {what}") from None
+
+
+def _read_pair(lineno: int, fields: list[str]) -> tuple[int, int]:
+    """Fields 1 and 2 of a pair line as integers.
+
+    ``_read_ints`` unrolled for two tokens: ``ccg`` and ``mcvs`` documents
+    have one such line per pair, and the list it builds would cost more
+    than the conversion.
+    """
+    try:
+        return int(fields[1]), int(fields[2])
+    except ValueError:
+        raise FormatError(f"line {lineno}: expected integer vertex ids") from None
+
+
+def _read_counts(lineno: int, tokens: list[str], what: str) -> list[int]:
+    """Non-negative integer header fields."""
+    counts = _read_ints(lineno, tokens, what)
+    if any(c < 0 for c in counts):
+        raise FormatError(f"line {lineno}: negative {what}")
+    return counts
+
+
+def _read_vertex_count(lineno: int, token: str) -> int:
+    """A header's vertex count: 0..MAX_VERTICES, checked before any allocation."""
+    (n,) = _read_counts(lineno, [token], "vertex count")
     if n > MAX_VERTICES:
-        raise FormatError(f"line {lineno}: vertex count {n} exceeds the cap of {MAX_VERTICES}")
-    if fields[2] not in ("complete", "incomplete"):
-        raise FormatError(f"line {lineno}: unknown graph kind {fields[2]!r}")
-    complete = fields[2] == "complete"
-    edges: list[tuple[int, int, EdgeColor]] = []
-    seen: dict[tuple[int, int], EdgeColor] = {}
-    for lineno, line in lines:
-        fields = line.split()
-        if fields[0] != "e" or len(fields) != 4:
-            raise FormatError(f"line {lineno}: expected 'e <u> <v> b|r'")
-        try:
-            u, v = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise FormatError(f"line {lineno}: vertex ids must be integers") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"line {lineno}: vertex id out of range for n={n}")
-        if u == v:
-            raise FormatError(f"line {lineno}: self-loop on vertex {u}")
-        if fields[3] == "b":
-            color = BLUE
-        elif fields[3] == "r":
-            color = RED
+        raise FormatError(
+            f"line {lineno}: vertex count {n} exceeds the cap of {MAX_VERTICES}"
+        )
+    return n
+
+
+def _read_ids(lineno: int, tokens: list[str]) -> list[int]:
+    """A non-negative, strictly increasing id list."""
+    ids = _read_ints(lineno, tokens)
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise FormatError(f"line {lineno}: ids must be strictly increasing")
+    if ids and ids[0] < 0:
+        raise FormatError(f"line {lineno}: negative vertex id")
+    return ids
+
+
+def _read_groups(lineno: int, tokens: list[str]) -> list[list[int]]:
+    """``|``-separated id lists, each read by ``_read_ids``; groups may be empty."""
+    groups: list[list[str]] = [[]]
+    for token in tokens:
+        if token == "|":
+            groups.append([])
         else:
+            groups[-1].append(token)
+    return [_read_ids(lineno, group) for group in groups]
+
+
+_COLORS = {"b": BLUE, "r": RED}
+
+
+def parse_graph(data: bytes | str) -> CorrelationGraph:
+    """Parse the ``ccg`` text format.
+
+    Pair range, self-loop and colour-conflict errors come from
+    ``CorrelationGraph`` as ``FormatError("inconsistent graph: ...")``.
+    """
+    lineno, header, lines = _read_document(
+        data, "ccg", 3, "ccg <n> complete|incomplete"
+    )
+    n = _read_vertex_count(lineno, header[1])
+    if header[2] not in ("complete", "incomplete"):
+        raise FormatError(f"line {lineno}: unknown graph kind {header[2]!r}")
+    edges: list[tuple[int, int, EdgeColor]] = []
+    for lineno, fields in lines:
+        if len(fields) != 4 or fields[0] != "e":
+            raise FormatError(f"line {lineno}: expected 'e <u> <v> b|r'")
+        color = _COLORS.get(fields[3])
+        if color is None:
             raise FormatError(f"line {lineno}: unknown color {fields[3]!r}")
-        key = _pair(u, v)
-        prev = seen.get(key)
-        if prev is not None and prev is not color:
-            raise FormatError(f"line {lineno}: conflicting colors for pair {key}")
-        seen[key] = color
+        u, v = _read_pair(lineno, fields)
         edges.append((u, v, color))
-    return CorrelationGraph(n, edges, complete=complete)
+    try:
+        return CorrelationGraph(n, edges, complete=header[2] == "complete")
+    except ValueError as exc:
+        raise FormatError(f"inconsistent graph: {exc}") from None
 
 
 def write_graph(g: CorrelationGraph) -> bytes:

@@ -28,9 +28,11 @@ from .graphs import (
     CorrelationGraph,
     FormatError,
     _is_blue_clique,
+    _read_document,
+    _read_groups,
+    _read_ids,
     blue_components,
     cluster_decomposition,
-    significant_lines,
 )
 
 
@@ -110,15 +112,17 @@ def rule_remove_isolated_cliques(
     """
     if not g.complete:
         raise ValueError("isolated-clique removal is defined on complete graphs")
-    removed = []
-    keep: list[int] = []
-    for comp in blue_components(g):
-        if _is_blue_clique(g, comp):
-            removed.append(frozenset(comp))
-        else:
-            keep.extend(comp)
-    reduced, id_map = g.induced_subgraph(keep)
-    return reduced, tuple(removed), id_map
+    removed = _isolated_cliques(g)
+    gone = set().union(*removed)
+    reduced, id_map = g.induced_subgraph(v for v in range(g.n) if v not in gone)
+    return reduced, removed, id_map
+
+
+def _isolated_cliques(g: CorrelationGraph) -> tuple[frozenset[int], ...]:
+    """Blue components that are cliques, ascending by smallest member."""
+    return tuple(
+        frozenset(comp) for comp in blue_components(g) if _is_blue_clique(g, comp)
+    )
 
 
 def kernelize(g: CorrelationGraph, k: int) -> KernelResult:
@@ -137,15 +141,12 @@ def kernelize(g: CorrelationGraph, k: int) -> KernelResult:
         return NoInstance(forest)
     s_vertices = forest.vertices
 
-    removed_cliques: list[frozenset[int]] = []
+    removed_cliques = _isolated_cliques(g)
     survivors = set(range(g.n))
-    for comp in blue_components(g):
-        if _is_blue_clique(g, comp):
-            clique = frozenset(comp)
-            if clique & s_vertices:
-                raise AssertionError("forest vertex inside an isolated clique")
-            removed_cliques.append(clique)
-            survivors -= clique
+    for clique in removed_cliques:
+        if clique & s_vertices:
+            raise AssertionError("forest vertex inside an isolated clique")
+        survivors -= clique
 
     cliques = cluster_decomposition(g, survivors - s_vertices)
     if cliques is None:
@@ -172,7 +173,7 @@ def kernelize(g: CorrelationGraph, k: int) -> KernelResult:
 
     kernel_graph, _ = g.induced_subgraph(survivors)
     transcript = KernelTranscript(
-        frozenset(s_vertices), tuple(removed_cliques), tuple(clusters), g.n
+        frozenset(s_vertices), removed_cliques, tuple(clusters), g.n
     )
     return Kernelized(kernel_graph, transcript)
 
@@ -238,41 +239,25 @@ def lift_clustering(f: Clustering, transcript: KernelTranscript) -> Clustering:
 
 def parse_transcript(data: bytes | str) -> KernelTranscript:
     """Parse the ``ktx`` format: one S line, then rc lines, then cl lines."""
-    lines = list(significant_lines(data))
-    if not lines:
-        raise FormatError("empty document: missing S line")
-    lineno, first = lines[0]
-    fields = first.split()
-    if fields[0] != "S":
-        raise FormatError(f"line {lineno}: expected 'S <ids...>'")
-    forest = frozenset(_parse_ids(lineno, fields[1:]))
+    lineno, header, lines = _read_document(data, "S", None, "S <ids...>")
+    forest = frozenset(_read_ids(lineno, header[1:]))
     removed_cliques: list[frozenset[int]] = []
     clusters: list[tuple[frozenset[int], frozenset[int], frozenset[int]]] = []
-    stage = "rc"
-    for lineno, line in lines[1:]:
-        fields = line.split()
+    for lineno, fields in lines:
         if fields[0] == "rc":
-            if stage != "rc":
+            if clusters:
                 raise FormatError(f"line {lineno}: rc lines must precede cl lines")
-            ids = _parse_ids(lineno, fields[1:])
+            ids = _read_ids(lineno, fields[1:])
             if not ids:
                 raise FormatError(f"line {lineno}: empty removed clique")
             removed_cliques.append(frozenset(ids))
         elif fields[0] == "cl":
-            stage = "cl"
-            parts: list[list[str]] = [[]]
-            for token in fields[1:]:
-                if token == "|":
-                    parts.append([])
-                else:
-                    parts[-1].append(token)
+            parts = _read_groups(lineno, fields[1:])
             if len(parts) != 3:
                 raise FormatError(
                     f"line {lineno}: expected 'cl <clique> | <marked> | <removed>'"
                 )
-            clique, marked, removed = (
-                frozenset(_parse_ids(lineno, part)) for part in parts
-            )
+            clique, marked, removed = map(frozenset, parts)
             clusters.append((clique, marked, removed))
         else:
             raise FormatError(f"line {lineno}: expected 'rc' or 'cl' line")
@@ -284,18 +269,6 @@ def parse_transcript(data: bytes | str) -> KernelTranscript:
         )
     except ValueError as exc:
         raise FormatError(f"inconsistent transcript: {exc}") from None
-
-
-def _parse_ids(lineno: int, tokens: list[str]) -> list[int]:
-    try:
-        ids = [int(t) for t in tokens]
-    except ValueError:
-        raise FormatError(f"line {lineno}: vertex ids must be integers") from None
-    if any(v < 0 for v in ids):
-        raise FormatError(f"line {lineno}: negative vertex id")
-    if any(a >= b for a, b in zip(ids, ids[1:])):
-        raise FormatError(f"line {lineno}: ids must be strictly increasing")
-    return ids
 
 
 def write_transcript(t: KernelTranscript) -> bytes:

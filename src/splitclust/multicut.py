@@ -21,6 +21,7 @@ from .clustering import (
     Clustering,
     RealizedGraph,
     _DisjointSets,
+    _add_singletons,
     splits_to_clustering,
     verify_clustering,
 )
@@ -30,8 +31,13 @@ from .graphs import (
     CorrelationGraph,
     FormatError,
     _pair,
+    _read_counts,
+    _read_document,
+    _read_groups,
+    _read_ints,
+    _read_pair,
+    _read_vertex_count,
     incomplete_graph,
-    significant_lines,
 )
 
 
@@ -290,66 +296,36 @@ def multicut_solution_to_clustering(
             edges.append((plain_id[u], plain_id[v], RED))
     base = CorrelationGraph(len(ancestors), edges, complete=False)
     f = splits_to_clustering(RealizedGraph(base, ancestors, inst.n))
-    clusters = list(f.clusters)
-    membership: list[set[int]] = [set() for _ in range(inst.n)]
-    for i, cluster in enumerate(clusters):
-        for v in cluster:
-            membership[v].add(i)
-    split_set = sol.split_vertices
-    for u, v in sorted(inst.terminals):
-        iu, iv = membership[u], membership[v]
-        if iu and iv and not (iu == iv and len(iu) == 1):
-            continue
-        endpoints = [w for w in (u, v) if w in split_set]
-        if not endpoints:
-            raise AssertionError("unresolved terminal pair with no split endpoint")
-        w = min(endpoints)
-        membership[w].add(len(clusters))
-        clusters.append(frozenset((w,)))
-    return Clustering(clusters)
+    return _add_singletons(
+        f.clusters, inst.n, sorted(inst.terminals), sol.split_vertices
+    )
 
 
 def parse_multicut_instance(data: bytes | str) -> MulticutInstance:
-    """Parse the ``mcvs`` format: header, e lines, t lines."""
-    lines = significant_lines(data)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty document: missing mcvs header") from None
-    fields = header.split()
-    if len(fields) != 5 or fields[0] != "mcvs":
-        raise FormatError(f"line {lineno}: expected 'mcvs <n> <m> <t> <k>'")
-    try:
-        n, m, t, k = (int(x) for x in fields[1:])
-    except ValueError:
-        raise FormatError(f"line {lineno}: header fields must be integers") from None
-    if min(n, m, t, k) < 0:
-        raise FormatError(f"line {lineno}: negative header field")
+    """Parse the ``mcvs`` format: header, e lines, t lines.
+
+    Pair range, self-loop and edge-versus-terminal errors come from
+    ``MulticutInstance`` as ``FormatError("inconsistent instance: ...")``.
+    """
+    lineno, header, lines = _read_document(data, "mcvs", 5, "mcvs <n> <m> <t> <k>")
+    n = _read_vertex_count(lineno, header[1])
+    m, t, k = _read_counts(lineno, header[2:], "header field")
     edges = []
     terminals = []
-    for lineno, line in lines:
-        fields = line.split()
+    for lineno, fields in lines:
         if len(fields) != 3 or fields[0] not in ("e", "t"):
             raise FormatError(f"line {lineno}: expected 'e <u> <v>' or 't <u> <v>'")
-        try:
-            u, v = int(fields[1]), int(fields[2])
-        except ValueError:
-            raise FormatError(f"line {lineno}: vertex ids must be integers") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"line {lineno}: vertex id out of range for n={n}")
-        if u == v:
-            raise FormatError(f"line {lineno}: self-loop on vertex {u}")
-        (edges if fields[0] == "e" else terminals).append((u, v))
-    distinct_edges = {_pair(u, v) for u, v in edges}
-    if len(distinct_edges) != m:
-        raise FormatError(f"header says {m} edges, found {len(distinct_edges)}")
-    distinct_terminals = {_pair(u, v) for u, v in terminals}
-    if len(distinct_terminals) != t:
-        raise FormatError(f"header says {t} terminal pairs, found {len(distinct_terminals)}")
+        pair = _read_pair(lineno, fields)
+        (edges if fields[0] == "e" else terminals).append(pair)
     try:
-        return MulticutInstance(n, edges, terminals, k)
+        inst = MulticutInstance(n, edges, terminals, k)
     except ValueError as exc:
         raise FormatError(f"inconsistent instance: {exc}") from None
+    if len(inst.edges) != m:
+        raise FormatError(f"header says {m} edges, found {len(inst.edges)}")
+    if len(inst.terminals) != t:
+        raise FormatError(f"header says {t} terminal pairs, found {len(inst.terminals)}")
+    return inst
 
 
 def write_multicut_instance(inst: MulticutInstance) -> bytes:
@@ -361,52 +337,28 @@ def write_multicut_instance(inst: MulticutInstance) -> bytes:
 
 
 def parse_multicut_solution(data: bytes | str) -> tuple[int, MulticutSolution]:
-    """Parse the ``mcsol`` format; returns (vertex count, solution)."""
-    lines = significant_lines(data)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty document: missing mcsol header") from None
-    fields = header.split()
-    if len(fields) != 2 or fields[0] != "mcsol":
-        raise FormatError(f"line {lineno}: expected 'mcsol <n>'")
-    try:
-        n = int(fields[1])
-    except ValueError:
-        raise FormatError(f"line {lineno}: vertex count must be an integer") from None
-    if n < 0:
-        raise FormatError(f"line {lineno}: negative vertex count")
+    """Parse the ``mcsol`` format; returns (vertex count, solution).
+
+    ``MulticutSolution`` has no vertex count, so ids are range-checked here.
+    """
+    lineno, header, lines = _read_document(data, "mcsol", 2, "mcsol <n>")
+    n = _read_vertex_count(lineno, header[1])
     splits: dict[int, list[list[int]]] = {}
-    for lineno, line in lines:
-        fields = line.split()
+    for lineno, fields in lines:
         if len(fields) < 3 or fields[0] != "s" or fields[2] != ":":
             raise FormatError(f"line {lineno}: expected 's <v> : <part> | <part> ...'")
-        try:
-            v = int(fields[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: vertex id must be an integer") from None
+        (v,) = _read_ints(lineno, fields[1:2])
         if not 0 <= v < n:
             raise FormatError(f"line {lineno}: vertex id out of range for n={n}")
         if v in splits:
             raise FormatError(f"line {lineno}: duplicate split for vertex {v}")
-        parts: list[list[str]] = [[]]
-        for token in fields[3:]:
-            if token == "|":
-                parts.append([])
-            else:
-                parts[-1].append(token)
+        parts = _read_groups(lineno, fields[3:])
         if len(parts) < 2:
             raise FormatError(f"line {lineno}: a split needs at least two parts")
-        try:
-            ids = [[int(x) for x in part] for part in parts]
-        except ValueError:
-            raise FormatError(f"line {lineno}: vertex ids must be integers") from None
-        for part in ids:
-            if any(x < 0 or x >= n for x in part):
-                raise FormatError(f"line {lineno}: part member out of range for n={n}")
-            if any(a >= b for a, b in zip(part, part[1:])):
-                raise FormatError(f"line {lineno}: part ids must be strictly increasing")
-        splits[v] = ids
+        # ids are strictly increasing, so the last one is the largest
+        if any(part and part[-1] >= n for part in parts):
+            raise FormatError(f"line {lineno}: part member out of range for n={n}")
+        splits[v] = parts
     try:
         return n, MulticutSolution(splits)
     except ValueError as exc:

@@ -209,6 +209,7 @@ def test_instance_format_round_trip():
         b"mcvs 3 1 0 0\ne 0 3\n",
         b"mcvs 3 1 0 0\ne 0 q\n",
         b"mcvs 3 1 1 0\ne 0 1\nt 1 0\n",
+        b"mcvs 100001 0 0 0\n",
     ],
 )
 def test_parse_instance_malformed(data):
@@ -243,8 +244,10 @@ def test_solution_format_round_trip():
         b"mcsol 3\ns 1 : 0 | 2\ns 1 : 0 | 2\n",
         b"mcsol 3\ns 1 : 2 0 |\n",
         b"mcsol 3\ns 1 : 0 | 9\n",
+        b"mcsol 3\ns 1 : 0 | 3\n",
         b"mcsol 3\ns 1 : a | 2\n",
         b"mcsol 3\ns 1 : 0 | 0\n",
+        b"mcsol 100001\n",
     ],
 )
 def test_parse_solution_malformed(data):
