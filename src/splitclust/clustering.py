@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Container, Iterable
+from itertools import combinations
 
 from .graphs import (
     BLUE,
@@ -246,67 +247,64 @@ class RealizedGraph:
         )
 
 
-class _DisjointSets:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
 def has_erroneous_cycle(g: CorrelationGraph) -> bool:
     """Whether some simple cycle contains exactly one red edge.
 
     Equivalent test: some red pair lies within one blue component.  In a
     complete graph every non-blue pair is red, so that happens iff some
-    blue component is not a clique.
+    blue component is not a clique.  O(n + blue pairs) on complete graphs;
+    incomplete graphs label the blue components and check each stored red
+    pair, in O(n + stored pairs).
     """
     if g.complete:
         return cluster_decomposition(g) is None
-    ds = _DisjointSets(g.n)
-    for u, v in g.blue_edges():
-        ds.union(u, v)
-    return any(ds.find(u) == ds.find(v) for u, v in g.red_edges())
+    component = [0] * g.n
+    for i, comp in enumerate(blue_components(g)):
+        for v in comp:
+            component[v] = i
+    return any(
+        color is RED and component[u] == component[v]
+        for (u, v), color in g._labels.items()
+    )
 
 
 def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
     """Realize a valid clustering of cost k as k vertex splits.
 
-    One descendant is created per membership (vertex v, cluster index i).
-    Descendants sharing a cluster are blue; copies of the same vertex are
-    red; remaining cross pairs keep the ancestors' red label (complete
-    graphs: red, incomplete: red where the ancestors were red).  The result
-    has no erroneous cycle and ``split_count == cost(f, g.n)``.
+    One descendant is created per membership (vertex v, cluster index i),
+    ordered by vertex and then by cluster index.  Descendants sharing a
+    cluster are blue; copies of the same vertex are red; remaining cross
+    pairs keep the ancestors' red label (complete graphs: red, incomplete:
+    red where the ancestors were red).  The result has no erroneous cycle
+    and ``split_count == cost(f, g.n)``.  Besides checking f, this takes
+    time linear in n plus the pairs the result stores: the cross pairs of
+    a complete graph are red by default and are never listed.
     """
     report = verify_clustering(g, f)
     if not report.ok:
         raise ValueError(f"clustering is not valid for the graph: {report}")
     idx = f.membership(g.n)
-    descendants = [(v, i) for v in range(g.n) for i in idx[v]]
-    which = {pair: d for d, pair in enumerate(descendants)}
-    edges = []
-    for d1 in range(len(descendants)):
-        u, i = descendants[d1]
-        for d2 in range(d1 + 1, len(descendants)):
-            v, j = descendants[d2]
-            if u == v:
-                edges.append((d1, d2, RED))
-            elif i == j:
-                edges.append((d1, d2, BLUE))
-            else:
-                color = RED if g.complete else g.label(u, v)
-                if color is RED:
-                    edges.append((d1, d2, RED))
-    base = CorrelationGraph(len(descendants), edges, complete=g.complete)
-    return RealizedGraph(base, (v for v, _ in descendants), g.n)
+    ancestors: list[int] = []
+    members: list[list[int]] = [[] for _ in f.clusters]  # descendants per cluster
+    copies: list[list[int]] = []  # descendants per vertex, by cluster index
+    for v, where in enumerate(idx):
+        copies.append([])
+        for i in where:
+            members[i].append(len(ancestors))
+            copies[v].append(len(ancestors))
+            ancestors.append(v)
+    edges = [(d1, d2, BLUE) for m in members for d1, d2 in combinations(m, 2)]
+    edges += [(d1, d2, RED) for c in copies for d1, d2 in combinations(c, 2)]
+    if not g.complete:
+        for u, v in g.red_edges():
+            edges += [
+                (d1, d2, RED)
+                for i, d1 in zip(idx[u], copies[u])
+                for j, d2 in zip(idx[v], copies[v])
+                if i != j
+            ]
+    base = CorrelationGraph(len(ancestors), edges, complete=g.complete)
+    return RealizedGraph(base, ancestors, g.n)
 
 
 def _resolved(membership: list[set[int]], u: int, v: int) -> bool:
@@ -328,14 +326,6 @@ def splits_to_clustering(r: RealizedGraph) -> Clustering:
     base = r.base
     if has_erroneous_cycle(base):
         raise ValueError("realized graph has an erroneous cycle")
-    comps = blue_components(base)
-    clusters: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for comp in comps:
-        anc = frozenset(r.ancestors[d] for d in comp)
-        if anc not in seen:
-            seen.add(anc)
-            clusters.append(anc)
     # red pairs between descendants of distinct originals must stay resolved
     red_pairs = sorted(
         {
@@ -348,7 +338,16 @@ def splits_to_clustering(r: RealizedGraph) -> Clustering:
     for a in r.ancestors:
         counts[a] += 1
     split = {v for v, c in enumerate(counts) if c >= 2}
-    return _add_singletons(clusters, r.original_n, red_pairs, split)
+    return _add_singletons(_component_clusters(r), r.original_n, red_pairs, split)
+
+
+def _component_clusters(r: RealizedGraph) -> list[frozenset[int]]:
+    """Ancestor sets of the base's blue components, duplicates merged, in order."""
+    return list(
+        dict.fromkeys(
+            frozenset(r.ancestors[d] for d in comp) for comp in blue_components(r.base)
+        )
+    )
 
 
 def _add_singletons(

@@ -298,12 +298,19 @@ def _read_document(
     return lineno, header, lines
 
 
+def _is_int(token: str) -> bool:
+    """Whether a field is ASCII digits with an optional leading ``-``.
+
+    ``int()`` alone would also take ``+1``, ``1_1`` and non-ASCII digits.
+    """
+    return token.isascii() and token.removeprefix("-").isdigit()
+
+
 def _read_ints(lineno: int, tokens: list[str], what: str = "vertex ids") -> list[int]:
     """Integer fields, or a FormatError naming the line."""
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise FormatError(f"line {lineno}: expected integer {what}") from None
+    if not all(map(_is_int, tokens)):
+        raise FormatError(f"line {lineno}: expected integer {what}")
+    return [int(t) for t in tokens]
 
 
 def _read_pair(lineno: int, fields: list[str]) -> tuple[int, int]:
@@ -313,10 +320,10 @@ def _read_pair(lineno: int, fields: list[str]) -> tuple[int, int]:
     have one such line per pair, and the list it builds would cost more
     than the conversion.
     """
-    try:
-        return int(fields[1]), int(fields[2])
-    except ValueError:
-        raise FormatError(f"line {lineno}: expected integer vertex ids") from None
+    u, v = fields[1], fields[2]
+    if not (_is_int(u) and _is_int(v)):
+        raise FormatError(f"line {lineno}: expected integer vertex ids")
+    return int(u), int(v)
 
 
 def _read_counts(lineno: int, tokens: list[str], what: str) -> list[int]:

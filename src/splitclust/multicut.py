@@ -11,6 +11,15 @@ Blue edges map to edges and red pairs to terminal pairs: a correlation
 graph has a clustering of cost k exactly when the derived multicut
 instance has a solution of cost k.  The translations below convert
 solutions in both directions without raising the cost.
+
+``verify_multicut_solution`` and ``multicut_solution_to_clustering`` both
+build the split graph of a solution: an incomplete correlation graph with
+one copy of each unsplit vertex and one copy per part of each split,
+numbered by vertex and then by part.  Each edge is blue between the two
+copies that keep it, and each terminal pair of two unsplit vertices is red.
+The solution separates its instance exactly when this graph has no
+erroneous cycle, and the ancestor sets of its blue components are the
+clusters read off the solution.
 """
 
 from __future__ import annotations
@@ -20,13 +29,14 @@ from collections.abc import Iterable, Mapping
 from .clustering import (
     Clustering,
     RealizedGraph,
-    _DisjointSets,
     _add_singletons,
-    splits_to_clustering,
+    _component_clusters,
+    has_erroneous_cycle,
     verify_clustering,
 )
 from .graphs import (
     BLUE,
+    MAX_VERTICES,
     RED,
     CorrelationGraph,
     FormatError,
@@ -55,6 +65,8 @@ class MulticutInstance:
     ):
         if n < 0:
             raise ValueError("negative vertex count")
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
         if k < 0:
             raise ValueError("negative split budget")
         edge_set = set()
@@ -172,67 +184,48 @@ class MulticutSolution:
         return f"MulticutSolution({len(self.splits)} splits, cost {self.cost})"
 
 
-def _split_layout(
-    inst: MulticutInstance, sol: MulticutSolution
-) -> tuple[list[int], dict[int, int], dict[tuple[int, int], int]]:
-    """Descendant ids: ancestors list, unsplit vertex -> id, (v, part) -> id.
+def _realize(inst: MulticutInstance, sol: MulticutSolution) -> RealizedGraph:
+    """The split graph of a solution (see the module docstring).
 
-    Also checks each split partitions the neighborhood, raising ValueError
-    otherwise.
+    Raises ValueError when a split vertex is out of range or its parts do
+    not cover exactly its neighborhood.
     """
     split_parts = dict(sol.splits)
-    for v, parts in sol.splits:
+    ancestors: list[int] = []
+    plain: dict[int, int] = {}  # unsplit vertex -> its copy
+    owner: dict[tuple[int, int], int] = {}  # (split vertex, neighbor) -> copy
+    for v in split_parts:
         if v >= inst.n:
             raise ValueError(f"split vertex {v} out of range")
-        union: set[int] = set()
-        for part in parts:
-            union |= part
-        if union != set(inst.neighbors(v)):
-            raise ValueError(f"parts of {v} must cover exactly its neighborhood")
-    ancestors: list[int] = []
-    plain_id: dict[int, int] = {}
-    part_id: dict[tuple[int, int], int] = {}
     for v in range(inst.n):
-        if v in split_parts:
-            for i in range(len(split_parts[v])):
-                part_id[(v, i)] = len(ancestors)
-                ancestors.append(v)
-        else:
-            plain_id[v] = len(ancestors)
+        parts = split_parts.get(v)
+        if parts is None:
+            plain[v] = len(ancestors)
             ancestors.append(v)
-    return ancestors, plain_id, part_id
+            continue
+        if set().union(*parts) != set(inst._adj[v]):
+            raise ValueError(f"parts of {v} must cover exactly its neighborhood")
+        for part in parts:
+            for u in part:
+                owner[v, u] = len(ancestors)
+            ancestors.append(v)
 
+    def copy(v: int, u: int) -> int:
+        return plain[v] if v in plain else owner[v, u]
 
-def _owner(
-    sol_parts: dict[int, tuple[frozenset[int], ...]],
-    plain_id: dict[int, int],
-    part_id: dict[tuple[int, int], int],
-    v: int,
-    neighbor: int,
-) -> int:
-    """Descendant id of v's copy that keeps the edge to the neighbor."""
-    if v in plain_id:
-        return plain_id[v]
-    for i, part in enumerate(sol_parts[v]):
-        if neighbor in part:
-            return part_id[(v, i)]
-    raise AssertionError("neighborhood partition misses a neighbor")
+    edges = [(copy(u, v), copy(v, u), BLUE) for u, v in inst.edges]
+    edges += [
+        (plain[u], plain[v], RED)
+        for u, v in inst.terminals
+        if u in plain and v in plain
+    ]
+    base = CorrelationGraph(len(ancestors), edges, complete=False)
+    return RealizedGraph(base, ancestors, inst.n)
 
 
 def verify_multicut_solution(inst: MulticutInstance, sol: MulticutSolution) -> bool:
     """Whether all terminal pairs not removed by splits end up disconnected."""
-    ancestors, plain_id, part_id = _split_layout(inst, sol)
-    sol_parts = dict(sol.splits)
-    ds = _DisjointSets(len(ancestors))
-    for u, v in inst.edges:
-        du = _owner(sol_parts, plain_id, part_id, u, v)
-        dv = _owner(sol_parts, plain_id, part_id, v, u)
-        ds.union(du, dv)
-    for u, v in inst.terminals:
-        if u in plain_id and v in plain_id:
-            if ds.find(plain_id[u]) == ds.find(plain_id[v]):
-                return False
-    return True
+    return not has_erroneous_cycle(_realize(inst, sol).base)
 
 
 def ccvs_to_mcvs(g: CorrelationGraph, k: int) -> MulticutInstance:
@@ -282,22 +275,12 @@ def multicut_solution_to_clustering(
     clustering; terminal pairs whose resolution was lost to a removed pair
     get a singleton on the smaller split endpoint.
     """
-    if not verify_multicut_solution(inst, sol):
+    r = _realize(inst, sol)
+    if has_erroneous_cycle(r.base):
         raise ValueError("solution does not separate all terminal pairs")
-    ancestors, plain_id, part_id = _split_layout(inst, sol)
-    sol_parts = dict(sol.splits)
-    edges = []
-    for u, v in sorted(inst.edges):
-        du = _owner(sol_parts, plain_id, part_id, u, v)
-        dv = _owner(sol_parts, plain_id, part_id, v, u)
-        edges.append((du, dv, BLUE))
-    for u, v in sorted(inst.terminals):
-        if u in plain_id and v in plain_id:
-            edges.append((plain_id[u], plain_id[v], RED))
-    base = CorrelationGraph(len(ancestors), edges, complete=False)
-    f = splits_to_clustering(RealizedGraph(base, ancestors, inst.n))
+    # the clusters resolve terminals of two unsplit vertices: their components differ
     return _add_singletons(
-        f.clusters, inst.n, sorted(inst.terminals), sol.split_vertices
+        _component_clusters(r), inst.n, sorted(inst.terminals), sol.split_vertices
     )
 
 

@@ -10,16 +10,25 @@ used.
 The pair-by-pair references at the end are the package's original,
 straightforward versions of routines that now run on neighbour sets: the
 greedy bad star forest that rescans from vertex 0 for every star, the
-pairwise clustering check, the clique test over all member pairs, and the
-recursive augmenting-path matching.  The fast versions must agree with
-them exactly, down to order.
+pairwise clustering check, the clique test over all member pairs, the
+recursive augmenting-path matching, and the split graph of a clustering
+built over all descendant pairs.  The fast versions must agree with them
+exactly, down to order.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from splitclust import BLUE, RED, CorrelationGraph, MulticutInstance, PlainGraph
+from splitclust import (
+    BLUE,
+    RED,
+    Clustering,
+    CorrelationGraph,
+    MulticutInstance,
+    PlainGraph,
+    RealizedGraph,
+)
 
 
 def _family_is_valid(g: CorrelationGraph, family: tuple[frozenset[int], ...]) -> bool:
@@ -321,3 +330,24 @@ def recursive_min_vertex_cover(left, right, edges) -> frozenset:
     return frozenset(
         [l for l in left if l not in reach_left] + [r for r in right if r in reach_right]
     )
+
+
+def pairwise_clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
+    """The split graph of a valid clustering, labelling every descendant pair."""
+    idx = f.membership(g.n)
+    descendants = [(v, i) for v in range(g.n) for i in idx[v]]
+    edges = []
+    for d1 in range(len(descendants)):
+        u, i = descendants[d1]
+        for d2 in range(d1 + 1, len(descendants)):
+            v, j = descendants[d2]
+            if u == v:
+                edges.append((d1, d2, RED))
+            elif i == j:
+                edges.append((d1, d2, BLUE))
+            else:
+                color = RED if g.complete else g.label(u, v)
+                if color is RED:
+                    edges.append((d1, d2, RED))
+    base = CorrelationGraph(len(descendants), edges, complete=g.complete)
+    return RealizedGraph(base, (v for v, _ in descendants), g.n)

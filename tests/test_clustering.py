@@ -117,6 +117,9 @@ def test_clu_preserves_cluster_order():
         b"clustering 1\nc -2\n",
         b"clustering 1\nd 0\n",
         b"ccg 2 complete\n",
+        b"clustering 1\nc +0\n",
+        b"clustering 1\nc 1_0\n",
+        "clustering 1\nc \u0663\n".encode(),
     ],
 )
 def test_clu_rejects_malformed(doc):

@@ -106,6 +106,10 @@ def test_parse_explicit_red_in_complete_graph():
         b"ccg 3 complete\nx 0 1 b\n",
         b"ccg 3 complete\ne 0 1 b\ne 1 0 r\n",
         b"clustering 1\nc 0\n",
+        # integer fields are ASCII digits with an optional leading '-'
+        b"ccg +3 complete\n",
+        b"ccg 12 complete\ne 0 1_1 b\n",
+        "ccg 3 complete\ne \u0660 1 b\n".encode(),
     ],
 )
 def test_parse_rejects_malformed(doc):

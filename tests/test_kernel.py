@@ -209,6 +209,9 @@ def test_transcript_round_trip():
         b"S 0 2\n",
         b"S 0\nrc 0 1\n",
         b"S 0\ncl 1 2 | 1 | 3\n",
+        b"S +0\n",
+        b"S 0 1 2 3 4 5 6 7 8 9 1_0\n",
+        "S 0\nrc \u0661 2\n".encode(),
     ],
 )
 def test_parse_transcript_malformed(data):

@@ -40,6 +40,8 @@ def test_instance_validation():
     assert hash(PATH) == hash(MulticutInstance(3, [(1, 0), (2, 1)], [(2, 0)], 1))
     with pytest.raises(ValueError):
         MulticutInstance(-1, [], [], 0)
+    with pytest.raises(ValueError):  # the cap parse_multicut_instance enforces
+        MulticutInstance(100_001, [], [], 0)
     with pytest.raises(ValueError):
         MulticutInstance(3, [], [], -1)
     with pytest.raises(ValueError):
@@ -77,6 +79,8 @@ def test_verify_solution():
     assert verify_multicut_solution(PATH, MulticutSolution({0: [{1}, set()]}))
     with pytest.raises(ValueError):  # parts must cover exactly the neighborhood
         verify_multicut_solution(PATH, MulticutSolution({1: [{0}, {9}]}))
+    with pytest.raises(ValueError):  # ... and miss none of it
+        verify_multicut_solution(PATH, MulticutSolution({1: [{0}, set()]}))
     with pytest.raises(ValueError):
         verify_multicut_solution(PATH, MulticutSolution({7: [{0}, {1}]}))
 
@@ -210,6 +214,9 @@ def test_instance_format_round_trip():
         b"mcvs 3 1 0 0\ne 0 q\n",
         b"mcvs 3 1 1 0\ne 0 1\nt 1 0\n",
         b"mcvs 100001 0 0 0\n",
+        b"mcvs +3 0 0 0\n",
+        b"mcvs 12 1 0 0\ne 0 1_1\n",
+        "mcvs 3 1 0 0\ne \u0660 1\n".encode(),
     ],
 )
 def test_parse_instance_malformed(data):
@@ -248,6 +255,9 @@ def test_solution_format_round_trip():
         b"mcsol 3\ns 1 : a | 2\n",
         b"mcsol 3\ns 1 : 0 | 0\n",
         b"mcsol 100001\n",
+        b"mcsol 3\ns +1 : 0 | 2\n",
+        b"mcsol 12\ns 1 : 0 | 1_1\n",
+        "mcsol 3\ns 1 : \u0660 | 2\n".encode(),
     ],
 )
 def test_parse_solution_malformed(data):

@@ -1,8 +1,10 @@
 """The set-based scans against the pair-by-pair references in ``oracles``.
 
-Forests, bad triangles, validation reports, clique decompositions and
-vertex covers must come out exactly as the straightforward versions
-compute them, order included, on random and planted graphs.
+Forests, bad triangles, validation reports, clique decompositions, vertex
+covers and the split graphs of clusterings must come out exactly as the
+straightforward versions compute them, order included, on random and
+planted graphs.  Erroneous-cycle tests and multicut verification, which
+label blue components, must agree with union-find references.
 """
 
 from __future__ import annotations
@@ -17,23 +19,34 @@ from splitclust import (
     Clustering,
     CorrelationGraph,
     Kernelized,
+    MulticutSolution,
     approximate,
     bipartite_min_vertex_cover,
+    ccvs_to_mcvs,
     cluster_decomposition,
+    clustering_to_splits,
     complete_graph,
     cost,
     find_bad_triangle,
     gen_random,
     has_erroneous_cycle,
+    incomplete_graph,
     kernelize,
     lower_bound,
     maximal_bad_star_forest,
+    mcvs_to_ccvs,
+    multicut_solution_to_clustering,
     verify_clustering,
+    verify_multicut_solution,
 )
 from oracles import (
+    _separates,
+    _split_choices,
+    _UnionFind,
     first_bad_triangle,
     greedy_bad_star_forest,
     pairwise_cluster_decomposition,
+    pairwise_clustering_to_splits,
     pairwise_verify,
     recursive_min_vertex_cover,
 )
@@ -169,6 +182,98 @@ def test_iterative_cover_matches_recursive(data):
     assert bipartite_min_vertex_cover(
         BipartiteGraph(left, right, edges)
     ) == recursive_min_vertex_cover(left, right, edges)
+
+
+def with_overlaps(f: Clustering, n: int, rng: random.Random) -> Clustering:
+    """f with a few vertices added to one more cluster each.
+
+    Extra memberships never uncover a blue pair or unresolve a red one, so
+    a valid f stays valid.
+    """
+    clusters = [set(c) for c in f]
+    for v in rng.sample(range(n), min(n, 3)):
+        clusters[rng.randrange(len(clusters))].add(v)
+    return Clustering(clusters)
+
+
+def planted_incomplete(n: int, clusters: int, seed: int) -> tuple[CorrelationGraph, Clustering]:
+    """Incomplete graph labelled to fit a random overlapping clustering.
+
+    Pairs sharing a cluster are blue or neutral, other resolved pairs red
+    or neutral, so the clustering is valid by construction.
+    """
+    rng = random.Random(seed)
+    members: list[set[int]] = [set() for _ in range(clusters)]
+    for v in range(n):
+        for i in rng.sample(range(clusters), rng.randint(1, min(3, clusters))):
+            members[i].add(v)
+    f = Clustering(m for m in members if m)
+    where = [set(w) for w in f.membership(n)]
+    blue, red = [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if where[u] & where[v] and rng.random() < 0.6:
+                blue.append((u, v))
+            elif not (where[u] == where[v] and len(where[u]) == 1) and rng.random() < 0.5:
+                red.append((u, v))
+    return incomplete_graph(n, blue, red), f
+
+
+@given(st.integers(2, 30), P_BLUE, st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_clustering_to_splits_matches_pairwise_on_complete(n, p_blue, seed):
+    g = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed)
+    for f in (approximate(g), with_overlaps(approximate(g), n, random.Random(seed))):
+        assert clustering_to_splits(g, f) == pairwise_clustering_to_splits(g, f)
+
+
+@given(st.integers(2, 30), st.integers(1, 6), st.integers(0, 10_000))
+@settings(max_examples=80, deadline=None)
+def test_clustering_to_splits_matches_pairwise_on_incomplete(n, clusters, seed):
+    g, f = planted_incomplete(n, clusters, seed)
+    assert verify_clustering(g, f).ok
+    for f in (f, with_overlaps(f, n, random.Random(seed))):
+        assert clustering_to_splits(g, f) == pairwise_clustering_to_splits(g, f)
+
+
+@given(st.integers(2, 25), P_BLUE, st.floats(0.0, 1.0), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_erroneous_cycle_matches_union_find_on_incomplete(n, p_blue, red_share, seed):
+    # blue is kept sparse, so that graphs with and without such a cycle both occur
+    g = gen_random(n, p_blue / 3, (1 - p_blue / 3) * red_share, complete=False, seed=seed)
+    uf = _UnionFind(g.n)
+    for u, v in g.blue_edges():
+        uf.union(u, v)
+    expected = any(uf.find(u) == uf.find(v) for u, v in g.red_edges())
+    assert has_erroneous_cycle(g) == expected
+
+
+def test_verify_multicut_matches_separates():
+    """Random instances and solutions: separating, not separating, removing."""
+    outcomes = {True: 0, False: 0}
+    removals = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        g = gen_random(n, rng.choice([0.3, 0.5, 0.7]), 0.3, complete=False, seed=seed)
+        inst = ccvs_to_mcvs(g, 0)
+        chosen = [
+            None if rng.random() < 0.5 else rng.choice(list(_split_choices(inst.neighbors(v))))
+            for v in range(n)
+        ]
+        sol = MulticutSolution({v: parts for v, parts in enumerate(chosen) if parts})
+        removals += any(parts and not parts[-1] for parts in chosen)
+        ok = verify_multicut_solution(inst, sol)
+        assert ok == _separates(inst, chosen)
+        outcomes[ok] += 1
+        if not ok:
+            with pytest.raises(ValueError):
+                multicut_solution_to_clustering(inst, sol)
+            continue
+        f = multicut_solution_to_clustering(inst, sol)
+        assert verify_clustering(mcvs_to_ccvs(inst)[0], f).ok
+        assert cost(f, n) <= sol.cost
+    assert min(outcomes.values()) >= 50 and removals >= 50
 
 
 def test_complete_graph_pipeline_makes_no_label_calls(monkeypatch):
