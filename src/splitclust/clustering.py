@@ -322,31 +322,67 @@ def splits_to_clustering(r: RealizedGraph) -> Clustering:
     merged.  Red ancestor pairs left unresolved by the merge gain a
     singleton cluster on the smaller split endpoint.  The cost never
     exceeds ``r.split_count``.
+
+    A pair can be unresolved only when both endpoints lie in exactly one
+    merged cluster, the same one, and one of them is split; a pair that is
+    resolved at the start stays resolved as singletons are added.  So only
+    such pairs are listed: in O(N + blue pairs) for N descendants on
+    complete graphs, without listing the red pairs, and in O(N + stored
+    pairs) on incomplete ones.
     """
     base = r.base
     if has_erroneous_cycle(base):
         raise ValueError("realized graph has an erroneous cycle")
-    # red pairs between descendants of distinct originals must stay resolved
-    red_pairs = sorted(
-        {
-            _pair(r.ancestors[x], r.ancestors[y])
-            for x, y in base.red_edges()
-            if r.ancestors[x] != r.ancestors[y]
-        }
-    )
+    ancestors = r.ancestors
+    components = blue_components(base)
+    clusters = _component_clusters(ancestors, components)
     counts = [0] * r.original_n
-    for a in r.ancestors:
+    for a in ancestors:
         counts[a] += 1
     split = {v for v, c in enumerate(counts) if c >= 2}
-    return _add_singletons(_component_clusters(r), r.original_n, red_pairs, split)
+    # home[a]: index of a's merged cluster when a lies in exactly one, else -1
+    home = [None] * r.original_n
+    for i, cluster in enumerate(clusters):
+        for a in cluster:
+            home[a] = i if home[a] is None else -1
+    pairs: set[tuple[int, int]] = set()
+    if base.complete:
+        # blue components are cliques and every pair across them is red, so
+        # two ancestors have a red descendant pair unless all their
+        # descendants lie in one component
+        spans: list[set[int]] = [set() for _ in range(r.original_n)]
+        for i, comp in enumerate(components):
+            for d in comp:
+                spans[ancestors[d]].add(i)
+        for s in split:
+            i = home[s]
+            if i == -1:
+                continue
+            for b in clusters[i]:
+                if b == s or home[b] != i:
+                    continue
+                if len(spans[s]) == 1 and spans[s] == spans[b]:
+                    continue  # every descendant pair is blue
+                pairs.add(_pair(s, b))
+    else:
+        for (x, y), color in base._labels.items():
+            a, b = ancestors[x], ancestors[y]
+            if (
+                color is RED
+                and a != b
+                and home[a] == home[b] != -1
+                and (a in split or b in split)
+            ):
+                pairs.add(_pair(a, b))
+    return _add_singletons(clusters, r.original_n, sorted(pairs), split)
 
 
-def _component_clusters(r: RealizedGraph) -> list[frozenset[int]]:
-    """Ancestor sets of the base's blue components, duplicates merged, in order."""
+def _component_clusters(
+    ancestors: tuple[int, ...], components: list[list[int]]
+) -> list[frozenset[int]]:
+    """Ancestor sets of a split graph's blue components, duplicates merged, in order."""
     return list(
-        dict.fromkeys(
-            frozenset(r.ancestors[d] for d in comp) for comp in blue_components(r.base)
-        )
+        dict.fromkeys(frozenset(ancestors[d] for d in comp) for comp in components)
     )
 
 

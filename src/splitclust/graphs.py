@@ -62,8 +62,13 @@ class CorrelationGraph:
         default = RED if complete else NEUTRAL
         labels: dict[tuple[int, int], EdgeColor] = {}
         for u, v, color in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            try:
+                # ``|`` raises TypeError on anything but integers, so this one
+                # test checks both the type and the range of the ids
+                if (u | v) < 0 or u >= n or v >= n:
+                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            except TypeError:
+                raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})") from None
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
             if not isinstance(color, EdgeColor):

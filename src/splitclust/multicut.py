@@ -47,6 +47,7 @@ from .graphs import (
     _read_ints,
     _read_pair,
     _read_vertex_count,
+    blue_components,
     incomplete_graph,
 )
 
@@ -63,6 +64,8 @@ class MulticutInstance:
         terminals: Iterable[tuple[int, int]],
         k: int,
     ):
+        if not (isinstance(n, int) and isinstance(k, int)):
+            raise ValueError(f"vertex count and budget must be integers, got {n!r}, {k!r}")
         if n < 0:
             raise ValueError("negative vertex count")
         if n > MAX_VERTICES:
@@ -71,15 +74,23 @@ class MulticutInstance:
             raise ValueError("negative split budget")
         edge_set = set()
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            try:
+                # ``|`` raises TypeError on anything but integers, so this one
+                # test checks both the type and the range of the ids
+                if (u | v) < 0 or u >= n or v >= n:
+                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            except TypeError:
+                raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})") from None
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
             edge_set.add(_pair(u, v))
         term_set = set()
         for u, v in terminals:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"terminal pair ({u},{v}) out of range for n={n}")
+            try:
+                if (u | v) < 0 or u >= n or v >= n:
+                    raise ValueError(f"terminal pair ({u},{v}) out of range for n={n}")
+            except TypeError:
+                raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})") from None
             if u == v:
                 raise ValueError(f"terminal pair ({u},{u}) is degenerate")
             term_set.add(_pair(u, v))
@@ -278,10 +289,12 @@ def multicut_solution_to_clustering(
     r = _realize(inst, sol)
     if has_erroneous_cycle(r.base):
         raise ValueError("solution does not separate all terminal pairs")
-    # the clusters resolve terminals of two unsplit vertices: their components differ
-    return _add_singletons(
-        _component_clusters(r), inst.n, sorted(inst.terminals), sol.split_vertices
-    )
+    # a terminal pair of two unsplit vertices joins two distinct components,
+    # so the clusters resolve it; only pairs touching a split vertex are passed
+    split = sol.split_vertices
+    clusters = _component_clusters(r.ancestors, blue_components(r.base))
+    pairs = sorted(p for p in inst.terminals if p[0] in split or p[1] in split)
+    return _add_singletons(clusters, inst.n, pairs, split)
 
 
 def parse_multicut_instance(data: bytes | str) -> MulticutInstance:

@@ -11,9 +11,11 @@ The pair-by-pair references at the end are the package's original,
 straightforward versions of routines that now run on neighbour sets: the
 greedy bad star forest that rescans from vertex 0 for every star, the
 pairwise clustering check, the clique test over all member pairs, the
-recursive augmenting-path matching, and the split graph of a clustering
-built over all descendant pairs.  The fast versions must agree with them
-exactly, down to order.
+recursive augmenting-path matching, the split graph of a clustering
+built over all descendant pairs, and the clustering read off a split graph
+by repairing every red ancestor pair (or, for a multicut solution, every
+terminal pair).  The fast versions must agree with them exactly, down to
+order.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from splitclust import (
     MulticutInstance,
     PlainGraph,
     RealizedGraph,
+    blue_components,
+    has_erroneous_cycle,
 )
 
 
@@ -351,3 +355,92 @@ def pairwise_clustering_to_splits(g: CorrelationGraph, f: Clustering) -> Realize
                     edges.append((d1, d2, RED))
     base = CorrelationGraph(len(descendants), edges, complete=g.complete)
     return RealizedGraph(base, (v for v, _ in descendants), g.n)
+
+
+def repairing_splits_to_clustering(r: RealizedGraph) -> tuple[Clustering, int]:
+    """Clusters of a split graph, then a singleton for every unresolved red pair.
+
+    Lists every red pair of the base, O(N^2) on complete graphs, and tries
+    each ancestor pair in sorted order.  Returns the clustering and the
+    number of singletons added.
+    """
+    if has_erroneous_cycle(r.base):
+        raise ValueError("realized graph has an erroneous cycle")
+    clusters = list(
+        dict.fromkeys(
+            frozenset(r.ancestors[d] for d in comp) for comp in blue_components(r.base)
+        )
+    )
+    pairs = sorted(
+        {
+            (min(r.ancestors[x], r.ancestors[y]), max(r.ancestors[x], r.ancestors[y]))
+            for x, y in r.base.red_edges()
+            if r.ancestors[x] != r.ancestors[y]
+        }
+    )
+    copies = [0] * r.original_n
+    for a in r.ancestors:
+        copies[a] += 1
+    where = [set() for _ in range(r.original_n)]
+    for i, cluster in enumerate(clusters):
+        for v in cluster:
+            where[v].add(i)
+    merged = len(clusters)
+    for u, v in pairs:
+        if where[u] and where[v] and not (where[u] == where[v] and len(where[u]) == 1):
+            continue
+        w = min(x for x in (u, v) if copies[x] >= 2)
+        where[w].add(len(clusters))
+        clusters.append(frozenset((w,)))
+    return Clustering(clusters), len(clusters) - merged
+
+
+def repairing_multicut_to_clustering(
+    inst: MulticutInstance, sol
+) -> tuple[Clustering, int]:
+    """Clusters of a solution's copies, then a singleton per unresolved terminal pair.
+
+    Copies are numbered by vertex and then by part, and joined along the
+    edges by a union-find; every terminal pair is tried in sorted order.
+    Returns the clustering and the number of singletons added.
+    """
+    parts_of = dict(sol.splits)
+    ancestors: list[int] = []
+    owner: dict[tuple[int, int | None], int] = {}
+    for v in range(inst.n):
+        if v not in parts_of:
+            owner[v, None] = len(ancestors)
+            ancestors.append(v)
+            continue
+        for part in parts_of[v]:
+            for u in part:
+                owner[v, u] = len(ancestors)
+            ancestors.append(v)
+
+    def copy(v: int, u: int) -> int:
+        return owner[v, u] if v in parts_of else owner[v, None]
+
+    uf = _UnionFind(len(ancestors))
+    for u, v in inst.edges:
+        uf.union(copy(u, v), copy(v, u))
+    components: dict[int, list[int]] = {}
+    for d in range(len(ancestors)):
+        components.setdefault(uf.find(d), []).append(d)
+    clusters = list(
+        dict.fromkeys(
+            frozenset(ancestors[d] for d in comp)
+            for comp in sorted(components.values(), key=min)
+        )
+    )
+    where = [set() for _ in range(inst.n)]
+    for i, cluster in enumerate(clusters):
+        for v in cluster:
+            where[v].add(i)
+    merged = len(clusters)
+    for u, v in sorted(inst.terminals):
+        if not (where[u] == where[v] and len(where[u]) == 1):
+            continue
+        w = min(x for x in (u, v) if x in parts_of)
+        where[w].add(len(clusters))
+        clusters.append(frozenset((w,)))
+    return Clustering(clusters), len(clusters) - merged

@@ -48,6 +48,13 @@ def test_constructor_rejects_bad_edges():
         CorrelationGraph(-1, [], complete=True)
     with pytest.raises(ValueError):
         CorrelationGraph(100_001, [], complete=True)
+    # ids must be ints: a float red pair used to be stored, a blue one raised TypeError
+    for bad in (1.5, 1.0, "1", None):
+        for color in (BLUE, RED):
+            with pytest.raises(ValueError, match="integers"):
+                CorrelationGraph(3, [(0, bad, color)], complete=False)
+            with pytest.raises(ValueError, match="integers"):
+                CorrelationGraph(3, [(bad, 2, color)], complete=True)
 
 
 def test_equality_ignores_listing_of_default_colors():

@@ -52,6 +52,16 @@ def test_instance_validation():
         MulticutInstance(3, [], [(1, 1)], 0)
     with pytest.raises(ValueError):  # a pair cannot be both edge and terminal
         MulticutInstance(3, [(0, 1)], [(1, 0)], 0)
+    # ids, n and k must be ints: a float edge used to raise TypeError
+    for bad in (1.0, 1.5, "1", None):
+        with pytest.raises(ValueError, match="integers"):
+            MulticutInstance(3, [(0, bad)], [], 0)
+        with pytest.raises(ValueError, match="integers"):
+            MulticutInstance(3, [], [(bad, 2)], 0)
+        with pytest.raises(ValueError, match="integers"):
+            MulticutInstance(bad, [], [], 0)
+        with pytest.raises(ValueError, match="integers"):
+            MulticutInstance(3, [], [], bad)
     with pytest.raises(ValueError):
         PATH.neighbors(5)
 

@@ -1,10 +1,13 @@
 """The set-based scans against the pair-by-pair references in ``oracles``.
 
 Forests, bad triangles, validation reports, clique decompositions, vertex
-covers and the split graphs of clusterings must come out exactly as the
+covers, the split graphs of clusterings and the clusterings read back off
+split graphs and multicut solutions must come out exactly as the
 straightforward versions compute them, order included, on random and
-planted graphs.  Erroneous-cycle tests and multicut verification, which
-label blue components, must agree with union-find references.
+planted graphs.  Forests and bad triangles are also checked on twin-rich
+graphs, where the scan skips twins.  Erroneous-cycle tests and multicut
+verification, which label blue components, must agree with union-find
+references.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from splitclust import (
     CorrelationGraph,
     Kernelized,
     MulticutSolution,
+    RealizedGraph,
     approximate,
     bipartite_min_vertex_cover,
     ccvs_to_mcvs,
@@ -36,6 +40,7 @@ from splitclust import (
     maximal_bad_star_forest,
     mcvs_to_ccvs,
     multicut_solution_to_clustering,
+    splits_to_clustering,
     verify_clustering,
     verify_multicut_solution,
 )
@@ -49,6 +54,8 @@ from oracles import (
     pairwise_clustering_to_splits,
     pairwise_verify,
     recursive_min_vertex_cover,
+    repairing_multicut_to_clustering,
+    repairing_splits_to_clustering,
 )
 
 P_BLUE = st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9])
@@ -123,6 +130,56 @@ def test_bad_triangle_and_cliques_match_reference_on_complete(n, p_blue, seed, d
     assert find_bad_triangle(g, within) == first_bad_triangle(g, within)
     assert cluster_decomposition(g, within) == pairwise_cluster_decomposition(g, within)
     assert has_erroneous_cycle(g) == (pairwise_cluster_decomposition(g) is None)
+
+
+def blow_up(n: int, p_blue: float, seed: int) -> CorrelationGraph:
+    """A random complete graph with each vertex replaced by 1-4 twins.
+
+    The copies of a vertex are blue to every copy of its blue neighbours.
+    Most vertices get true twins, a blue clique sharing one closed
+    neighbourhood without being an isolated clique; the rest get false
+    twins, pairwise red, which share only their open neighbourhood.  Ids
+    are shuffled so that twins are not consecutive.
+    """
+    rng = random.Random(seed)
+    base = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed)
+    sizes = [rng.randint(1, 4) for _ in range(n)]
+    ids = list(range(sum(sizes)))
+    rng.shuffle(ids)
+    twins = []
+    for size in sizes:
+        twins.append(ids[:size])
+        del ids[:size]
+    blue = [
+        (a, b)
+        for group in twins
+        if rng.random() < 0.75
+        for a in group
+        for b in group
+        if a < b
+    ]
+    blue += [(a, b) for u, v in base.blue_edges() for a in twins[u] for b in twins[v]]
+    return complete_graph(sum(sizes), blue)
+
+
+@given(st.integers(2, 12), P_BLUE, st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_forest_matches_rescanning_greedy_on_blow_ups(n, p_blue, seed):
+    g = blow_up(n, p_blue, seed)
+    assert forest_stars(g) == greedy_bad_star_forest(g)
+
+
+@given(st.booleans(), st.integers(0, 10_000), st.data())
+@settings(max_examples=200, deadline=None)
+def test_bad_triangle_matches_reference_on_twin_rich(blown_up, seed, data):
+    if blown_up:
+        g = blow_up(data.draw(st.integers(2, 12)), data.draw(P_BLUE), seed)
+    else:
+        n = data.draw(st.integers(10, 60))
+        clusters, flips = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 4))
+        g, _ = planted(n, clusters, n // 8, flips, seed)
+    within = data.draw(st.none() | st.sets(st.integers(0, g.n - 1)))
+    assert find_bad_triangle(g, within) == first_bad_triangle(g, within)
 
 
 def mutations(f: Clustering, rng: random.Random) -> list[Clustering]:
@@ -248,10 +305,87 @@ def test_erroneous_cycle_matches_union_find_on_incomplete(n, p_blue, red_share, 
     assert has_erroneous_cycle(g) == expected
 
 
+def random_realized(complete: bool, seed: int) -> RealizedGraph:
+    """A split graph with no erroneous cycle: one group of copies per vertex set.
+
+    Random vertex lists, some of them repeated, each get one copy per entry;
+    groups of equal sets give clusters that merge, so pairs inside them
+    need singletons, and a list may name a vertex twice, so that two blue
+    copies share a group.  Complete graphs are blue exactly inside groups;
+    incomplete ones are blue on some pairs inside a group and red on some
+    pairs across groups.
+    """
+    rng = random.Random(seed)
+    original_n = rng.randint(1, 7)
+    sets = [
+        rng.choices(range(original_n), k=rng.randint(1, original_n))
+        for _ in range(rng.randint(1, 4))
+    ]
+    sets += [rng.choice(sets) for _ in range(rng.randint(0, 2))]
+    covered = set().union(*sets)
+    sets += [[v] for v in range(original_n) if v not in covered]
+    copies = [(v, i) for i, members in enumerate(sets) for v in members]
+    rng.shuffle(copies)
+    ancestors = [v for v, _ in copies]
+    group = [i for _, i in copies]
+    blue, red = [], []
+    for x in range(len(ancestors)):
+        for y in range(x + 1, len(ancestors)):
+            if group[x] == group[y]:
+                if complete or rng.random() < 0.7:
+                    blue.append((x, y))
+            elif not complete and rng.random() < 0.6:
+                red.append((x, y))
+    if complete:
+        base = complete_graph(len(ancestors), blue)
+    else:
+        base = incomplete_graph(len(ancestors), blue, red)
+    return RealizedGraph(base, ancestors, original_n)
+
+
+def test_splits_to_clustering_matches_repairing():
+    """Random split graphs, and split graphs of clusterings with a duplicate."""
+    repaired = {True: 0, False: 0}
+    for seed in range(300):
+        for complete in (True, False):
+            r = random_realized(complete, seed)
+            expected, added = repairing_splits_to_clustering(r)
+            assert splits_to_clustering(r) == expected
+            repaired[complete] += added > 0
+    assert min(repaired.values()) >= 30
+    for seed in range(40):
+        rng = random.Random(seed)
+        g, f = planted(rng.randint(10, 50), rng.randint(2, 5), rng.randint(0, 5), 0, seed)
+        h, e = planted_incomplete(rng.randint(2, 30), rng.randint(1, 5), seed)
+        for graph, clustering in ((g, f), (h, with_overlaps(e, h.n, rng))):
+            twice = Clustering([*clustering, clustering[rng.randrange(len(clustering))]])
+            for chosen in (clustering, twice):
+                r = clustering_to_splits(graph, chosen)
+                assert splits_to_clustering(r) == repairing_splits_to_clustering(r)[0]
+
+
+def test_splits_to_clustering_lists_no_red_pairs_on_complete(monkeypatch):
+    g, f = planted(300, 9, 8, 0, seed=3)
+    # the duplicate makes pairs inside f[0] red across its two copies
+    r = clustering_to_splits(g, Clustering([*f, f[0]]))
+    expected, added = repairing_splits_to_clustering(r)
+    assert added > 0
+
+    def refuse(self):
+        raise AssertionError("red_edges() listed in splits_to_clustering")
+
+    monkeypatch.setattr(CorrelationGraph, "red_edges", refuse)
+    assert splits_to_clustering(r) == expected
+
+
 def test_verify_multicut_matches_separates():
-    """Random instances and solutions: separating, not separating, removing."""
+    """Random instances and solutions: separating, not separating, removing.
+
+    Separating ones must read back as the reference that repairs every
+    terminal pair does, singletons included.
+    """
     outcomes = {True: 0, False: 0}
-    removals = 0
+    removals = repaired = 0
     for seed in range(400):
         rng = random.Random(seed)
         n = rng.randint(2, 6)
@@ -271,9 +405,12 @@ def test_verify_multicut_matches_separates():
                 multicut_solution_to_clustering(inst, sol)
             continue
         f = multicut_solution_to_clustering(inst, sol)
+        expected, added = repairing_multicut_to_clustering(inst, sol)
+        assert f == expected
         assert verify_clustering(mcvs_to_ccvs(inst)[0], f).ok
         assert cost(f, n) <= sol.cost
-    assert min(outcomes.values()) >= 50 and removals >= 50
+        repaired += added > 0
+    assert min(outcomes.values()) >= 50 and removals >= 50 and repaired >= 10
 
 
 def test_complete_graph_pipeline_makes_no_label_calls(monkeypatch):
