@@ -27,6 +27,7 @@ from .graphs import (
     CorrelationGraph,
     FormatError,
     _blue_sets,
+    _is_integer,
     _pair,
     _read_counts,
     _read_document,
@@ -50,7 +51,7 @@ class Clustering:
             if not fs:
                 raise ValueError("clusters must be nonempty")
             for v in fs:
-                if not isinstance(v, int) or v < 0:
+                if not _is_integer(v) or v < 0:
                     raise ValueError(f"not a vertex id: {v!r}")
             clean.append(fs)
         object.__setattr__(self, "clusters", tuple(clean))
@@ -293,17 +294,25 @@ def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
             members[i].append(len(ancestors))
             copies[v].append(len(ancestors))
             ancestors.append(v)
-    edges = [(d1, d2, BLUE) for m in members for d1, d2 in combinations(m, 2)]
-    edges += [(d1, d2, RED) for c in copies for d1, d2 in combinations(c, 2)]
+    # descendants are numbered by vertex and then by cluster, so every pair
+    # below has d1 < d2, and no pair gets two colours: blue pairs join two
+    # ancestors in one cluster, red ones one ancestor or two clusters
+    labels = {
+        (d1, d2): BLUE for m in members for d1, d2 in combinations(m, 2)
+    }
     if not g.complete:
+        # red is the default of complete graphs, so these are stored only here
+        labels.update(
+            ((d1, d2), RED) for c in copies for d1, d2 in combinations(c, 2)
+        )
         for u, v in g.red_edges():
-            edges += [
-                (d1, d2, RED)
+            labels.update(
+                ((d1, d2), RED)
                 for i, d1 in zip(idx[u], copies[u])
                 for j, d2 in zip(idx[v], copies[v])
                 if i != j
-            ]
-    base = CorrelationGraph(len(ancestors), edges, complete=g.complete)
+            )
+    base = CorrelationGraph._trusted(len(ancestors), labels, g.complete)
     return RealizedGraph(base, ancestors, g.n)
 
 

@@ -39,11 +39,46 @@ def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _is_integer(x: object) -> bool:
+    """Whether x is an int but not a ``bool``, which writers would emit as ``True``."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_ids(u: int, v: int, n: int, what: str = "edge") -> None:
+    """Both ids of a pair are integers (not ``bool``) in 0..n-1."""
+    try:
+        # ``|`` raises TypeError on anything but integers, so this one
+        # test checks both the type and the range of the ids
+        if (u | v) < 0 or u >= n or v >= n:
+            raise ValueError(f"{what} ({u},{v}) out of range for n={n}")
+    except TypeError:
+        raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})") from None
+    if isinstance(u, bool) or isinstance(v, bool):
+        raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})")
+
+
+def _check_vertex_count(n: int) -> None:
+    """A graph's vertex count: an int (not ``bool``) in 0..MAX_VERTICES."""
+    if not _is_integer(n) or n < 0:
+        raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
+
+
 class CorrelationGraph:
     """Immutable graph on vertices 0..n-1 with labeled unordered pairs.
 
     Only non-default labels are stored: blue pairs for complete graphs,
     blue and red pairs for incomplete ones.  Lookup of any pair is O(1).
+
+    The public constructor checks every pair it is given: integer ids (not
+    ``bool``) in range, no self-loop, a colour allowed for the kind, and no
+    two colours for one pair; then it normalises the pairs to u < v and
+    drops default-coloured ones.  Code whose pairs are valid by
+    construction (the ``ccg`` parser, ``induced_subgraph``, split graphs,
+    ``mcvs_to_ccvs``) builds through ``_trusted`` instead, which skips
+    those per-pair checks.  Both end in ``_build``, the one place that
+    stores the labels and builds the sorted blue adjacency lists.
     """
 
     __slots__ = ("n", "complete", "_labels", "_blue_adj")
@@ -55,20 +90,11 @@ class CorrelationGraph:
         *,
         complete: bool,
     ):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
-        if n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
+        _check_vertex_count(n)
         default = RED if complete else NEUTRAL
         labels: dict[tuple[int, int], EdgeColor] = {}
         for u, v, color in edges:
-            try:
-                # ``|`` raises TypeError on anything but integers, so this one
-                # test checks both the type and the range of the ids
-                if (u | v) < 0 or u >= n or v >= n:
-                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            except TypeError:
-                raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})") from None
+            _check_ids(u, v, n)
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
             if not isinstance(color, EdgeColor):
@@ -83,15 +109,34 @@ class CorrelationGraph:
                 raise ValueError(f"conflicting colors for pair {key}")
             labels[key] = color
         # normalize: drop default-colored pairs so equality is structural
-        object.__setattr__(
-            self,
-            "_labels",
-            {k: c for k, c in labels.items() if c is not default},
+        self._build(
+            n, {k: c for k, c in labels.items() if c is not default}, complete
         )
+
+    @classmethod
+    def _trusted(
+        cls, n: int, labels: dict[tuple[int, int], EdgeColor], complete: bool
+    ) -> "CorrelationGraph":
+        """A graph built from pairs that are valid by construction.
+
+        ``labels`` maps pairs (u, v) with 0 <= u < v < n to a colour of the
+        graph's kind, and holds no default-coloured pair; it is stored, not
+        copied, and nothing is checked but the vertex count (split graphs
+        can outgrow the cap).  O(n + stored pairs), with no per-pair check.
+        """
+        _check_vertex_count(n)
+        g = object.__new__(cls)
+        g._build(n, labels, complete)
+        return g
+
+    def _build(
+        self, n: int, labels: dict[tuple[int, int], EdgeColor], complete: bool
+    ) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "_labels", labels)
         adj: list[list[int]] = [[] for _ in range(n)]
-        for (u, v), c in self._labels.items():
+        for (u, v), c in labels.items():
             if c is BLUE:
                 adj[u].append(v)
                 adj[v].append(u)
@@ -142,19 +187,22 @@ class CorrelationGraph:
         """Subgraph induced on the given vertices, re-indexed to 0..m-1.
 
         Returns the subgraph and the sorted tuple mapping new ids to old.
+        The vertices are range-checked; the kept pairs are not checked
+        again, because re-indexing in sorted order keeps them valid and
+        u < v.  O(n + stored pairs).
         """
         keep = sorted(set(vertices))
         for v in keep:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range")
         index = {old: new for new, old in enumerate(keep)}
-        edges = [
-            (index[u], index[v], c)
+        labels = {
+            (index[u], index[v]): c
             for (u, v), c in self._labels.items()
             if u in index and v in index
-        ]
+        }
         return (
-            CorrelationGraph(len(keep), edges, complete=self.complete),
+            CorrelationGraph._trusted(len(keep), labels, self.complete),
             tuple(keep),
         )
 
@@ -318,19 +366,6 @@ def _read_ints(lineno: int, tokens: list[str], what: str = "vertex ids") -> list
     return [int(t) for t in tokens]
 
 
-def _read_pair(lineno: int, fields: list[str]) -> tuple[int, int]:
-    """Fields 1 and 2 of a pair line as integers.
-
-    ``_read_ints`` unrolled for two tokens: ``ccg`` and ``mcvs`` documents
-    have one such line per pair, and the list it builds would cost more
-    than the conversion.
-    """
-    u, v = fields[1], fields[2]
-    if not (_is_int(u) and _is_int(v)):
-        raise FormatError(f"line {lineno}: expected integer vertex ids")
-    return int(u), int(v)
-
-
 def _read_counts(lineno: int, tokens: list[str], what: str) -> list[int]:
     """Non-negative integer header fields."""
     counts = _read_ints(lineno, tokens, what)
@@ -374,30 +409,56 @@ _COLORS = {"b": BLUE, "r": RED}
 
 
 def parse_graph(data: bytes | str) -> CorrelationGraph:
-    """Parse the ``ccg`` text format.
+    """Parse the ``ccg`` text format in one pass over the pair lines.
 
-    Pair range, self-loop and colour-conflict errors come from
-    ``CorrelationGraph`` as ``FormatError("inconsistent graph: ...")``.
+    Each pair line is checked for syntax (shape, colour, integer ids), and
+    in the same loop for range, self-loops and colour conflicts while its
+    pair goes straight into the label dict, which is handed to
+    ``CorrelationGraph._trusted``.  Syntax errors are raised at their line.
+    The first semantic fault is raised only after the whole document passed
+    the syntax checks, as ``FormatError("inconsistent graph: ...")`` with
+    the message ``CorrelationGraph`` gives for it.  O(document length).
     """
+    text = _decode(data)
     lineno, header, lines = _read_document(
-        data, "ccg", 3, "ccg <n> complete|incomplete"
+        text, "ccg", 3, "ccg <n> complete|incomplete"
     )
     n = _read_vertex_count(lineno, header[1])
     if header[2] not in ("complete", "incomplete"):
         raise FormatError(f"line {lineno}: unknown graph kind {header[2]!r}")
-    edges: list[tuple[int, int, EdgeColor]] = []
+    # in an ASCII document ``isdigit`` is the ASCII-digit test, so only
+    # negative ids and other documents need ``_is_int``
+    ascii_digits = text.isascii()
+    labels: dict[tuple[int, int], EdgeColor] = {}
+    fault = None
     for lineno, fields in lines:
         if len(fields) != 4 or fields[0] != "e":
             raise FormatError(f"line {lineno}: expected 'e <u> <v> b|r'")
         color = _COLORS.get(fields[3])
         if color is None:
             raise FormatError(f"line {lineno}: unknown color {fields[3]!r}")
-        u, v = _read_pair(lineno, fields)
-        edges.append((u, v, color))
-    try:
-        return CorrelationGraph(n, edges, complete=header[2] == "complete")
-    except ValueError as exc:
-        raise FormatError(f"inconsistent graph: {exc}") from None
+        a, b = fields[1], fields[2]
+        if not (ascii_digits and a.isdigit() and b.isdigit()):
+            if not (_is_int(a) and _is_int(b)):
+                raise FormatError(f"line {lineno}: expected integer vertex ids")
+        u, v = int(a), int(b)
+        if fault is not None:
+            continue
+        if u >= n or v >= n or (u | v) < 0:
+            fault = f"edge ({u},{v}) out of range for n={n}"
+        elif u == v:
+            fault = f"self-loop on vertex {u}"
+        else:
+            key = (u, v) if u < v else (v, u)
+            if labels.setdefault(key, color) is not color:
+                fault = f"conflicting colors for pair {key}"
+    if fault is not None:
+        raise FormatError(f"inconsistent graph: {fault}")
+    complete = header[2] == "complete"
+    if complete and RED in labels.values():
+        # explicit red pairs of a complete graph carry the default colour
+        labels = {k: c for k, c in labels.items() if c is BLUE}
+    return CorrelationGraph._trusted(n, labels, complete)
 
 
 def write_graph(g: CorrelationGraph) -> bytes:

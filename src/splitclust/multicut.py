@@ -40,20 +40,41 @@ from .graphs import (
     RED,
     CorrelationGraph,
     FormatError,
+    _check_ids,
+    _decode,
+    _is_int,
+    _is_integer,
     _pair,
     _read_counts,
     _read_document,
     _read_groups,
     _read_ints,
-    _read_pair,
     _read_vertex_count,
     blue_components,
-    incomplete_graph,
 )
 
 
+def _check_counts(n: int, k: int) -> None:
+    """An instance's vertex count (0..MAX_VERTICES) and budget (>= 0)."""
+    if not (_is_integer(n) and _is_integer(k)):
+        raise ValueError(f"vertex count and budget must be integers, got {n!r}, {k!r}")
+    if n < 0:
+        raise ValueError("negative vertex count")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
+    if k < 0:
+        raise ValueError("negative split budget")
+
+
 class MulticutInstance:
-    """Graph, terminal pairs, and split budget.  Immutable."""
+    """Graph, terminal pairs, and split budget.  Immutable.
+
+    The public constructor checks the vertex count and budget, and every
+    pair: integer ids (not ``bool``) in range, no self-loop, no pair both
+    an edge and a terminal pair.  ``ccvs_to_mcvs`` and the ``mcvs`` parser,
+    whose pairs are valid by construction, build through ``_trusted``,
+    which checks only the two counts.
+    """
 
     __slots__ = ("n", "edges", "terminals", "k", "_adj")
 
@@ -64,44 +85,55 @@ class MulticutInstance:
         terminals: Iterable[tuple[int, int]],
         k: int,
     ):
-        if not (isinstance(n, int) and isinstance(k, int)):
-            raise ValueError(f"vertex count and budget must be integers, got {n!r}, {k!r}")
-        if n < 0:
-            raise ValueError("negative vertex count")
-        if n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
-        if k < 0:
-            raise ValueError("negative split budget")
+        _check_counts(n, k)
         edge_set = set()
         for u, v in edges:
-            try:
-                # ``|`` raises TypeError on anything but integers, so this one
-                # test checks both the type and the range of the ids
-                if (u | v) < 0 or u >= n or v >= n:
-                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            except TypeError:
-                raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})") from None
+            _check_ids(u, v, n)
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
             edge_set.add(_pair(u, v))
         term_set = set()
         for u, v in terminals:
-            try:
-                if (u | v) < 0 or u >= n or v >= n:
-                    raise ValueError(f"terminal pair ({u},{v}) out of range for n={n}")
-            except TypeError:
-                raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})") from None
+            _check_ids(u, v, n, "terminal pair")
             if u == v:
                 raise ValueError(f"terminal pair ({u},{u}) is degenerate")
             term_set.add(_pair(u, v))
         if edge_set & term_set:
             raise ValueError("terminal pairs must not be edges")
+        self._build(n, edge_set, term_set, k)
+
+    @classmethod
+    def _trusted(
+        cls,
+        n: int,
+        edges: Iterable[tuple[int, int]],
+        terminals: Iterable[tuple[int, int]],
+        k: int,
+    ) -> "MulticutInstance":
+        """An instance from pairs that are valid by construction.
+
+        Edges and terminal pairs are (u, v) with 0 <= u < v < n, and no
+        pair is both; only the vertex count and budget are checked.
+        """
+        _check_counts(n, k)
+        inst = object.__new__(cls)
+        inst._build(n, edges, terminals, k)
+        return inst
+
+    def _build(
+        self,
+        n: int,
+        edges: Iterable[tuple[int, int]],
+        terminals: Iterable[tuple[int, int]],
+        k: int,
+    ) -> None:
+        edges = frozenset(edges)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(edge_set))
-        object.__setattr__(self, "terminals", frozenset(term_set))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "terminals", frozenset(terminals))
         object.__setattr__(self, "k", k)
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_set:
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
         for row in adj:
@@ -148,10 +180,13 @@ class MulticutSolution:
     splits: tuple[tuple[int, tuple[frozenset[int], ...]], ...]
 
     def __init__(self, splits: Mapping[int, Iterable[Iterable[int]]]):
-        normalized = []
-        for v in sorted(splits):
+        for v in splits:
+            if not _is_integer(v):
+                raise ValueError(f"split vertex must be an integer, got {v!r}")
             if v < 0:
                 raise ValueError(f"negative vertex id {v}")
+        normalized = []
+        for v in sorted(splits):
             parts = [frozenset(p) for p in splits[v]]
             if len(parts) < 2:
                 raise ValueError(f"split of {v} needs at least two parts")
@@ -162,6 +197,9 @@ class MulticutSolution:
                 total += len(part)
             if len(union) != total:
                 raise ValueError(f"parts of {v} must be disjoint")
+            for u in union:
+                if not _is_integer(u) or u < 0:
+                    raise ValueError(f"part member of {v} is not a vertex id: {u!r}")
             parts.sort(key=lambda p: (not p and 1, min(p) if p else -1))
             normalized.append((v, tuple(parts)))
         object.__setattr__(self, "splits", tuple(normalized))
@@ -224,13 +262,15 @@ def _realize(inst: MulticutInstance, sol: MulticutSolution) -> RealizedGraph:
     def copy(v: int, u: int) -> int:
         return plain[v] if v in plain else owner[v, u]
 
-    edges = [(copy(u, v), copy(v, u), BLUE) for u, v in inst.edges]
-    edges += [
-        (plain[u], plain[v], RED)
+    # copies are numbered by vertex, so a pair u < v keeps its order, and
+    # an edge and a terminal pair never land on one pair of copies
+    labels = {(copy(u, v), copy(v, u)): BLUE for u, v in inst.edges}
+    labels.update(
+        ((plain[u], plain[v]), RED)
         for u, v in inst.terminals
         if u in plain and v in plain
-    ]
-    base = CorrelationGraph(len(ancestors), edges, complete=False)
+    )
+    base = CorrelationGraph._trusted(len(ancestors), labels, False)
     return RealizedGraph(base, ancestors, inst.n)
 
 
@@ -240,13 +280,22 @@ def verify_multicut_solution(inst: MulticutInstance, sol: MulticutSolution) -> b
 
 
 def ccvs_to_mcvs(g: CorrelationGraph, k: int) -> MulticutInstance:
-    """Blue pairs become edges, red pairs become terminal pairs."""
-    return MulticutInstance(g.n, g.blue_edges(), g.red_edges(), k)
+    """Blue pairs become edges, red pairs become terminal pairs.
+
+    The pairs of a graph are valid by construction; only the budget and
+    vertex count are checked.
+    """
+    return MulticutInstance._trusted(g.n, g.blue_edges(), g.red_edges(), k)
 
 
 def mcvs_to_ccvs(inst: MulticutInstance) -> tuple[CorrelationGraph, int]:
-    """Edges become blue pairs, terminal pairs red; the rest is neutral."""
-    return incomplete_graph(inst.n, inst.edges, inst.terminals), inst.k
+    """Edges become blue pairs, terminal pairs red; the rest is neutral.
+
+    The pairs of an instance are valid by construction and are not checked.
+    """
+    labels = dict.fromkeys(inst.edges, BLUE)
+    labels.update(dict.fromkeys(inst.terminals, RED))
+    return CorrelationGraph._trusted(inst.n, labels, False), inst.k
 
 
 def clustering_to_multicut_solution(
@@ -298,30 +347,58 @@ def multicut_solution_to_clustering(
 
 
 def parse_multicut_instance(data: bytes | str) -> MulticutInstance:
-    """Parse the ``mcvs`` format: header, e lines, t lines.
+    """Parse the ``mcvs`` format in one pass: header, e lines, t lines.
 
-    Pair range, self-loop and edge-versus-terminal errors come from
-    ``MulticutInstance`` as ``FormatError("inconsistent instance: ...")``.
+    Each pair line is checked for syntax, and in the same loop for range
+    and self-loops while its pair goes straight into the edge or terminal
+    set, which are handed to ``MulticutInstance._trusted``.  Syntax errors
+    are raised at their line.  After the syntax pass comes the first fault
+    among the edges, then among the terminal pairs, then a pair that is
+    both, each as ``FormatError("inconsistent instance: ...")`` with the
+    message ``MulticutInstance`` gives for it; then the header counts are
+    compared.  O(document length).
     """
-    lineno, header, lines = _read_document(data, "mcvs", 5, "mcvs <n> <m> <t> <k>")
+    text = _decode(data)
+    lineno, header, lines = _read_document(text, "mcvs", 5, "mcvs <n> <m> <t> <k>")
     n = _read_vertex_count(lineno, header[1])
     m, t, k = _read_counts(lineno, header[2:], "header field")
-    edges = []
-    terminals = []
+    # see parse_graph: ``isdigit`` is the ASCII-digit test in ASCII documents
+    ascii_digits = text.isascii()
+    edges: set[tuple[int, int]] = set()
+    terminals: set[tuple[int, int]] = set()
+    edge_fault = terminal_fault = None
     for lineno, fields in lines:
         if len(fields) != 3 or fields[0] not in ("e", "t"):
             raise FormatError(f"line {lineno}: expected 'e <u> <v>' or 't <u> <v>'")
-        pair = _read_pair(lineno, fields)
-        (edges if fields[0] == "e" else terminals).append(pair)
-    try:
-        inst = MulticutInstance(n, edges, terminals, k)
-    except ValueError as exc:
-        raise FormatError(f"inconsistent instance: {exc}") from None
-    if len(inst.edges) != m:
-        raise FormatError(f"header says {m} edges, found {len(inst.edges)}")
-    if len(inst.terminals) != t:
-        raise FormatError(f"header says {t} terminal pairs, found {len(inst.terminals)}")
-    return inst
+        a, b = fields[1], fields[2]
+        if not (ascii_digits and a.isdigit() and b.isdigit()):
+            if not (_is_int(a) and _is_int(b)):
+                raise FormatError(f"line {lineno}: expected integer vertex ids")
+        u, v = int(a), int(b)
+        pair = (u, v) if u < v else (v, u)
+        if fields[0] == "e":
+            if edge_fault is None:
+                if u >= n or v >= n or (u | v) < 0:
+                    edge_fault = f"edge ({u},{v}) out of range for n={n}"
+                elif u == v:
+                    edge_fault = f"self-loop on vertex {u}"
+                edges.add(pair)
+        elif terminal_fault is None:
+            if u >= n or v >= n or (u | v) < 0:
+                terminal_fault = f"terminal pair ({u},{v}) out of range for n={n}"
+            elif u == v:
+                terminal_fault = f"terminal pair ({u},{u}) is degenerate"
+            terminals.add(pair)
+    fault = edge_fault or terminal_fault
+    if fault is None and not edges.isdisjoint(terminals):
+        fault = "terminal pairs must not be edges"
+    if fault is not None:
+        raise FormatError(f"inconsistent instance: {fault}")
+    if len(edges) != m:
+        raise FormatError(f"header says {m} edges, found {len(edges)}")
+    if len(terminals) != t:
+        raise FormatError(f"header says {t} terminal pairs, found {len(terminals)}")
+    return MulticutInstance._trusted(n, edges, terminals, k)
 
 
 def write_multicut_instance(inst: MulticutInstance) -> bytes:

@@ -16,6 +16,14 @@ built over all descendant pairs, and the clustering read off a split graph
 by repairing every red ancestor pair (or, for a multicut solution, every
 terminal pair).  The fast versions must agree with them exactly, down to
 order.
+
+The checked builders and two-pass parsers at the very end are the
+package's earlier versions of code that now builds graphs and instances
+through their private trusted constructors: every pair goes through the
+public constructor, and each parser reads all pair lines before the
+constructor checks them.  (``pairwise_clustering_to_splits`` serves as
+the checked split graph of a clustering.)  The trusted versions must give
+the same objects, adjacency lists included, and the same error messages.
 """
 
 from __future__ import annotations
@@ -27,11 +35,19 @@ from splitclust import (
     RED,
     Clustering,
     CorrelationGraph,
+    FormatError,
     MulticutInstance,
     PlainGraph,
     RealizedGraph,
     blue_components,
     has_erroneous_cycle,
+)
+from splitclust.graphs import (
+    _COLORS,
+    _is_int,
+    _read_counts,
+    _read_document,
+    _read_vertex_count,
 )
 
 
@@ -444,3 +460,110 @@ def repairing_multicut_to_clustering(
         where[w].add(len(clusters))
         clusters.append(frozenset((w,)))
     return Clustering(clusters), len(clusters) - merged
+
+
+def checked_induced_subgraph(
+    g: CorrelationGraph, vertices
+) -> tuple[CorrelationGraph, tuple[int, ...]]:
+    """``g.induced_subgraph`` with every kept pair re-checked by the constructor."""
+    keep = sorted(set(vertices))
+    index = {old: new for new, old in enumerate(keep)}
+    edges = [
+        (index[u], index[v], c)
+        for (u, v), c in g._labels.items()
+        if u in index and v in index
+    ]
+    return CorrelationGraph(len(keep), edges, complete=g.complete), tuple(keep)
+
+
+def checked_realize(inst: MulticutInstance, sol) -> RealizedGraph:
+    """``multicut._realize`` passing every pair of the split graph to the constructor."""
+    split_parts = dict(sol.splits)
+    ancestors: list[int] = []
+    plain: dict[int, int] = {}
+    owner: dict[tuple[int, int], int] = {}
+    for v in range(inst.n):
+        parts = split_parts.get(v)
+        if parts is None:
+            plain[v] = len(ancestors)
+            ancestors.append(v)
+            continue
+        for part in parts:
+            for u in part:
+                owner[v, u] = len(ancestors)
+            ancestors.append(v)
+
+    def copy(v: int, u: int) -> int:
+        return plain[v] if v in plain else owner[v, u]
+
+    edges = [(copy(u, v), copy(v, u), BLUE) for u, v in inst.edges]
+    edges += [
+        (plain[u], plain[v], RED)
+        for u, v in inst.terminals
+        if u in plain and v in plain
+    ]
+    base = CorrelationGraph(len(ancestors), edges, complete=False)
+    return RealizedGraph(base, ancestors, inst.n)
+
+
+def checked_ccvs_to_mcvs(g: CorrelationGraph, k: int) -> MulticutInstance:
+    return MulticutInstance(g.n, g.blue_edges(), g.red_edges(), k)
+
+
+def checked_mcvs_to_ccvs(inst: MulticutInstance) -> tuple[CorrelationGraph, int]:
+    edges = [(u, v, BLUE) for u, v in inst.edges]
+    edges += [(u, v, RED) for u, v in inst.terminals]
+    return CorrelationGraph(inst.n, edges, complete=False), inst.k
+
+
+def _read_pair(lineno: int, fields: list[str]) -> tuple[int, int]:
+    u, v = fields[1], fields[2]
+    if not (_is_int(u) and _is_int(v)):
+        raise FormatError(f"line {lineno}: expected integer vertex ids")
+    return int(u), int(v)
+
+
+def two_pass_parse_graph(data: bytes | str) -> CorrelationGraph:
+    """The ``ccg`` parser that reads every pair, then lets the constructor check them."""
+    lineno, header, lines = _read_document(
+        data, "ccg", 3, "ccg <n> complete|incomplete"
+    )
+    n = _read_vertex_count(lineno, header[1])
+    if header[2] not in ("complete", "incomplete"):
+        raise FormatError(f"line {lineno}: unknown graph kind {header[2]!r}")
+    edges = []
+    for lineno, fields in lines:
+        if len(fields) != 4 or fields[0] != "e":
+            raise FormatError(f"line {lineno}: expected 'e <u> <v> b|r'")
+        color = _COLORS.get(fields[3])
+        if color is None:
+            raise FormatError(f"line {lineno}: unknown color {fields[3]!r}")
+        u, v = _read_pair(lineno, fields)
+        edges.append((u, v, color))
+    try:
+        return CorrelationGraph(n, edges, complete=header[2] == "complete")
+    except ValueError as exc:
+        raise FormatError(f"inconsistent graph: {exc}") from None
+
+
+def two_pass_parse_multicut_instance(data: bytes | str) -> MulticutInstance:
+    """The ``mcvs`` parser that reads every pair, then lets the constructor check them."""
+    lineno, header, lines = _read_document(data, "mcvs", 5, "mcvs <n> <m> <t> <k>")
+    n = _read_vertex_count(lineno, header[1])
+    m, t, k = _read_counts(lineno, header[2:], "header field")
+    edges = []
+    terminals = []
+    for lineno, fields in lines:
+        if len(fields) != 3 or fields[0] not in ("e", "t"):
+            raise FormatError(f"line {lineno}: expected 'e <u> <v>' or 't <u> <v>'")
+        pair = _read_pair(lineno, fields)
+        (edges if fields[0] == "e" else terminals).append(pair)
+    try:
+        inst = MulticutInstance(n, edges, terminals, k)
+    except ValueError as exc:
+        raise FormatError(f"inconsistent instance: {exc}") from None
+    if len(inst.edges) != m:
+        raise FormatError(f"header says {m} edges, found {len(inst.edges)}")
+    if len(inst.terminals) != t:
+        raise FormatError(f"header says {t} terminal pairs, found {len(inst.terminals)}")
+    return inst

@@ -39,6 +39,10 @@ def test_clustering_type():
         Clustering([[0], []])
     with pytest.raises(ValueError):
         Clustering([[-1]])
+    # ids are ints but not bools, which would be written as "c True"
+    for bad in (True, False, 1.0, "1"):
+        with pytest.raises(ValueError):
+            Clustering([[0], [bad, 2]])
 
 
 def test_cost():

@@ -55,6 +55,13 @@ def test_constructor_rejects_bad_edges():
                 CorrelationGraph(3, [(0, bad, color)], complete=False)
             with pytest.raises(ValueError, match="integers"):
                 CorrelationGraph(3, [(bad, 2, color)], complete=True)
+    # bool is an int, but a graph holding one would be written as "e 0 True b"
+    with pytest.raises(ValueError, match="integers"):
+        CorrelationGraph(3, [(0, True, BLUE)], complete=True)
+    with pytest.raises(ValueError, match="integers"):
+        CorrelationGraph(3, [(False, 2, RED)], complete=False)
+    with pytest.raises(ValueError):
+        CorrelationGraph(True, [], complete=True)
 
 
 def test_equality_ignores_listing_of_default_colors():
@@ -97,28 +104,28 @@ def test_parse_explicit_red_in_complete_graph():
     assert g == complete_graph(3, [(0, 1)])
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        b"",
-        b"ccg 3\n",
-        b"ccg three complete\n",
-        b"ccg -1 complete\n",
-        b"ccg 3 total\n",
-        b"ccg 100001 complete\n",
-        b"ccg 3 complete\ne 0 3 b\n",
-        b"ccg 3 complete\ne 0 0 b\n",
-        b"ccg 3 complete\ne 0 1 g\n",
-        b"ccg 3 complete\ne 0 1\n",
-        b"ccg 3 complete\nx 0 1 b\n",
-        b"ccg 3 complete\ne 0 1 b\ne 1 0 r\n",
-        b"clustering 1\nc 0\n",
-        # integer fields are ASCII digits with an optional leading '-'
-        b"ccg +3 complete\n",
-        b"ccg 12 complete\ne 0 1_1 b\n",
-        "ccg 3 complete\ne \u0660 1 b\n".encode(),
-    ],
-)
+MALFORMED = [
+    b"",
+    b"ccg 3\n",
+    b"ccg three complete\n",
+    b"ccg -1 complete\n",
+    b"ccg 3 total\n",
+    b"ccg 100001 complete\n",
+    b"ccg 3 complete\ne 0 3 b\n",
+    b"ccg 3 complete\ne 0 0 b\n",
+    b"ccg 3 complete\ne 0 1 g\n",
+    b"ccg 3 complete\ne 0 1\n",
+    b"ccg 3 complete\nx 0 1 b\n",
+    b"ccg 3 complete\ne 0 1 b\ne 1 0 r\n",
+    b"clustering 1\nc 0\n",
+    # integer fields are ASCII digits with an optional leading '-'
+    b"ccg +3 complete\n",
+    b"ccg 12 complete\ne 0 1_1 b\n",
+    "ccg 3 complete\ne \u0660 1 b\n".encode(),
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED)
 def test_parse_rejects_malformed(doc):
     with pytest.raises(FormatError):
         parse_graph(doc)

@@ -62,6 +62,19 @@ def test_instance_validation():
             MulticutInstance(bad, [], [], 0)
         with pytest.raises(ValueError, match="integers"):
             MulticutInstance(3, [], [], bad)
+    # bool is an int, but an instance holding one would be written as "True"
+    with pytest.raises(ValueError, match="integers"):
+        MulticutInstance(3, [(0, True)], [], 0)
+    with pytest.raises(ValueError, match="integers"):
+        MulticutInstance(3, [], [(False, 2)], 0)
+    with pytest.raises(ValueError, match="integers"):
+        MulticutInstance(True, [], [], 0)
+    with pytest.raises(ValueError, match="integers"):
+        MulticutInstance(3, [], [], True)
+    with pytest.raises(ValueError, match="integers"):
+        ccvs_to_mcvs(BAD_TRIANGLE, True)
+    with pytest.raises(ValueError):
+        ccvs_to_mcvs(BAD_TRIANGLE, -1)
     with pytest.raises(ValueError):
         PATH.neighbors(5)
 
@@ -80,6 +93,18 @@ def test_solution_normalization():
         MulticutSolution({0: [{1}, {1, 2}]})
     with pytest.raises(ValueError):
         MulticutSolution({-1: [{0}, {1}]})
+    # split vertices and part members are non-negative ints, not bools:
+    # each of these used to build and write an unparsable document
+    for splits in (
+        {True: [[0], [2]]},
+        {"1": [[0], [2]]},
+        {0: [["a"], []]},
+        {0: [[True], [2]]},
+        {0: [[1.0], [2]]},
+        {0: [[-1], [2]]},
+    ):
+        with pytest.raises(ValueError):
+            MulticutSolution(splits)
 
 
 def test_verify_solution():
@@ -209,26 +234,26 @@ def test_instance_format_round_trip():
     assert write_multicut_instance(ccvs_to_mcvs(BAD_TRIANGLE, 1)) == data
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        b"",
-        b"mcvs 3 0 0\n",
-        b"mcvs a 0 0 0\n",
-        b"mcvs 3 0 0 -1\n",
-        b"mcvs 3 1 0 0\n",
-        b"mcvs 3 0 1 0\ne 0 1\nt 0 2\n",
-        b"mcvs 3 0 0 0\nx 0 1\n",
-        b"mcvs 3 1 0 0\ne 0 0\n",
-        b"mcvs 3 1 0 0\ne 0 3\n",
-        b"mcvs 3 1 0 0\ne 0 q\n",
-        b"mcvs 3 1 1 0\ne 0 1\nt 1 0\n",
-        b"mcvs 100001 0 0 0\n",
-        b"mcvs +3 0 0 0\n",
-        b"mcvs 12 1 0 0\ne 0 1_1\n",
-        "mcvs 3 1 0 0\ne \u0660 1\n".encode(),
-    ],
-)
+MALFORMED_INSTANCES = [
+    b"",
+    b"mcvs 3 0 0\n",
+    b"mcvs a 0 0 0\n",
+    b"mcvs 3 0 0 -1\n",
+    b"mcvs 3 1 0 0\n",
+    b"mcvs 3 0 1 0\ne 0 1\nt 0 2\n",
+    b"mcvs 3 0 0 0\nx 0 1\n",
+    b"mcvs 3 1 0 0\ne 0 0\n",
+    b"mcvs 3 1 0 0\ne 0 3\n",
+    b"mcvs 3 1 0 0\ne 0 q\n",
+    b"mcvs 3 1 1 0\ne 0 1\nt 1 0\n",
+    b"mcvs 100001 0 0 0\n",
+    b"mcvs +3 0 0 0\n",
+    b"mcvs 12 1 0 0\ne 0 1_1\n",
+    "mcvs 3 1 0 0\ne \u0660 1\n".encode(),
+]
+
+
+@pytest.mark.parametrize("data", MALFORMED_INSTANCES)
 def test_parse_instance_malformed(data):
     with pytest.raises(FormatError):
         parse_multicut_instance(data)

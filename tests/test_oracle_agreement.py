@@ -7,7 +7,9 @@ straightforward versions compute them, order included, on random and
 planted graphs.  Forests and bad triangles are also checked on twin-rich
 graphs, where the scan skips twins.  Erroneous-cycle tests and multicut
 verification, which label blue components, must agree with union-find
-references.
+references.  The builders that skip the public constructors' pair checks
+must give the same graphs and instances, adjacency lists included, as the
+checked references that pass every pair through those constructors.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from splitclust import (
     bipartite_min_vertex_cover,
     ccvs_to_mcvs,
     cluster_decomposition,
+    clustering_to_multicut_solution,
     clustering_to_splits,
     complete_graph,
     cost,
@@ -40,14 +43,23 @@ from splitclust import (
     maximal_bad_star_forest,
     mcvs_to_ccvs,
     multicut_solution_to_clustering,
+    parse_graph,
+    parse_multicut_instance,
     splits_to_clustering,
     verify_clustering,
     verify_multicut_solution,
+    write_graph,
+    write_multicut_instance,
 )
+from splitclust.multicut import _realize
 from oracles import (
     _separates,
     _split_choices,
     _UnionFind,
+    checked_ccvs_to_mcvs,
+    checked_induced_subgraph,
+    checked_mcvs_to_ccvs,
+    checked_realize,
     first_bad_triangle,
     greedy_bad_star_forest,
     pairwise_cluster_decomposition,
@@ -56,6 +68,8 @@ from oracles import (
     recursive_min_vertex_cover,
     repairing_multicut_to_clustering,
     repairing_splits_to_clustering,
+    two_pass_parse_graph,
+    two_pass_parse_multicut_instance,
 )
 
 P_BLUE = st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9])
@@ -428,3 +442,63 @@ def test_complete_graph_pipeline_makes_no_label_calls(monkeypatch):
     assert isinstance(result, Kernelized)
     with pytest.raises(AssertionError):
         g.label(0, 1)
+
+
+def graph_fields(g: CorrelationGraph):
+    """Everything a graph stores; ``==`` compares only the labels."""
+    return g.n, g.complete, g._labels, g._blue_adj
+
+
+def instance_fields(inst):
+    return inst.n, inst.edges, inst.terminals, inst.k, inst._adj
+
+
+def edge_clustering(g: CorrelationGraph) -> Clustering:
+    """One cluster per blue pair and one singleton per vertex: valid for any graph."""
+    return Clustering([*map(set, g.blue_edges()), *([v] for v in range(g.n))])
+
+
+def test_trusted_builders_match_checked_references():
+    """Random, planted and incomplete graphs through every trusted builder."""
+    cases = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        g = gen_random(rng.randint(2, 25), 0.5, 0.5, complete=True, seed=seed)
+        cases.append((g, approximate(g)))
+        g = gen_random(rng.randint(2, 25), 0.3, 0.3, complete=False, seed=seed)
+        cases.append((g, edge_clustering(g)))
+        cases.append(planted(rng.randint(10, 80), rng.randint(2, 6), rng.randint(0, 6), 0, seed))
+        g, f = planted_incomplete(rng.randint(2, 30), rng.randint(1, 5), seed)
+        cases.append((g, with_overlaps(f, g.n, rng)))
+    for seed, (g, f) in enumerate(cases):
+        assert verify_clustering(g, f).ok
+        rng = random.Random(seed)
+        keep = rng.sample(range(g.n), rng.randint(0, g.n))
+        sub, id_map = g.induced_subgraph(keep)
+        ref, ref_map = checked_induced_subgraph(g, keep)
+        assert graph_fields(sub) == graph_fields(ref) and id_map == ref_map
+
+        r = clustering_to_splits(g, f)
+        ref = pairwise_clustering_to_splits(g, f)
+        assert graph_fields(r.base) == graph_fields(ref.base)
+        assert r.ancestors == ref.ancestors
+
+        k = cost(f, g.n)
+        inst = ccvs_to_mcvs(g, k)
+        assert instance_fields(inst) == instance_fields(checked_ccvs_to_mcvs(g, k))
+        back, budget = mcvs_to_ccvs(inst)
+        ref, ref_budget = checked_mcvs_to_ccvs(inst)
+        assert graph_fields(back) == graph_fields(ref) and budget == ref_budget == k
+
+        sol = clustering_to_multicut_solution(g, f)
+        r = _realize(inst, sol)
+        ref = checked_realize(inst, sol)
+        assert graph_fields(r.base) == graph_fields(ref.base)
+        assert r.ancestors == ref.ancestors
+
+        for doc in (write_graph(g), write_graph(sub), write_graph(back)):
+            assert graph_fields(parse_graph(doc)) == graph_fields(two_pass_parse_graph(doc))
+        doc = write_multicut_instance(inst)
+        assert instance_fields(parse_multicut_instance(doc)) == instance_fields(
+            two_pass_parse_multicut_instance(doc)
+        )
