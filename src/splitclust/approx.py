@@ -1,13 +1,15 @@
 """Factor-7 approximation for minimum-cost clustering of complete graphs.
 
-The greedy bad star forest supplies a vertex set S (at most 3 times the
-optimum in weight) whose removal leaves disjoint blue cliques.  Candidate
-solutions keep one hub cluster around S: a guessed clique is merged into
-the hub entirely, every other clique C contributes a minimum vertex cover
-of its blue edges towards S, and each S vertex also gets a singleton so
-red pairs inside S resolve.  The cheapest candidate costs at most 7 times
-the optimum; when the cliques number at most one, the flat solution (one
-cluster with everything plus S singletons) costs |S| <= 3 * optimum.
+Reads the one decomposition ``detect._decompose`` also gives the kernel:
+the greedy bad star forest, whose vertex set S is at most 3 times the
+optimum in weight, the disjoint blue cliques left after removing S, and
+each clique's blue edges into S.  Candidate solutions keep one hub cluster
+around S: a guessed clique is merged into the hub entirely, every other
+clique C contributes a minimum vertex cover of its blue edges towards S,
+and each S vertex also gets a singleton so red pairs inside S resolve.
+The cheapest candidate costs at most 7 times the optimum; when the
+cliques number at most one, the flat solution (one cluster with
+everything plus S singletons) costs |S| <= 3 * optimum.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from collections.abc import Hashable, Iterable
 from typing import TypeVar
 
 from .clustering import Clustering
-from .detect import maximal_bad_star_forest
-from .graphs import CorrelationGraph, cluster_decomposition
+from .detect import _decompose
+from .graphs import CorrelationGraph
 
 V = TypeVar("V", bound=Hashable)
 
@@ -136,21 +138,13 @@ def candidate_solutions(g: CorrelationGraph) -> tuple[SimpleSolutionParts, ...]:
         raise ValueError("approximation is defined on complete graphs")
     if g.n == 0:
         raise ValueError("approximation needs at least one vertex")
-    forest = maximal_bad_star_forest(g)
-    s_sorted = sorted(forest.vertices)
-    s_set = frozenset(s_sorted)
+    forest, cliques, edges = _decompose(g)
+    s_set = forest.vertices
+    s_sorted = sorted(s_set)
     if not s_sorted:
-        cliques = cluster_decomposition(g)
-        assert cliques is not None, "no bad structure means a cluster graph"
         return (
-            SimpleSolutionParts(
-                s_set, tuple(cliques), None, (), Clustering(cliques), 0
-            ),
+            SimpleSolutionParts(s_set, cliques, None, (), Clustering(cliques), 0),
         )
-    rest = [v for v in range(g.n) if v not in s_set]
-    cliques = cluster_decomposition(g, rest)
-    assert cliques is not None, "graph minus forest vertices must be a cluster graph"
-    cliques = tuple(cliques)
     if len(cliques) <= 1:
         flat = [frozenset(range(g.n))] + [frozenset((s,)) for s in s_sorted]
         return (
@@ -158,15 +152,12 @@ def candidate_solutions(g: CorrelationGraph) -> tuple[SimpleSolutionParts, ...]:
                 s_set, cliques, None, (), Clustering(flat), len(s_sorted)
             ),
         )
-    covers = {}
-    for clique in cliques:
-        members = sorted(clique)
-        edges = tuple(
-            (s, c) for s in s_sorted for c in g._blue_adj[s] if c in clique
+    covers = {
+        clique: bipartite_min_vertex_cover(
+            BipartiteGraph(tuple(s_sorted), tuple(sorted(clique)), tuple(to_s))
         )
-        covers[clique] = bipartite_min_vertex_cover(
-            BipartiteGraph(tuple(s_sorted), tuple(members), edges)
-        )
+        for clique, to_s in zip(cliques, edges)
+    }
     out = []
     for guess in (*cliques, None):
         hub = set(s_sorted)

@@ -24,7 +24,7 @@ from .clustering import (
     write_clustering,
 )
 from .detect import lower_bound
-from .exact import SearchBudget, SearchLimitReached, solve_exact
+from .exact import SearchBudget, SearchLimitReached, decide, solve_exact
 from .graphs import (
     CorrelationGraph,
     FormatError,
@@ -213,8 +213,7 @@ def _budget(args) -> SearchBudget:
 
 def _cmd_decide(args, stdin, stdout, stderr) -> int:
     g = parse_graph(_read(args.graph, stdin))
-    found = solve_exact(g, _budget(args))
-    answer = found is not None
+    answer = decide(g, args.budget, node_limit=args.node_limit)
     if args.json:
         obj = {"command": "decide", "input": args.graph, "result": answer}
         _emit_json(stdout, obj)

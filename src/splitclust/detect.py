@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-from .graphs import BLUE, RED, CorrelationGraph, _blue_sets
+from .graphs import BLUE, RED, CorrelationGraph, _blue_sets, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,7 @@ def find_bad_triangle(
     the twin classes; the scan then takes set differences only between
     non-twin neighbours (see ``_scan``).
     """
-    if within is None:
-        order: Sequence[int] = range(g.n)
-    else:
-        order = sorted(set(within))
-        for v in order:
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} out of range")
+    order = range(g.n) if within is None else _check_vertices(within, g.n)
     blue = _blue_sets(g)
     if g.complete:
         return _scan(g, blue, None, _twin_classes(g), set(order), order, 0)[1]
@@ -230,6 +224,37 @@ def maximal_bad_star_forest(g: CorrelationGraph) -> BadStarForest:
         unused -= star.vertices
         i += 1  # u is now a leaf; later triangles start beyond it
     return BadStarForest(tuple(stars))
+
+
+def _decompose(
+    g: CorrelationGraph,
+) -> tuple[BadStarForest, tuple[frozenset[int], ...], list[list[tuple[int, int]]]]:
+    """The greedy forest F, the blue cliques of G - V(F), and their edges into V(F).
+
+    F hits every bad triangle, so G - V(F) is a cluster graph and the
+    clique of a vertex v outside V(F) is v with its blue neighbours outside
+    V(F).  The cliques come ordered by smallest member; the i-th edge list
+    holds the blue pairs (s, c) with s in V(F) and c in the i-th clique,
+    sorted by s and then c.  After the forest, O(n + blue pairs), with one
+    pass over the adjacency lists of V(F).  Requires a complete graph.
+    """
+    forest = maximal_bad_star_forest(g)
+    s_vertices = forest.vertices
+    adj = g._blue_adj
+    where = [-1] * g.n  # clique index of each vertex outside V(F)
+    cliques: list[frozenset[int]] = []
+    for v in range(g.n):
+        if where[v] < 0 and v not in s_vertices:
+            clique = [v, *(w for w in adj[v] if w not in s_vertices)]
+            for w in clique:
+                where[w] = len(cliques)
+            cliques.append(frozenset(clique))
+    edges: list[list[tuple[int, int]]] = [[] for _ in cliques]
+    for s in sorted(s_vertices):
+        for c in adj[s]:
+            if where[c] >= 0:
+                edges[where[c]].append((s, c))
+    return forest, tuple(cliques), edges
 
 
 def lower_bound(g: CorrelationGraph) -> int:

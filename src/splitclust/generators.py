@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from .graphs import BLUE, RED, CorrelationGraph, MAX_VERTICES
+from .graphs import BLUE, RED, CorrelationGraph, _check_ids, _check_vertex_count, _pair
 from .multicut import MulticutInstance
 
 _MASK64 = (1 << 64) - 1
@@ -44,15 +44,13 @@ class PlainGraph:
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise ValueError("negative vertex count")
+        _check_vertex_count(n)
         normalized = set()
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            _check_ids(u, v, n)
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
-            normalized.add((u, v) if u < v else (v, u))
+            normalized.add(_pair(u, v))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(normalized))
 
@@ -65,8 +63,7 @@ def gen_random(
     For complete graphs the probabilities must sum to 1; for incomplete
     ones the remainder is the neutral probability.
     """
-    if n < 0 or n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} out of range")
+    _check_vertex_count(n)
     if not (0.0 <= p_blue <= 1.0 and 0.0 <= p_red <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     if complete and abs(p_blue + p_red - 1.0) > 1e-9:

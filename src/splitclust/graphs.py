@@ -57,10 +57,23 @@ def _check_ids(u: int, v: int, n: int, what: str = "edge") -> None:
         raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})")
 
 
+def _check_vertices(vertices: Iterable[int], n: int) -> list[int]:
+    """The distinct ids in ascending order, each an int (not ``bool``) in 0..n-1."""
+    ids = list(vertices)
+    for v in ids:
+        if not _is_integer(v):
+            raise ValueError(f"vertex ids must be integers, got {v!r}")
+    ids = sorted(set(ids))
+    for v in ids:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
+    return ids
+
+
 def _check_vertex_count(n: int) -> None:
     """A graph's vertex count: an int (not ``bool``) in 0..MAX_VERTICES."""
     if not _is_integer(n) or n < 0:
-        raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
+        raise ValueError(f"vertex counts are non-negative integers, got {n!r}")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
 
@@ -187,14 +200,11 @@ class CorrelationGraph:
         """Subgraph induced on the given vertices, re-indexed to 0..m-1.
 
         Returns the subgraph and the sorted tuple mapping new ids to old.
-        The vertices are range-checked; the kept pairs are not checked
-        again, because re-indexing in sorted order keeps them valid and
-        u < v.  O(n + stored pairs).
+        The vertices must be integer ids in range; the kept pairs are not
+        checked again, because re-indexing in sorted order keeps them valid
+        and u < v.  O(n + stored pairs).
         """
-        keep = sorted(set(vertices))
-        for v in keep:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} out of range")
+        keep = _check_vertices(vertices, self.n)
         index = {old: new for new, old in enumerate(keep)}
         labels = {
             (index[u], index[v]): c
@@ -246,13 +256,7 @@ def blue_components(
 
     Components are ordered by smallest member; members are sorted.
     """
-    if within is None:
-        pool = range(g.n)
-    else:
-        pool = sorted(set(within))
-        for v in pool:
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} out of range")
+    pool = range(g.n) if within is None else _check_vertices(within, g.n)
     pool_set = set(pool)
     adj = g._blue_adj
     seen: set[int] = set()
@@ -284,8 +288,8 @@ def cluster_decomposition(
     the decomposition lists the cliques ordered by smallest member.
     O(n + blue pairs).
     """
-    pool = None if within is None else set(within)
-    comps = blue_components(g, pool)
+    comps = blue_components(g, within)
+    pool = None if within is None else {v for comp in comps for v in comp}
     if not all(_is_blue_clique(g, comp, pool) for comp in comps):
         return None
     return [frozenset(comp) for comp in comps]
@@ -324,14 +328,6 @@ def _decode(data: bytes | str) -> str:
     return data
 
 
-def significant_lines(data: bytes | str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) for lines that are not blank or comments."""
-    for lineno, raw in enumerate(_decode(data).splitlines(), start=1):
-        fields = raw.split()
-        if fields and not fields[0].startswith("#"):
-            yield lineno, fields
-
-
 def _read_document(
     data: bytes | str, keyword: str, arity: int | None, usage: str
 ) -> tuple[int, list[str], Iterator[tuple[int, list[str]]]]:
@@ -341,7 +337,13 @@ def _read_document(
     and has ``arity`` fields (any number when None).  Returns its line
     number and fields, and (line number, fields) for every later line.
     """
-    lines = significant_lines(data)
+    lines = (
+        (lineno, fields)
+        for lineno, fields in enumerate(
+            (raw.split() for raw in _decode(data).splitlines()), start=1
+        )
+        if fields and not fields[0].startswith("#")
+    )
     try:
         lineno, header = next(lines)
     except StopIteration:
@@ -360,10 +362,17 @@ def _is_int(token: str) -> bool:
 
 
 def _read_ints(lineno: int, tokens: list[str], what: str = "vertex ids") -> list[int]:
-    """Integer fields, or a FormatError naming the line."""
+    """Integer fields, or a FormatError naming the line.
+
+    A field too long for ``int()`` (4300 digits by default) is a
+    ``FormatError`` too.
+    """
     if not all(map(_is_int, tokens)):
         raise FormatError(f"line {lineno}: expected integer {what}")
-    return [int(t) for t in tokens]
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:  # over the interpreter's digit limit for int()
+        raise FormatError(f"line {lineno}: integer {what} too long") from None
 
 
 def _read_counts(lineno: int, tokens: list[str], what: str) -> list[int]:
@@ -441,7 +450,10 @@ def parse_graph(data: bytes | str) -> CorrelationGraph:
         if not (ascii_digits and a.isdigit() and b.isdigit()):
             if not (_is_int(a) and _is_int(b)):
                 raise FormatError(f"line {lineno}: expected integer vertex ids")
-        u, v = int(a), int(b)
+        try:
+            u, v = int(a), int(b)
+        except ValueError:  # over the interpreter's digit limit for int()
+            raise FormatError(f"line {lineno}: integer vertex ids too long") from None
         if fault is not None:
             continue
         if u >= n or v >= n or (u | v) < 0:

@@ -4,13 +4,17 @@ Given a budget k, the input either gets rejected with a bad-star-forest
 witness of weight above k, or shrunk to an equivalent instance of at most
 24k^3 + 24k^2 + 3k vertices.  Pipeline:
 
-1. Greedy maximal bad star forest; weight > k means no-instance.  Its
-   vertex set S (at most 3k vertices) hits every erroneous structure, so
-   the rest of the graph decomposes into blue cliques.
-2. Blue components that are cliques have all outside edges red and can be
-   clustered for free; they are removed (recorded for lifting).
-3. If more than 4k cliques remain, a forest of weight above k can be
-   assembled from blue edges between S and distinct cliques; no-instance.
+1. ``detect._decompose`` gives the greedy maximal bad star forest, the
+   blue cliques of the graph minus its vertex set S, and each clique's
+   blue edges into S.  Forest weight > k means no-instance.  S (at most
+   3k vertices) hits every bad triangle, which is why the rest of the
+   graph falls apart into blue cliques.
+2. A clique with no blue edge into S is a blue component that is a
+   clique: all its outside pairs are red, so it clusters for free and is
+   removed (recorded for lifting).  No isolated clique meets S, because
+   every star lies in a component that is not a clique.
+3. If more than 4k cliques remain, their first blue edges into S form a
+   forest of weight above k; no-instance.
 4. In each remaining clique, every s in S marks its k+1 smallest blue and
    k+1 smallest red neighbors.  Unmarked clique vertices are redundant and
    removed; the transcript records enough to lift any low-cost solution
@@ -23,16 +27,14 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .clustering import Clustering
-from .detect import BadStar, BadStarForest, maximal_bad_star_forest
+from .detect import BadStar, BadStarForest, _decompose
 from .graphs import (
     CorrelationGraph,
     FormatError,
-    _is_blue_clique,
+    _is_integer,
     _read_document,
     _read_groups,
     _read_ids,
-    blue_components,
-    cluster_decomposition,
 )
 
 
@@ -102,29 +104,6 @@ class NoInstance:
 KernelResult = Kernelized | NoInstance
 
 
-def rule_remove_isolated_cliques(
-    g: CorrelationGraph,
-) -> tuple[CorrelationGraph, tuple[frozenset[int], ...], tuple[int, ...]]:
-    """Drop blue components that are cliques; they cluster for free.
-
-    Returns the re-indexed remaining graph, the removed cliques in original
-    ids (ascending by smallest member), and the new-to-old id map.
-    """
-    if not g.complete:
-        raise ValueError("isolated-clique removal is defined on complete graphs")
-    removed = _isolated_cliques(g)
-    gone = set().union(*removed)
-    reduced, id_map = g.induced_subgraph(v for v in range(g.n) if v not in gone)
-    return reduced, removed, id_map
-
-
-def _isolated_cliques(g: CorrelationGraph) -> tuple[frozenset[int], ...]:
-    """Blue components that are cliques, ascending by smallest member."""
-    return tuple(
-        frozenset(comp) for comp in blue_components(g) if _is_blue_clique(g, comp)
-    )
-
-
 def kernelize(g: CorrelationGraph, k: int) -> KernelResult:
     """Shrink to an equivalent instance or reject with a forest witness.
 
@@ -134,70 +113,55 @@ def kernelize(g: CorrelationGraph, k: int) -> KernelResult:
     """
     if not g.complete:
         raise ValueError("kernelization is defined on complete graphs")
-    if k < 0:
-        raise ValueError("budget must be non-negative")
-    forest = maximal_bad_star_forest(g)
+    if not _is_integer(k) or k < 0:
+        raise ValueError(f"budget must be a non-negative integer, got {k!r}")
+    forest, cliques, edges = _decompose(g)
     if forest.weight > k:
         return NoInstance(forest)
     s_vertices = forest.vertices
 
-    removed_cliques = _isolated_cliques(g)
-    survivors = set(range(g.n))
-    for clique in removed_cliques:
-        if clique & s_vertices:
-            raise AssertionError("forest vertex inside an isolated clique")
-        survivors -= clique
+    removed_cliques = tuple(c for c, to_s in zip(cliques, edges) if not to_s)
+    kept = [(c, to_s) for c, to_s in zip(cliques, edges) if to_s]
 
-    cliques = cluster_decomposition(g, survivors - s_vertices)
-    if cliques is None:
-        raise AssertionError("graph minus forest vertices must be a cluster graph")
-
-    if len(cliques) >= 4 * k + 1:
-        witness = _many_cliques_witness(g, s_vertices, cliques)
+    if len(kept) >= 4 * k + 1:
+        witness = _many_cliques_witness([to_s[0] for _, to_s in kept])
         if witness.weight <= k:
             raise AssertionError("witness forest must exceed the budget")
         return NoInstance(witness)
 
-    # cliques lie outside S, so s-v is red exactly when v is no blue neighbour
-    s_blue = [set(g._blue_adj[s]) for s in sorted(s_vertices)]
     clusters = []
-    for clique in cliques:
+    keep = set(s_vertices)
+    for clique, to_s in kept:
         members = sorted(clique)
+        blue_by_s: dict[int, list[int]] = {}
+        for s, c in to_s:
+            blue_by_s.setdefault(s, []).append(c)
+        # each s marks its k+1 smallest blue and k+1 smallest red members.
+        # Together these hold the k+1 smallest members, all that an s with
+        # no blue edge into the clique marks, so only the s in to_s count.
         marked: set[int] = set()
-        for blue in s_blue:
-            marked.update(islice((v for v in members if v in blue), k + 1))
-            marked.update(islice((v for v in members if v not in blue), k + 1))
-        removed = clique - marked
-        clusters.append((clique, frozenset(marked), removed))
-        survivors -= removed
+        for blue in blue_by_s.values():
+            marked.update(blue[: k + 1])
+            blue_set = set(blue)
+            marked.update(islice((v for v in members if v not in blue_set), k + 1))
+        clusters.append((clique, frozenset(marked), clique - marked))
+        keep |= marked
 
-    kernel_graph, _ = g.induced_subgraph(survivors)
-    transcript = KernelTranscript(
-        frozenset(s_vertices), removed_cliques, tuple(clusters), g.n
-    )
+    kernel_graph, _ = g.induced_subgraph(keep)
+    transcript = KernelTranscript(s_vertices, removed_cliques, tuple(clusters), g.n)
     return Kernelized(kernel_graph, transcript)
 
 
-def _many_cliques_witness(
-    g: CorrelationGraph, s_vertices: frozenset[int], cliques: list[frozenset[int]]
-) -> BadStarForest:
-    """Bad star forest built from one blue S-to-clique edge per clique.
+def _many_cliques_witness(chosen: list[tuple[int, int]]) -> BadStarForest:
+    """Bad star forest built from one blue S-to-clique edge (s, c) per clique.
 
     Vertices of distinct cliques are pairwise red, so the edges grouped by
     their S endpoint form bad stars once a center has two leaves.  With at
     least 4k+1 cliques and at most 3k centers the weight exceeds k.
     """
-    s_sorted = sorted(s_vertices)
     leaves_by_center: dict[int, list[int]] = {}
-    for clique in cliques:
-        # smallest s with a blue edge into the clique, then its smallest end
-        chosen = next(
-            ((s, v) for s in s_sorted for v in g._blue_adj[s] if v in clique),
-            None,
-        )
-        if chosen is None:
-            raise AssertionError("surviving clique with no blue edge to the forest")
-        leaves_by_center.setdefault(chosen[0], []).append(chosen[1])
+    for s, c in chosen:
+        leaves_by_center.setdefault(s, []).append(c)
     stars = [
         BadStar(center, tuple(sorted(leaves)))
         for center, leaves in sorted(leaves_by_center.items())

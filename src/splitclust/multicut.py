@@ -36,11 +36,11 @@ from .clustering import (
 )
 from .graphs import (
     BLUE,
-    MAX_VERTICES,
     RED,
     CorrelationGraph,
     FormatError,
     _check_ids,
+    _check_vertex_count,
     _decode,
     _is_int,
     _is_integer,
@@ -56,14 +56,9 @@ from .graphs import (
 
 def _check_counts(n: int, k: int) -> None:
     """An instance's vertex count (0..MAX_VERTICES) and budget (>= 0)."""
-    if not (_is_integer(n) and _is_integer(k)):
-        raise ValueError(f"vertex count and budget must be integers, got {n!r}, {k!r}")
-    if n < 0:
-        raise ValueError("negative vertex count")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
-    if k < 0:
-        raise ValueError("negative split budget")
+    _check_vertex_count(n)
+    if not _is_integer(k) or k < 0:
+        raise ValueError(f"split budgets are non-negative integers, got {k!r}")
 
 
 class MulticutInstance:
@@ -374,7 +369,10 @@ def parse_multicut_instance(data: bytes | str) -> MulticutInstance:
         if not (ascii_digits and a.isdigit() and b.isdigit()):
             if not (_is_int(a) and _is_int(b)):
                 raise FormatError(f"line {lineno}: expected integer vertex ids")
-        u, v = int(a), int(b)
+        try:
+            u, v = int(a), int(b)
+        except ValueError:  # see parse_graph
+            raise FormatError(f"line {lineno}: integer vertex ids too long") from None
         pair = (u, v) if u < v else (v, u)
         if fields[0] == "e":
             if edge_fault is None:

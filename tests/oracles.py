@@ -14,7 +14,8 @@ pairwise clustering check, the clique test over all member pairs, the
 recursive augmenting-path matching, the split graph of a clustering
 built over all descendant pairs, and the clustering read off a split graph
 by repairing every red ancestor pair (or, for a multicut solution, every
-terminal pair).  The fast versions must agree with them exactly, down to
+terminal pair), and the kernel's parts found by separate component and
+clique passes that rescan the forest vertices for every clique.  The fast versions must agree with them exactly, down to
 order.
 
 The checked builders and two-pass parsers at the very end are the
@@ -263,6 +264,50 @@ def greedy_bad_star_forest(g: CorrelationGraph) -> tuple[tuple[int, tuple[int, .
                 leaves.append(x)
         stars.append((center, tuple(sorted(leaves))))
         unused -= {center, *leaves}
+
+
+def rescanning_kernel_parts(g: CorrelationGraph, k: int):
+    """(isolated cliques, (clique, marked) per kept clique, witness stars).
+
+    The kernel's earlier derivation of its parts from the forest vertices
+    S: isolated cliques from a full-graph blue component pass, kept
+    cliques from a second clique decomposition of the vertices left
+    outside S and the isolated cliques, each s in S marking its k+1
+    smallest blue and red members of every kept clique, and the
+    many-cliques witness from rescanning S once per kept clique for the
+    smallest s with a blue edge into it, then that edge's smallest end.
+    The witness comes as (center, sorted leaves) per star, for every
+    center with two leaves or more.
+    """
+    s_sorted = sorted(
+        {v for center, leaves in greedy_bad_star_forest(g) for v in (center, *leaves)}
+    )
+    isolated = tuple(
+        frozenset(comp)
+        for comp in blue_components(g)
+        if all(g.label(u, v) is BLUE for u, v in combinations(comp, 2))
+    )
+    gone = set(s_sorted).union(*isolated)
+    kept = pairwise_cluster_decomposition(g, [v for v in range(g.n) if v not in gone])
+    clusters = []
+    for clique in kept:
+        members = sorted(clique)
+        marked: set[int] = set()
+        for s in s_sorted:
+            blue = [v for v in members if g.label(s, v) is BLUE]
+            red = [v for v in members if g.label(s, v) is RED]
+            marked.update(blue[: k + 1] + red[: k + 1])
+        clusters.append((clique, frozenset(marked)))
+    leaves_by_center: dict[int, list[int]] = {}
+    for clique in kept:
+        s, c = next((s, c) for s in s_sorted for c in g.blue_neighbors(s) if c in clique)
+        leaves_by_center.setdefault(s, []).append(c)
+    witness = tuple(
+        (center, tuple(sorted(leaves)))
+        for center, leaves in sorted(leaves_by_center.items())
+        if len(leaves) >= 2
+    )
+    return isolated, tuple(clusters), witness
 
 
 def pairwise_verify(g: CorrelationGraph, clusters) -> tuple[tuple, tuple, tuple]:
@@ -520,7 +565,10 @@ def _read_pair(lineno: int, fields: list[str]) -> tuple[int, int]:
     u, v = fields[1], fields[2]
     if not (_is_int(u) and _is_int(v)):
         raise FormatError(f"line {lineno}: expected integer vertex ids")
-    return int(u), int(v)
+    try:
+        return int(u), int(v)
+    except ValueError:
+        raise FormatError(f"line {lineno}: integer vertex ids too long") from None
 
 
 def two_pass_parse_graph(data: bytes | str) -> CorrelationGraph:

@@ -124,6 +124,8 @@ def test_clu_preserves_cluster_order():
         b"clustering 1\nc +0\n",
         b"clustering 1\nc 1_0\n",
         "clustering 1\nc \u0663\n".encode(),
+        b"clustering " + b"1" * 5000 + b"\n",
+        b"clustering 1\nc " + b"1" * 5000 + b"\n",
     ],
 )
 def test_clu_rejects_malformed(doc):

@@ -56,8 +56,9 @@ def test_find_bad_triangle():
     assert find_bad_triangle(BAD_TRIANGLE) == (0, 1, 2)
     assert find_bad_triangle(complete_graph(3, [(0, 1)])) is None
     assert find_bad_triangle(BAD_TRIANGLE, within=[0, 1]) is None
-    with pytest.raises(ValueError):
-        find_bad_triangle(BAD_TRIANGLE, within=[7])
+    for bad in ([7], [0, 1.5, 2], [True], [1, True]):
+        with pytest.raises(ValueError):
+            find_bad_triangle(BAD_TRIANGLE, within=bad)
 
 
 def test_find_bad_triangle_picks_smallest():

@@ -82,6 +82,9 @@ def test_gen_random_validation():
         gen_random(-1, 0.5, 0.5, complete=True, seed=0)
     with pytest.raises(ValueError):
         gen_random(MAX_VERTICES + 1, 0.5, 0.5, complete=True, seed=0)
+    for bad in (1.5, 3.0, True):
+        with pytest.raises(ValueError, match="integers"):
+            gen_random(bad, 0.5, 0.5, complete=True, seed=0)
     with pytest.raises(ValueError):
         gen_random(3, 1.2, 0.0, complete=False, seed=0)
     with pytest.raises(ValueError):
@@ -101,6 +104,11 @@ def test_plain_graph():
         PlainGraph(2, [(0, 2)])
     with pytest.raises(ValueError):
         PlainGraph(2, [(1, 1)])
+    for bad in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="integers"):
+            PlainGraph(3, [(0, bad)])
+        with pytest.raises(ValueError, match="integers"):
+            PlainGraph(bad, [])
 
 
 def test_vertex_cover_gadget_frozen():

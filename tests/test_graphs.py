@@ -122,6 +122,9 @@ MALFORMED = [
     b"ccg +3 complete\n",
     b"ccg 12 complete\ne 0 1_1 b\n",
     "ccg 3 complete\ne \u0660 1 b\n".encode(),
+    # fields over int()'s 4300-digit limit
+    b"ccg " + b"1" * 5000 + b" complete\n",
+    b"ccg 3 complete\ne 0 " + b"1" * 5000 + b" b\n",
 ]
 
 
@@ -157,8 +160,11 @@ def test_blue_components():
     g = complete_graph(6, [(0, 1), (1, 2), (4, 5)])
     assert blue_components(g) == [[0, 1, 2], [3], [4, 5]]
     assert blue_components(g, within=[0, 2, 3]) == [[0], [2], [3]]
-    with pytest.raises(ValueError):
-        blue_components(g, within=[9])
+    for bad in ([9], [0, 1.5], [True], [1, True]):
+        with pytest.raises(ValueError):
+            blue_components(g, within=bad)
+        with pytest.raises(ValueError):
+            cluster_decomposition(g, within=bad)
 
 
 def test_cluster_decomposition():
@@ -189,6 +195,9 @@ def test_induced_subgraph():
     assert id_map == (1, 2, 4)
     assert sub == complete_graph(3, [(0, 1)])
     assert sub.label(0, 2) is RED
+    for bad in ([5], [-1, 0], [0, 1.5], [True], [1, True]):
+        with pytest.raises(ValueError):
+            g.induced_subgraph(bad)
 
 
 def test_count_colors():

@@ -21,7 +21,6 @@ from splitclust import (
     kernelize,
     lift_clustering,
     parse_transcript,
-    rule_remove_isolated_cliques,
     solve_exact,
     verify_clustering,
     write_transcript,
@@ -73,35 +72,43 @@ def test_transcript_validation():
 
 
 def test_rule_remove_isolated_cliques():
-    # Bad triangle on {0,1,2} plus an isolated blue clique {3,4}.
+    # Bad triangle on {0,1,2} plus an isolated blue clique {3,4}: kernelize
+    # removes the clique and keeps the triangle.
     g = complete_graph(5, [(0, 1), (1, 2), (3, 4)])
-    reduced, removed, id_map = rule_remove_isolated_cliques(g)
-    assert removed == (frozenset({3, 4}),)
-    assert id_map == (0, 1, 2)
-    assert reduced == BAD_TRIANGLE
+    result = kernelize(g, 1)
+    assert isinstance(result, Kernelized)
+    assert result.transcript.removed_cliques == (frozenset({3, 4}),)
+    assert result.transcript.id_map == (0, 1, 2)
+    assert result.graph == BAD_TRIANGLE
     with pytest.raises(ValueError):
-        rule_remove_isolated_cliques(incomplete_graph(2, [(0, 1)], []))
+        kernelize(incomplete_graph(2, [(0, 1)], []), 1)
 
 
 def test_rule_preserves_optimum():
-    # Appending an isolated blue clique never changes the optimal cost.
+    # Appending an isolated blue clique never changes the optimal cost, and
+    # kernelize removes it.
     for seed in range(30):
         core = gen_random(5, 0.5, 0.5, complete=True, seed=seed)
         blue = list(core.blue_edges()) + [(5, 6), (5, 7), (6, 7)]
         g = complete_graph(8, blue)
-        reduced, removed, _ = rule_remove_isolated_cliques(g)
-        assert frozenset({5, 6, 7}) in removed
+        result = kernelize(g, 8)
+        assert isinstance(result, Kernelized)
+        assert frozenset({5, 6, 7}) in result.transcript.removed_cliques
         fg = solve_exact(g, SearchBudget(max_cost=8))
-        fr = solve_exact(reduced, SearchBudget(max_cost=8))
-        assert fg is not None and fr is not None
-        assert cost(fg, g.n) == cost(fr, reduced.n)
+        fk = solve_exact(result.graph, SearchBudget(max_cost=8))
+        assert fg is not None and fk is not None
+        assert cost(fg, g.n) == cost(fk, result.graph.n)
+        lifted = lift_clustering(fk, result.transcript)
+        assert verify_clustering(g, lifted).ok
+        assert cost(lifted, g.n) == cost(fg, g.n)
 
 
 def test_kernelize_argument_errors():
     with pytest.raises(ValueError):
         kernelize(incomplete_graph(3, [(0, 1)], [(0, 2)]), 1)
-    with pytest.raises(ValueError):
-        kernelize(BAD_TRIANGLE, -1)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ValueError):
+            kernelize(MARKING_GRAPH, bad)
 
 
 def test_kernelize_rejects_over_budget():
@@ -212,6 +219,7 @@ def test_transcript_round_trip():
         b"S +0\n",
         b"S 0 1 2 3 4 5 6 7 8 9 1_0\n",
         "S 0\nrc \u0661 2\n".encode(),
+        b"S 0 " + b"1" * 5000 + b"\n",
     ],
 )
 def test_parse_transcript_malformed(data):

@@ -250,6 +250,8 @@ MALFORMED_INSTANCES = [
     b"mcvs +3 0 0 0\n",
     b"mcvs 12 1 0 0\ne 0 1_1\n",
     "mcvs 3 1 0 0\ne \u0660 1\n".encode(),
+    b"mcvs 3 0 0 " + b"1" * 5000 + b"\n",
+    b"mcvs 3 1 0 0\ne 0 " + b"1" * 5000 + b"\n",
 ]
 
 
@@ -293,6 +295,8 @@ def test_solution_format_round_trip():
         b"mcsol 3\ns +1 : 0 | 2\n",
         b"mcsol 12\ns 1 : 0 | 1_1\n",
         "mcsol 3\ns 1 : \u0660 | 2\n".encode(),
+        b"mcsol " + b"1" * 5000 + b"\n",
+        b"mcsol 3\ns 1 : 0 | " + b"2" * 5000 + b"\n",
     ],
 )
 def test_parse_solution_malformed(data):

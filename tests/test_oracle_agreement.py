@@ -5,9 +5,11 @@ covers, the split graphs of clusterings and the clusterings read back off
 split graphs and multicut solutions must come out exactly as the
 straightforward versions compute them, order included, on random and
 planted graphs.  Forests and bad triangles are also checked on twin-rich
-graphs, where the scan skips twins.  Erroneous-cycle tests and multicut
-verification, which label blue components, must agree with union-find
-references.  The builders that skip the public constructors' pair checks
+graphs, where the scan skips twins.  The kernel's isolated, kept and
+marked cliques and its many-cliques witness must match the reference that
+rescans the forest vertices for every clique.  Erroneous-cycle tests and
+multicut verification, which label blue components, must agree with
+union-find references.  The builders that skip the public constructors' pair checks
 must give the same graphs and instances, adjacency lists included, as the
 checked references that pass every pair through those constructors.
 """
@@ -25,6 +27,7 @@ from splitclust import (
     CorrelationGraph,
     Kernelized,
     MulticutSolution,
+    NoInstance,
     RealizedGraph,
     approximate,
     bipartite_min_vertex_cover,
@@ -68,6 +71,7 @@ from oracles import (
     recursive_min_vertex_cover,
     repairing_multicut_to_clustering,
     repairing_splits_to_clustering,
+    rescanning_kernel_parts,
     two_pass_parse_graph,
     two_pass_parse_multicut_instance,
 )
@@ -194,6 +198,57 @@ def test_bad_triangle_matches_reference_on_twin_rich(blown_up, seed, data):
         g, _ = planted(n, clusters, n // 8, flips, seed)
     within = data.draw(st.none() | st.sets(st.integers(0, g.n - 1)))
     assert find_bad_triangle(g, within) == first_bad_triangle(g, within)
+
+
+def with_pendants(core: CorrelationGraph, count: int, seed: int) -> CorrelationGraph:
+    """core plus ``count`` pairwise red pendants, each blue to one leaf of its forest.
+
+    Pendants are red to the star centers, so most stay out of the forest
+    as singleton cliques with one blue edge into it: many cliques against
+    a light forest, the case where ``kernelize`` rejects with the
+    many-cliques witness.
+    """
+    rng = random.Random(seed)
+    leaves = [v for star in maximal_bad_star_forest(core).stars for v in star.leaves]
+    if not leaves:
+        return core
+    pendants = [(rng.choice(leaves), core.n + i) for i in range(count)]
+    return complete_graph(core.n + count, core.blue_edges() + pendants)
+
+
+def test_kernel_parts_match_rescanning_reference():
+    """Isolated cliques, kept and marked cliques and the witness, at several budgets."""
+    graphs = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        p_blue = rng.choice([0.2, 0.5, 0.8])
+        n = rng.randint(1, 25)
+        graphs.append(gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed))
+        n, clusters, overlaps = rng.randint(10, 80), rng.randint(2, 8), rng.randint(0, 6)
+        graphs.append(planted(n, clusters, overlaps, rng.randint(0, 3), seed)[0])
+        graphs.append(blow_up(rng.randint(2, 10), p_blue, seed))
+        core = gen_random(rng.randint(3, 8), 0.5, 0.5, complete=True, seed=seed)
+        graphs.append(with_pendants(core, rng.randint(4, 16), seed))
+    paths = {"forest": 0, "many cliques": 0, "kernel": 0}
+    for g in graphs:
+        weight = lower_bound(g)
+        for k in {weight, weight + 1, weight + 4}:
+            isolated, clusters, witness = rescanning_kernel_parts(g, k)
+            result = kernelize(g, k)
+            if len(clusters) >= 4 * k + 1:
+                assert isinstance(result, NoInstance)
+                assert tuple((s.center, s.leaves) for s in result.witness.stars) == witness
+                paths["many cliques"] += 1
+                continue
+            assert isinstance(result, Kernelized)
+            t = result.transcript
+            assert t.removed_cliques == isolated
+            assert tuple((c, marked) for c, marked, _ in t.clusters) == clusters
+            paths["kernel"] += 1
+        if weight:
+            assert kernelize(g, weight - 1) == NoInstance(maximal_bad_star_forest(g))
+            paths["forest"] += 1
+    assert min(paths.values()) >= 10, paths
 
 
 def mutations(f: Clustering, rng: random.Random) -> list[Clustering]:
