@@ -3,6 +3,8 @@
 The search places vertices one at a time into "blocks" (the clusters
 under construction), trying every way to reuse existing blocks or open
 fresh ones, with iterative deepening on the extra-membership budget.
+On complete graphs, branches whose cost so far plus a bad-star-forest
+lower bound on the vertices still to place exceeds the level are pruned.
 Hard caps keep it honest: a vertex cap, a cost budget, and a node limit
 that raises instead of silently returning a wrong answer.
 """
@@ -39,4 +41,4 @@ print("still valid:", verify_clustering(g, best).ok)
 try:
     solve_exact(g, SearchBudget(max_cost=10, node_limit=50))
 except SearchLimitReached as exc:
-    print("node limit hit after", exc.nodes, "nodes")
+    print("node limit hit after", exc.nodes, "nodes at cost level", exc.level)

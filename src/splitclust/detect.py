@@ -200,16 +200,32 @@ def maximal_bad_star_forest(g: CorrelationGraph) -> BadStarForest:
     """
     if not g.complete:
         raise ValueError("bad star forests are defined on complete graphs")
+    stars = _greedy_stars(g, _blue_sets(g), _twin_classes(g), 0)
+    return BadStarForest(tuple(stars))
+
+
+def _greedy_stars(
+    g: CorrelationGraph,
+    blue: list[set[int]],
+    twins: tuple[list[int], list[int]],
+    first: int,
+) -> list[BadStar]:
+    """The greedy forest's stars on G[{first..n-1}], from whole-graph sets.
+
+    ``blue`` and ``twins`` come from ``_blue_sets`` and ``_twin_classes``
+    on all of g, so one pair of them serves every ``first``: ``_scan``
+    gives on any alive subset the triangle that the scan of that induced
+    subgraph gives, and star growth only takes unused vertices.  The stars
+    are those of ``maximal_bad_star_forest(G[{first..n-1}])`` in g's ids.
+    """
     adj = g._blue_adj
-    blue = _blue_sets(g)
-    twins = _twin_classes(g)
-    unused = set(range(g.n))
+    unused = set(range(first, g.n))
     stars: list[BadStar] = []
-    i = 0
+    i = first
     while True:
         i, triangle = _scan(g, blue, None, twins, unused, range(g.n), i)
         if triangle is None:
-            break
+            return stars
         u, center, w = triangle
         leaves = [u, w]
         # blue neighbours of a leaf cannot join: they are not red to it
@@ -223,7 +239,26 @@ def maximal_bad_star_forest(g: CorrelationGraph) -> BadStarForest:
         stars.append(star)
         unused -= star.vertices
         i += 1  # u is now a leaf; later triangles start beyond it
-    return BadStarForest(tuple(stars))
+
+
+def _suffix_bounds(g: CorrelationGraph) -> list[int]:
+    """Lower bounds on the optimum of G[{v..n-1}] for v = 0..n, never rising with v.
+
+    Entry v is the greedy forest weight of that induced subgraph, raised to
+    entry v + 1 where that is larger: an induced subgraph's optimum never
+    exceeds the graph's, because restricting a valid clustering keeps it
+    valid.  Entry n is 0.  Incomplete graphs get all zeros.  One
+    ``_blue_sets`` and one ``_twin_classes`` serve all n forests.
+    """
+    bounds = [0] * (g.n + 1)
+    if not g.complete:
+        return bounds
+    blue = _blue_sets(g)
+    twins = _twin_classes(g)
+    for v in range(g.n - 1, -1, -1):
+        weight = sum(s.weight for s in _greedy_stars(g, blue, twins, v))
+        bounds[v] = max(weight, bounds[v + 1])
+    return bounds
 
 
 def _decompose(

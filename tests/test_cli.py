@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from splitclust import gen_random, write_graph
 from splitclust.cli import run
 
 BAD_TRIANGLE_CCG = "ccg 3 complete\ne 0 1 b\ne 1 2 b\n"
@@ -94,6 +95,15 @@ def test_exact(triangle_file):
 def test_exact_node_limit(triangle_file):
     code, _, err = invoke(["exact", triangle_file, "--node-limit", "1"])
     assert code == 3 and "node" in err
+
+
+def test_exact_node_limit_names_level(tmp_path):
+    # deepening starts at level 3 on this graph and trips the limit at 4
+    path = tmp_path / "random10.ccg"
+    path.write_bytes(write_graph(gen_random(10, 0.5, 0.5, complete=True, seed=0)))
+    code, out, err = invoke(["exact", str(path), "--node-limit", "100"])
+    assert (code, out) == (3, "")
+    assert err == "splitclust: search aborted after 101 nodes at cost level 4\n"
 
 
 def test_approx(triangle_file):

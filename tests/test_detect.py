@@ -19,6 +19,8 @@ from splitclust import (
     maximal_bad_star_forest,
     solve_exact,
 )
+from splitclust.detect import _greedy_stars, _suffix_bounds, _twin_classes
+from splitclust.graphs import _blue_sets
 
 BAD_TRIANGLE = complete_graph(3, [(0, 1), (1, 2)])
 
@@ -120,3 +122,28 @@ def test_lower_bound_at_most_optimum(seed):
     f = solve_exact(g, SearchBudget(max_cost=n))
     assert f is not None
     assert lower_bound(g) <= cost(f, n)
+
+
+@given(st.integers(1, 24), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10_000))
+def test_suffix_forests_match_induced_subgraphs(n, p_blue, seed):
+    # the stars found from whole-graph sets are those of each induced suffix
+    g = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed)
+    blue, twins = _blue_sets(g), _twin_classes(g)
+    expected = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        sub, ids = g.induced_subgraph(range(v, n))
+        stars = [
+            (ids[s.center], tuple(ids[x] for x in s.leaves))
+            for s in maximal_bad_star_forest(sub).stars
+        ]
+        got = _greedy_stars(g, blue, twins, v)
+        assert [(s.center, s.leaves) for s in got] == stars
+        expected[v] = max(lower_bound(sub), expected[v + 1])
+    assert _suffix_bounds(g) == expected
+    assert _suffix_bounds(g)[0] >= lower_bound(g)
+
+
+def test_suffix_bounds_zero_on_incomplete_graphs():
+    g = incomplete_graph(3, blue=[(0, 1), (1, 2)], red=[(0, 2)])
+    assert _suffix_bounds(g) == [0, 0, 0, 0]
+    assert _suffix_bounds(complete_graph(0, [])) == [0]

@@ -1,7 +1,9 @@
-"""Exact search: minimality, budget semantics, limits."""
+"""Exact search: minimality, budget semantics, limits, pruning."""
 
 from __future__ import annotations
 
+import pickle
+import random
 from itertools import combinations, product
 
 import pytest
@@ -14,14 +16,16 @@ from splitclust import (
     CorrelationGraph,
     SearchBudget,
     SearchLimitReached,
+    Kernelized,
     complete_graph,
     cost,
     decide,
     gen_random,
+    kernelize,
     solve_exact,
     verify_clustering,
 )
-from oracles import brute_min_clustering_cost
+from oracles import brute_min_clustering_cost, unpruned_solve_exact
 
 BAD_TRIANGLE = complete_graph(3, [(0, 1), (1, 2)])
 
@@ -55,18 +59,111 @@ def test_budget_semantics():
         decide(BAD_TRIANGLE, -1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_cost": 2.5},
+        {"max_cost": True},
+        {"max_cost": "2"},
+        {"max_cost": -1},
+        {"node_limit": 1.5},
+        {"node_limit": True},
+        {"node_limit": 0},
+    ],
+)
+def test_search_budget_rejects_non_integers(kwargs):
+    with pytest.raises(ValueError):
+        SearchBudget(**kwargs)
+
+
+def test_decide_rejects_non_integers():
+    for k in (2.5, True, None):
+        with pytest.raises(ValueError):
+            decide(BAD_TRIANGLE, k)
+    with pytest.raises(ValueError):
+        decide(BAD_TRIANGLE, 1, node_limit=1.5)
+    with pytest.raises(ValueError):
+        decide(BAD_TRIANGLE, 1, node_limit=False)
+
+
 def test_vertex_cap():
     big = complete_graph(13, [])
     with pytest.raises(ValueError):
         solve_exact(big)
     f = solve_exact(big, vertex_cap=13)
     assert f is not None and cost(f, 13) == 0
+    for cap in ("12", None, 12.5, True):
+        with pytest.raises(ValueError):
+            solve_exact(BAD_TRIANGLE, vertex_cap=cap)
 
 
 def test_node_limit():
     g = gen_random(8, 0.5, 0.5, complete=True, seed=11)
     with pytest.raises(SearchLimitReached):
         solve_exact(g, SearchBudget(max_cost=8, node_limit=5))
+
+
+def test_limit_reports_nodes_and_level():
+    # the suffix bounds start this graph at level 3; its optimum is 5
+    g = gen_random(10, 0.5, 0.5, complete=True, seed=0)
+    with pytest.raises(SearchLimitReached) as info:
+        solve_exact(g, SearchBudget(max_cost=10, node_limit=100))
+    assert (info.value.nodes, info.value.level) == (101, 4)
+    assert str(info.value) == "search aborted after 101 nodes at cost level 4"
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert (copy.nodes, copy.level, str(copy)) == (101, 4, str(info.value))
+
+
+def test_prune_node_count_regression():
+    # unpruned, this graph takes 12 660 nodes; the suffix bounds cut it to
+    # a few hundred, so a limit of 1000 passes only with the prune working
+    g = gen_random(10, 0.5, 0.5, complete=True, seed=0)
+    reference, nodes = unpruned_solve_exact(g, 10)
+    assert nodes > 10_000
+    f = solve_exact(g, SearchBudget(max_cost=10, node_limit=1000))
+    assert f == reference and cost(f, 10) == 5
+
+
+def _planted(n: int, clusters: int, overlaps: int, seed: int):
+    """Complete graph blue exactly on co-clustered pairs, and the planted cost."""
+    rng = random.Random(seed)
+    members: list[set[int]] = [set() for _ in range(clusters)]
+    for v in range(n):
+        members[v if v < clusters else rng.randrange(clusters)].add(v)
+    for v in rng.sample(range(n), overlaps):
+        members[rng.randrange(clusters)].add(v)
+    blue = [(u, v) for m in members for u in m for v in m if u < v]
+    return complete_graph(n, blue), cost(Clustering(members), n)
+
+
+def _pruned_search_cases():
+    for seed in range(300):
+        n = 5 + seed % 5
+        yield gen_random(n, 0.5, 0.5, complete=True, seed=seed), n, n
+    for seed in range(300, 340):
+        n = 5 + seed % 5
+        p = random.Random(seed).choice((0.3, 0.7))
+        yield gen_random(n, p, 1 - p, complete=True, seed=seed), n, 2
+    for seed in range(150):
+        n = 3 + seed % 5
+        yield gen_random(n, 0.4, 0.35, complete=False, seed=seed), n, n
+    for seed in range(40):
+        rng = random.Random(seed)
+        g, k = _planted(rng.randint(15, 60), rng.randint(2, 6), rng.randint(1, 4), seed)
+        kernel = kernelize(g, k)
+        assert isinstance(kernel, Kernelized)
+        yield kernel.graph, kernel.graph.n, k
+
+
+def test_pruned_search_matches_unpruned_reference():
+    # same clustering (or the same None below the optimum) in no more nodes
+    outcomes = set()
+    for g, cap, max_cost in _pruned_search_cases():
+        reference, nodes = unpruned_solve_exact(g, max_cost)
+        budget = SearchBudget(max_cost=max_cost, node_limit=max(nodes, 1))
+        assert solve_exact(g, budget, vertex_cap=cap) == reference
+        outcomes.add(reference is None)
+    assert outcomes == {False, True}
 
 
 def test_determinism():
