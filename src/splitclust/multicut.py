@@ -24,7 +24,9 @@ clusters read off the solution.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping
+from itertools import islice
 
 from .clustering import (
     Clustering,
@@ -36,15 +38,19 @@ from .clustering import (
 )
 from .graphs import (
     BLUE,
+    MAX_VERTICES,
     RED,
     CorrelationGraph,
     FormatError,
+    _canonical_body,
     _check_ids,
     _check_vertex_count,
     _decode,
     _is_int,
     _is_integer,
     _pair,
+    _pair_columns,
+    _pair_lines,
     _read_counts,
     _read_document,
     _read_groups,
@@ -274,13 +280,34 @@ def verify_multicut_solution(inst: MulticutInstance, sol: MulticutSolution) -> b
     return not has_erroneous_cycle(_realize(inst, sol).base)
 
 
+# A complete graph's red pairs are not stored: ccvs_to_mcvs lists one
+# terminal pair for each, so its time and memory grow with their count.
+# This cap (complete graphs up to about 1400 vertices) keeps that under a
+# few hundred MB; at MAX_VERTICES there would be about 5e9 pairs.
+_MAX_LISTED_RED_PAIRS = 1_000_000
+
+
 def ccvs_to_mcvs(g: CorrelationGraph, k: int) -> MulticutInstance:
     """Blue pairs become edges, red pairs become terminal pairs.
 
     The pairs of a graph are valid by construction; only the budget and
-    vertex count are checked.
+    vertex count are checked.  O(n + stored pairs + red pairs).  A complete
+    graph with more than ``_MAX_LISTED_RED_PAIRS`` red pairs raises
+    ``ValueError`` before any pair is listed.
     """
-    return MulticutInstance._trusted(g.n, g.blue_edges(), g.red_edges(), k)
+    labels = g._labels
+    if g.complete:
+        red_count = g.count_colors()[1]
+        if red_count > _MAX_LISTED_RED_PAIRS:
+            raise ValueError(
+                f"complete graph has {red_count} red pairs; ccvs_to_mcvs lists "
+                f"at most {_MAX_LISTED_RED_PAIRS} terminal pairs"
+            )
+        terminals = g.red_edges()
+    else:
+        terminals = [p for p, c in labels.items() if c is RED]
+    edges = [p for p, c in labels.items() if c is BLUE]
+    return MulticutInstance._trusted(g.n, edges, terminals, k)
 
 
 def mcvs_to_ccvs(inst: MulticutInstance) -> tuple[CorrelationGraph, int]:
@@ -341,7 +368,61 @@ def multicut_solution_to_clustering(
     return _add_singletons(clusters, inst.n, pairs, split)
 
 
+_COUNT = rb"(0|[1-9][0-9]{0,17})"
+_MCVS_HEADER = re.compile(
+    rb"mcvs (0|[1-9][0-9]{0,5}) " + rb" ".join([_COUNT] * 3) + rb"\n"
+)
+_NOT_MCVS_LINE = re.compile(rb"^(?![et] [0-9]+ [0-9]+$)", re.MULTILINE)
+
+
+def _bulk_instance(data: bytes | str) -> MulticutInstance | None:
+    """The instance of a document exactly as ``write_multicut_instance`` emits it.
+
+    Checks the shape of every line with ``_canonical_body``, then builds
+    the edge and terminal sets from ``_pair_columns`` in one call each.
+    Anything else, such as comments, a t line before an e line, a pair
+    listed twice, a pair that is both an edge and a terminal pair or counts
+    that differ from the header, gives None and is left to the line loop,
+    which names its faults.  Never raises.  O(n + document length).
+    """
+    if not isinstance(data, bytes):
+        return None
+    match = _canonical_body(data, _MCVS_HEADER, _NOT_MCVS_LINE)
+    if match is None:
+        return None
+    n, m, t, k = map(int, match.group(1, 2, 3, 4))
+    if n > MAX_VERTICES:
+        return None
+    body = data[match.end() :]
+    # the body's only letters are the tags: m e lines, all before the first t
+    first_t = body.find(b"t")
+    if body.count(b"e") != m or body.rfind(b"e") > first_t >= 0:
+        return None
+    columns = _pair_columns(body, n, 3)
+    if columns is None or len(columns[0]) != m + t:
+        return None
+    pairs = zip(columns[0], columns[1])
+    edges = frozenset(islice(pairs, m))
+    terminals = frozenset(pairs)
+    if len(edges) != m or len(terminals) != t or not edges.isdisjoint(terminals):
+        return None
+    return MulticutInstance._trusted(n, edges, terminals, k)
+
+
 def parse_multicut_instance(data: bytes | str) -> MulticutInstance:
+    """Parse the ``mcvs`` format: header, e lines, t lines.
+
+    A document exactly as ``write_multicut_instance`` emits it is read in
+    bulk (see ``_bulk_instance``); every other one goes through the line
+    loop of ``_parse_instance_lines``, which gives the same object for it,
+    or names its fault.  Both are O(n + document length); the bulk path
+    costs about half as much per pair line.
+    """
+    inst = _bulk_instance(data)
+    return inst if inst is not None else _parse_instance_lines(data)
+
+
+def _parse_instance_lines(data: bytes | str) -> MulticutInstance:
     """Parse the ``mcvs`` format in one pass: header, e lines, t lines.
 
     Each pair line is checked for syntax, and in the same loop for range
@@ -400,11 +481,16 @@ def parse_multicut_instance(data: bytes | str) -> MulticutInstance:
 
 
 def write_multicut_instance(inst: MulticutInstance) -> bytes:
-    """Canonical ``mcvs`` form: sorted e lines, then sorted t lines."""
-    out = [f"mcvs {inst.n} {len(inst.edges)} {len(inst.terminals)} {inst.k}"]
-    out.extend(f"e {u} {v}" for u, v in sorted(inst.edges))
-    out.extend(f"t {u} {v}" for u, v in sorted(inst.terminals))
-    return ("\n".join(out) + "\n").encode("utf-8")
+    """Canonical ``mcvs`` form: sorted e lines, then sorted t lines.
+
+    Edges are read off the sorted adjacency lists; terminal pairs take one
+    sort.  O(n + m + t log t) for m edges and t terminal pairs.
+    """
+    names = list(map(str, range(inst.n)))
+    out = [f"mcvs {inst.n} {len(inst.edges)} {len(inst.terminals)} {inst.k}\n"]
+    out += _pair_lines(inst._adj, names, "e", "")
+    out += [f"t {names[u]} {names[v]}\n" for u, v in sorted(inst.terminals)]
+    return "".join(out).encode()
 
 
 def parse_multicut_solution(data: bytes | str) -> tuple[int, MulticutSolution]:

@@ -25,6 +25,12 @@ public constructor, and each parser reads all pair lines before the
 constructor checks them.  (``pairwise_clustering_to_splits`` serves as
 the checked split graph of a clustering.)  The trusted versions must give
 the same objects, adjacency lists included, and the same error messages.
+They are also the references for the bulk reading of canonical documents,
+which must agree with them on every document.  ``sorting_write_graph`` and
+``sorting_write_multicut_instance`` are the writers as they were before
+they read pairs off the sorted adjacency lists: they sort every listed
+pair and format each line on its own.  The writers must emit the same
+bytes.
 
 ``unpruned_solve_exact`` is the exact search as it was before suffix
 lower bounds pruned it: every level is explored without a bound, and
@@ -621,6 +627,26 @@ def two_pass_parse_multicut_instance(data: bytes | str) -> MulticutInstance:
     if len(inst.terminals) != t:
         raise FormatError(f"header says {t} terminal pairs, found {len(inst.terminals)}")
     return inst
+
+
+def sorting_write_graph(g: CorrelationGraph) -> bytes:
+    """The canonical ``ccg`` form, one sorted line per listed pair."""
+    kind = "complete" if g.complete else "incomplete"
+    out = [f"ccg {g.n} {kind}"]
+    if g.complete:
+        listed = [(u, v, BLUE) for u, v in g.blue_edges()]
+    else:
+        listed = sorted((u, v, c) for (u, v), c in g._labels.items())
+    out.extend(f"e {u} {v} {c.value}" for u, v, c in listed)
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def sorting_write_multicut_instance(inst: MulticutInstance) -> bytes:
+    """The canonical ``mcvs`` form: sorted e lines, then sorted t lines."""
+    out = [f"mcvs {inst.n} {len(inst.edges)} {len(inst.terminals)} {inst.k}"]
+    out.extend(f"e {u} {v}" for u, v in sorted(inst.edges))
+    out.extend(f"t {u} {v}" for u, v in sorted(inst.terminals))
+    return ("\n".join(out) + "\n").encode("utf-8")
 
 
 def unpruned_solve_exact(

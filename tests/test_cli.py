@@ -224,6 +224,10 @@ def test_reduce_errors(tmp_path, triangle_file):
     sol.write_text("mcsol 4\n")
     code, _, err = invoke(["reduce", "mcsol-to-clu", str(mcvs), str(sol)])
     assert code == 2 and "4 vertices" in err
+    big = tmp_path / "big.ccg"
+    big.write_text("ccg 100000 complete\n")
+    code, out, err = invoke(["reduce", "ccvs-to-mcvs", str(big)])
+    assert code == 2 and out == "" and "4999950000 red pairs" in err
 
 
 def test_gen_random_deterministic():

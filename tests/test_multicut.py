@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+import splitclust.multicut
 from splitclust import (
+    MAX_VERTICES,
     Clustering,
+    CorrelationGraph,
     FormatError,
     MulticutInstance,
     MulticutSolution,
@@ -222,6 +225,24 @@ def test_optimum_matches_brute_multicut():
         c = cost(f, 5)
         inst = ccvs_to_mcvs(g, 5)
         assert brute_min_multicut_cost(inst, 5) == c
+
+
+def test_ccvs_to_mcvs_caps_listed_red_pairs(monkeypatch):
+    def refuse(self):
+        raise AssertionError("red pairs listed before the cap was checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(CorrelationGraph, "red_edges", refuse)
+        with pytest.raises(ValueError, match="red pairs"):
+            ccvs_to_mcvs(complete_graph(MAX_VERTICES, []), 0)
+    # the cap is on listed red pairs: at the cap a complete graph is reduced,
+    # one pair over it is not, and an incomplete graph's red pairs are stored
+    monkeypatch.setattr(splitclust.multicut, "_MAX_LISTED_RED_PAIRS", 5)
+    assert len(ccvs_to_mcvs(complete_graph(4, [(0, 1)]), 0).terminals) == 5
+    with pytest.raises(ValueError, match="6 red pairs"):
+        ccvs_to_mcvs(complete_graph(4, []), 0)
+    red = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    assert len(ccvs_to_mcvs(incomplete_graph(5, [], red), 0).terminals) == 10
 
 
 def test_instance_format_round_trip():
