@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Container, Iterable
-from itertools import combinations
+from itertools import chain, combinations
 
 from .graphs import (
     BLUE,
@@ -116,51 +116,78 @@ class ValidationReport:
 def verify_clustering(g: CorrelationGraph, f: Clustering) -> ValidationReport:
     """Check the three validity conditions and report every violation.
 
-    Complete graphs take O(n + blue pairs + memberships + violations): only
-    pairs inside one single-cluster group, or touching an uncovered vertex,
-    can be unresolved red pairs.  Incomplete graphs check each stored red
-    pair.
+    O(n + memberships + stored pairs + v log v) for v violations: one
+    unsorted pass over the stored pairs (see ``_violations``), and no sort
+    but of the violations.  The red pairs of a complete graph are not
+    stored; only those inside one single-cluster group, or touching an
+    uncovered vertex, can be unresolved, and only those are listed.
     """
-    where = f.membership(g.n)
-    idx = [set(w) for w in where]
-    uncovered_vertices = tuple(v for v in range(g.n) if not where[v])
-    uncovered_blue = tuple(
-        (u, v) for u, v in g.blue_edges() if idx[u].isdisjoint(idx[v])
-    )
+    return _violations(g, f.membership(g.n))
+
+
+def _violations(g: CorrelationGraph, where: list[list[int]]) -> ValidationReport:
+    """The report of the clustering whose membership lists are ``where``.
+
+    ``sole[v]`` is the index of v's only cluster, -1 if v lies in several
+    and -2 if in none.  A stored red pair is unresolved iff an endpoint has
+    no cluster or both have the same sole one.  A blue pair between two
+    sole clusters is covered iff they are equal; only blue pairs touching a
+    vertex in several clusters need their lists intersected.  Only the
+    violations are sorted, into the order of ``blue_edges``/``red_edges``.
+    """
+    sole = [w[0] if len(w) == 1 else -1 if w else -2 for w in where]
+    uncovered_blue = []
+    unresolved = []
+    for pair, color in g._labels.items():
+        u, v = pair
+        a, b = sole[u], sole[v]
+        if a == -2 or b == -2:
+            (unresolved if color is RED else uncovered_blue).append(pair)
+        elif color is RED:
+            if a == b >= 0:
+                unresolved.append(pair)
+        elif a >= 0 and b >= 0:
+            if a != b:
+                uncovered_blue.append(pair)
+        elif set(where[u]).isdisjoint(where[v]):
+            uncovered_blue.append(pair)
+    uncovered_blue.sort()
     if g.complete:
-        unresolved = _unresolved_red_complete(g, where)
+        unresolved = _unresolved_red_complete(g, sole)
     else:
-        unresolved = [(u, v) for u, v in g.red_edges() if not _resolved(idx, u, v)]
-    return ValidationReport(uncovered_blue, tuple(unresolved), uncovered_vertices)
+        unresolved.sort()
+    uncovered_vertices = tuple(v for v, s in enumerate(sole) if s == -2)
+    return ValidationReport(tuple(uncovered_blue), tuple(unresolved), uncovered_vertices)
 
 
 def _unresolved_red_complete(
-    g: CorrelationGraph, where: list[list[int]]
+    g: CorrelationGraph, sole: list[int]
 ) -> list[tuple[int, int]]:
-    """Sorted red pairs of a complete graph that ``where`` leaves unresolved.
+    """Sorted red pairs of a complete graph left unresolved.
 
-    A red pair is unresolved iff an endpoint is uncovered, or both endpoints
-    lie in exactly one cluster and it is the same one.
+    ``sole`` is as in ``_violations``.  A red pair is unresolved iff an
+    endpoint is uncovered (-2), or both endpoints lie in exactly one
+    cluster and it is the same one.
     """
     blue = _blue_sets(g)
     groups: dict[int, list[int]] = {}
-    for v, w in enumerate(where):
-        if len(w) == 1:
-            groups.setdefault(w[0], []).append(v)
+    for v, s in enumerate(sole):
+        if s >= 0:
+            groups.setdefault(s, []).append(v)
     unresolved = []
     for members in groups.values():
         for i, u in enumerate(members):
             bu = blue[u]
             unresolved.extend((u, v) for v in members[i + 1 :] if v not in bu)
-    for u, w in enumerate(where):
-        if w:
+    for u, s in enumerate(sole):
+        if s != -2:
             continue
         bu = blue[u]
         # pairs of two uncovered vertices are taken from their smaller end
         unresolved.extend(
             _pair(u, v)
             for v in range(g.n)
-            if v != u and v not in bu and (where[v] or v > u)
+            if v != u and v not in bu and (sole[v] != -2 or v > u)
         )
     unresolved.sort()
     return unresolved
@@ -202,10 +229,16 @@ class RealizedGraph:
         ancestors = tuple(ancestors)
         if len(ancestors) != base.n:
             raise ValueError("one ancestor per descendant vertex required")
+        if not _is_integer(original_n):
+            raise ValueError(
+                f"original vertex count must be an integer, got {original_n!r}"
+            )
         if original_n < 0:
             raise ValueError("negative original vertex count")
         seen = set()
         for a in ancestors:
+            if not _is_integer(a):
+                raise ValueError(f"ancestors must be integers, got {a!r}")
             if not 0 <= a < original_n:
                 raise ValueError(f"ancestor {a} out of range for original n={original_n}")
             seen.add(a)
@@ -277,41 +310,54 @@ def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
     cluster are blue; copies of the same vertex are red; remaining cross
     pairs keep the ancestors' red label (complete graphs: red, incomplete:
     red where the ancestors were red).  The result has no erroneous cycle
-    and ``split_count == cost(f, g.n)``.  Besides checking f, this takes
-    time linear in n plus the pairs the result stores: the cross pairs of
-    a complete graph are red by default and are never listed.
+    and ``split_count == cost(f, g.n)``.
+
+    f is checked as by ``verify_clustering``.  Then one unsorted pass over
+    the stored pairs labels the copies of each red pair: a single label
+    when both ancestors are unsplit, one per pair of copies in distinct
+    clusters otherwise.  O(n + memberships + stored pairs + pairs the
+    result stores), with no sort of the stored pairs; the cross pairs of a
+    complete graph are red by default and are never listed.
     """
-    report = verify_clustering(g, f)
+    where = f.membership(g.n)
+    report = _violations(g, where)
     if not report.ok:
         raise ValueError(f"clustering is not valid for the graph: {report}")
-    idx = f.membership(g.n)
     ancestors: list[int] = []
     members: list[list[int]] = [[] for _ in f.clusters]  # descendants per cluster
-    copies: list[list[int]] = []  # descendants per vertex, by cluster index
-    for v, where in enumerate(idx):
-        copies.append([])
-        for i in where:
+    first: list[int] = []  # v's copies are first[v], first[v] + 1, ... by cluster
+    for v, w in enumerate(where):
+        first.append(len(ancestors))
+        for i in w:
             members[i].append(len(ancestors))
-            copies[v].append(len(ancestors))
             ancestors.append(v)
     # descendants are numbered by vertex and then by cluster, so every pair
     # below has d1 < d2, and no pair gets two colours: blue pairs join two
     # ancestors in one cluster, red ones one ancestor or two clusters
-    labels = {
-        (d1, d2): BLUE for m in members for d1, d2 in combinations(m, 2)
-    }
+    labels = dict.fromkeys(
+        chain.from_iterable(combinations(m, 2) for m in members), BLUE
+    )
     if not g.complete:
         # red is the default of complete graphs, so these are stored only here
-        labels.update(
-            ((d1, d2), RED) for c in copies for d1, d2 in combinations(c, 2)
-        )
-        for u, v in g.red_edges():
-            labels.update(
-                ((d1, d2), RED)
-                for i, d1 in zip(idx[u], copies[u])
-                for j, d2 in zip(idx[v], copies[v])
-                if i != j
-            )
+        plain = [d if len(w) == 1 else -1 for d, w in zip(first, where)]
+        for v, w in enumerate(where):
+            if len(w) > 1:
+                copies = range(first[v], first[v] + len(w))
+                labels.update(dict.fromkeys(combinations(copies, 2), RED))
+        for (u, v), color in g._labels.items():
+            if color is not RED:
+                continue
+            d1, d2 = plain[u], plain[v]
+            if d1 >= 0 and d2 >= 0:
+                # f is valid, so the two sole clusters differ
+                labels[d1, d2] = RED
+            else:
+                labels.update(
+                    ((d1, d2), RED)
+                    for d1, i in enumerate(where[u], first[u])
+                    for d2, j in enumerate(where[v], first[v])
+                    if i != j
+                )
     base = CorrelationGraph._trusted(len(ancestors), labels, g.complete)
     return RealizedGraph(base, ancestors, g.n)
 

@@ -33,8 +33,8 @@ from .clustering import (
     RealizedGraph,
     _add_singletons,
     _component_clusters,
+    _violations,
     has_erroneous_cycle,
-    verify_clustering,
 )
 from .graphs import (
     BLUE,
@@ -238,11 +238,13 @@ def _realize(inst: MulticutInstance, sol: MulticutSolution) -> RealizedGraph:
     """The split graph of a solution (see the module docstring).
 
     Raises ValueError when a split vertex is out of range or its parts do
-    not cover exactly its neighborhood.
+    not cover exactly its neighborhood.  One unsorted pass over the edges
+    and one over the terminal pairs: O(n + m + t + split neighborhoods) for
+    m edges and t terminal pairs, with no sort.
     """
     split_parts = dict(sol.splits)
     ancestors: list[int] = []
-    plain: dict[int, int] = {}  # unsplit vertex -> its copy
+    plain: list[int] = []  # the copy of each unsplit vertex, -1 if split
     owner: dict[tuple[int, int], int] = {}  # (split vertex, neighbor) -> copy
     for v in split_parts:
         if v >= inst.n:
@@ -250,27 +252,30 @@ def _realize(inst: MulticutInstance, sol: MulticutSolution) -> RealizedGraph:
     for v in range(inst.n):
         parts = split_parts.get(v)
         if parts is None:
-            plain[v] = len(ancestors)
+            plain.append(len(ancestors))
             ancestors.append(v)
             continue
         if set().union(*parts) != set(inst._adj[v]):
             raise ValueError(f"parts of {v} must cover exactly its neighborhood")
+        plain.append(-1)
         for part in parts:
             for u in part:
                 owner[v, u] = len(ancestors)
             ancestors.append(v)
-
-    def copy(v: int, u: int) -> int:
-        return plain[v] if v in plain else owner[v, u]
-
     # copies are numbered by vertex, so a pair u < v keeps its order, and
     # an edge and a terminal pair never land on one pair of copies
-    labels = {(copy(u, v), copy(v, u)): BLUE for u, v in inst.edges}
-    labels.update(
-        ((plain[u], plain[v]), RED)
-        for u, v in inst.terminals
-        if u in plain and v in plain
-    )
+    labels = {}
+    for u, v in inst.edges:
+        d1, d2 = plain[u], plain[v]
+        if d1 < 0:
+            d1 = owner[u, v]
+        if d2 < 0:
+            d2 = owner[v, u]
+        labels[d1, d2] = BLUE
+    for u, v in inst.terminals:
+        d1, d2 = plain[u], plain[v]
+        if d1 >= 0 and d2 >= 0:
+            labels[d1, d2] = RED
     base = CorrelationGraph._trusted(len(ancestors), labels, False)
     return RealizedGraph(base, ancestors, inst.n)
 
@@ -327,21 +332,23 @@ def clustering_to_multicut_solution(
 
     A blue neighbor u of v goes to the part of v's smallest cluster shared
     with u.  The solution verifies against ``ccvs_to_mcvs(g, k)`` and its
-    cost equals ``cost(f, g.n)``.
+    cost equals ``cost(f, g.n)``.  f is checked as by
+    ``verify_clustering``, from the same membership lists that place the
+    neighbors.
     """
-    report = verify_clustering(g, f)
+    where = f.membership(g.n)
+    report = _violations(g, where)
     if not report.ok:
         raise ValueError(f"clustering is not valid for the graph: {report}")
-    idx = [set(w) for w in f.membership(g.n)]
     splits: dict[int, list[set[int]]] = {}
-    for v in range(g.n):
-        if len(idx[v]) < 2:
+    for v, w in enumerate(where):
+        if len(w) < 2:
             continue
-        order = sorted(idx[v])
-        position = {i: pos for pos, i in enumerate(order)}
-        parts: list[set[int]] = [set() for _ in order]
-        for u in g.blue_neighbors(v):
-            shared = min(idx[v] & idx[u])
+        # membership lists are ascending, so positions follow cluster order
+        position = {i: pos for pos, i in enumerate(w)}
+        parts: list[set[int]] = [set() for _ in w]
+        for u in g._blue_adj[v]:
+            shared = min(position.keys() & where[u])
             parts[position[shared]].add(u)
         splits[v] = parts
     return MulticutSolution(splits)

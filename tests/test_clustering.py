@@ -179,6 +179,29 @@ def test_realized_graph_validation():
         RealizedGraph(base, (0, 2), 2)  # ancestor out of range
 
 
+@pytest.mark.parametrize(
+    "ancestors, original_n, message",
+    [
+        ((0.0, 1), 2, "ancestors must be integers, got 0.0"),
+        ((0, 1.0), 2, "ancestors must be integers, got 1.0"),
+        ((False, 1), 2, "ancestors must be integers, got False"),
+        ((0, True), 2, "ancestors must be integers, got True"),
+        ((0, "1"), 2, "ancestors must be integers, got '1'"),
+        ((0, 1), 2.0, "original vertex count must be an integer, got 2.0"),
+        ((0, 1), True, "original vertex count must be an integer, got True"),
+        ((0, 1), None, "original vertex count must be an integer, got None"),
+    ],
+)
+def test_realized_graph_rejects_non_integers(ancestors, original_n, message):
+    # accepted, these would reach splits_to_clustering as list indices
+    base = complete_graph(2, [])
+    with pytest.raises(ValueError) as info:
+        RealizedGraph(base, ancestors, original_n)
+    assert str(info.value) == message
+    r = RealizedGraph(base, (0, 1), 2)
+    assert r.split_count == 0 and splits_to_clustering(r) == Clustering([{0}, {1}])
+
+
 def test_splits_to_clustering_round():
     r = clustering_to_splits(BAD_TRIANGLE, TRIANGLE_SOLUTION)
     f = splits_to_clustering(r)

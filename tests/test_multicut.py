@@ -159,6 +159,16 @@ def test_clustering_to_solution_keeps_empty_parts():
     assert sol.cost == cost(f, 3) == 1
 
 
+def test_clustering_to_solution_uses_smallest_shared_cluster():
+    # 0 and 1 share clusters 1 and 2, so 1 joins the part of cluster 1;
+    # 2 shares only cluster 2 with 0, and cluster 0 keeps no neighbor
+    g = incomplete_graph(3, [(0, 1), (0, 2)])
+    f = Clustering([{0}, {0, 1}, {0, 1, 2}])
+    sol = clustering_to_multicut_solution(g, f)
+    assert sol == MulticutSolution({0: [set(), {1}, {2}], 1: [{0}, set()]})
+    assert sol.cost == cost(f, 3) == 3
+
+
 def test_solution_to_clustering_frozen():
     f = multicut_solution_to_clustering(PATH, MulticutSolution({1: [{0}, {2}]}))
     assert f == Clustering([{0, 1}, {1, 2}])

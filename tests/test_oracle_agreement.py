@@ -4,8 +4,9 @@ Forests, bad triangles, validation reports, clique decompositions, vertex
 covers, the split graphs of clusterings and the clusterings read back off
 split graphs and multicut solutions must come out exactly as the
 straightforward versions compute them, order included, on random and
-planted graphs.  Forests and bad triangles are also checked on twin-rich
-graphs, where the scan skips twins.  The kernel's isolated, kept and
+planted graphs.  Both translations of an invalid clustering must refuse
+it with the pairwise report.  Forests and bad triangles are also checked
+on twin-rich graphs, where the scan skips twins.  The kernel's isolated, kept and
 marked cliques and its many-cliques witness must match the reference that
 rescans the forest vertices for every clique.  Erroneous-cycle tests and
 multicut verification, which label blue components, must agree with
@@ -29,6 +30,7 @@ from splitclust import (
     MulticutSolution,
     NoInstance,
     RealizedGraph,
+    ValidationReport,
     approximate,
     bipartite_min_vertex_cover,
     ccvs_to_mcvs,
@@ -108,6 +110,23 @@ def forest_stars(g: CorrelationGraph):
 def report_fields(g: CorrelationGraph, f: Clustering):
     r = verify_clustering(g, f)
     return r.uncovered_blue, r.unresolved_red, r.uncovered_vertices
+
+
+def check_verify(g: CorrelationGraph, f: Clustering) -> bool:
+    """The report of f equals the pairwise one; both translations refuse it if invalid.
+
+    The refusal must carry the pairwise report, so each translation checks
+    as much as ``verify_clustering`` and says the same.  Returns validity.
+    """
+    fields = pairwise_verify(g, f)
+    assert report_fields(g, f) == fields
+    report = ValidationReport(*fields)
+    if not report.ok:
+        for translate in (clustering_to_splits, clustering_to_multicut_solution):
+            with pytest.raises(ValueError) as info:
+                translate(g, f)
+            assert str(info.value) == f"clustering is not valid for the graph: {report}"
+    return report.ok
 
 
 @given(st.integers(4, 30), P_BLUE, st.integers(0, 10_000))
@@ -273,12 +292,8 @@ def test_verify_matches_pairwise_on_random(n, p_blue, seed):
     g = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed)
     rng = random.Random(seed)
     for f in mutations(approximate(g), rng):
-        assert report_fields(g, f) == pairwise_verify(g, f)
-    # arbitrary families: uncovered vertices, several of them adjacent
-    family = Clustering(
-        rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 5))
-    )
-    assert report_fields(g, family) == pairwise_verify(g, family)
+        check_verify(g, f)
+    check_verify(g, arbitrary_family(n, rng))
 
 
 @given(
@@ -292,7 +307,38 @@ def test_verify_matches_pairwise_on_planted(n, clusters, overlaps, seed):
     g, f = planted(n, clusters, overlaps, 0, seed)
     assert verify_clustering(g, f).ok
     for mutated in mutations(f, random.Random(seed)):
-        assert report_fields(g, mutated) == pairwise_verify(g, mutated)
+        check_verify(g, mutated)
+
+
+def test_verify_matches_pairwise_on_incomplete():
+    """Random graphs with neutral pairs, and planted ones with overlaps.
+
+    Each valid clustering goes through ``mutations``, and an arbitrary
+    family joins them; every invalid one must be refused by both
+    translations with the pairwise report.
+    """
+    valid = {True: 0, False: 0}
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(2, 30)
+        if seed % 2:
+            p_blue = rng.choice([0.1, 0.3, 0.5])
+            g = gen_random(n, p_blue, rng.uniform(0, 1 - p_blue), complete=False, seed=seed)
+            f = edge_clustering(g)
+        else:
+            g, f = planted_incomplete(n, rng.randint(1, 6), seed)
+            f = with_overlaps(f, n, rng)
+        assert verify_clustering(g, f).ok
+        for chosen in (*mutations(f, rng), arbitrary_family(n, rng)):
+            valid[check_verify(g, chosen)] += 1
+    assert min(valid.values()) >= 150, valid
+
+
+def arbitrary_family(n: int, rng: random.Random) -> Clustering:
+    """Random clusters: uncovered vertices, several of them adjacent."""
+    return Clustering(
+        rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 5))
+    )
 
 
 @given(st.data())
@@ -353,13 +399,25 @@ def test_clustering_to_splits_matches_pairwise_on_complete(n, p_blue, seed):
         assert clustering_to_splits(g, f) == pairwise_clustering_to_splits(g, f)
 
 
-@given(st.integers(2, 30), st.integers(1, 6), st.integers(0, 10_000))
-@settings(max_examples=80, deadline=None)
-def test_clustering_to_splits_matches_pairwise_on_incomplete(n, clusters, seed):
-    g, f = planted_incomplete(n, clusters, seed)
-    assert verify_clustering(g, f).ok
-    for f in (f, with_overlaps(f, n, random.Random(seed))):
-        assert clustering_to_splits(g, f) == pairwise_clustering_to_splits(g, f)
+def test_clustering_to_splits_matches_pairwise_on_incomplete():
+    """Planted clusterings with and without overlaps.
+
+    Both kinds of red pair must occur in many cases: between two unsplit
+    vertices, which gets one label, and touching a split vertex, which
+    gets one per pair of copies in distinct clusters.
+    """
+    cases = {"unsplit": 0, "split": 0}
+    for seed in range(100):
+        rng = random.Random(seed)
+        g, f = planted_incomplete(rng.randint(2, 30), rng.randint(1, 6), seed)
+        assert verify_clustering(g, f).ok
+        for f in (f, with_overlaps(f, g.n, rng)):
+            assert clustering_to_splits(g, f) == pairwise_clustering_to_splits(g, f)
+            split = [len(w) > 1 for w in f.membership(g.n)]
+            red = g.red_edges()
+            cases["unsplit"] += any(not (split[u] or split[v]) for u, v in red)
+            cases["split"] += any(split[u] or split[v] for u, v in red)
+    assert min(cases.values()) >= 30, cases
 
 
 @given(st.integers(2, 25), P_BLUE, st.floats(0.0, 1.0), st.integers(0, 10_000))
