@@ -27,13 +27,13 @@ from .graphs import (
     CorrelationGraph,
     FormatError,
     _blue_sets,
+    _is_blue_clique,
     _is_integer,
     _pair,
     _read_counts,
     _read_document,
     _read_ids,
     blue_components,
-    cluster_decomposition,
 )
 
 
@@ -290,16 +290,30 @@ def has_erroneous_cycle(g: CorrelationGraph) -> bool:
     incomplete graphs label the blue components and check each stored red
     pair, in O(n + stored pairs).
     """
+    return _consistent_components(g) is None
+
+
+def _consistent_components(g: CorrelationGraph) -> list[list[int]] | None:
+    """``blue_components(g)``, or None when a red pair lies within one.
+
+    The components are labelled once, for the test and for the callers
+    that read clusters off them.
+    """
+    components = blue_components(g)
     if g.complete:
-        return cluster_decomposition(g) is None
+        if all(_is_blue_clique(g, comp) for comp in components):
+            return components
+        return None
     component = [0] * g.n
-    for i, comp in enumerate(blue_components(g)):
+    for i, comp in enumerate(components):
         for v in comp:
             component[v] = i
-    return any(
+    if any(
         color is RED and component[u] == component[v]
         for (u, v), color in g._labels.items()
-    )
+    ):
+        return None
+    return components
 
 
 def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
@@ -386,10 +400,10 @@ def splits_to_clustering(r: RealizedGraph) -> Clustering:
     pairs) on incomplete ones.
     """
     base = r.base
-    if has_erroneous_cycle(base):
+    components = _consistent_components(base)
+    if components is None:
         raise ValueError("realized graph has an erroneous cycle")
     ancestors = r.ancestors
-    components = blue_components(base)
     clusters = _component_clusters(ancestors, components)
     counts = [0] * r.original_n
     for a in ancestors:

@@ -19,7 +19,21 @@ the search finds the same first solution at the same level, and the
 deepening starts at the bound for the whole vertex set.  Incomplete graphs
 get zero bounds and start at 0.
 
-Only practical for small graphs: the vertex cap defaults to 12.
+A placed vertex's memberships are a bitmask over the blocks, and the
+search keeps nothing else: block b's members are read off the masks at a
+leaf.  Each node folds its red predecessors that sit in one block into one
+mask of forbidden single blocks, and takes the block subsets of its
+multi-membership tries, in ``combinations`` order, from a table shared by
+all levels.  The predecessor lists and that table are set up once per
+call.  The search order is the one of the earlier search that kept each
+block as a list of members, so the node counts, the clustering found and
+the point where the node limit trips are the same.
+
+Only practical for small graphs: the vertex cap defaults to 12.  The
+search recurses once per vertex, so it refuses graphs above 500 vertices
+with ``ValueError`` whatever the cap.  That limit stays well below
+Python's default recursion limit of 1000, and above the kernels the
+search is meant for.
 """
 
 from __future__ import annotations
@@ -32,6 +46,8 @@ from .detect import _suffix_bounds
 from .graphs import CorrelationGraph, _is_integer
 
 DEFAULT_VERTEX_CAP = 12
+# the search recurses once per vertex (see the module docstring)
+_MAX_DEPTH = 500
 
 
 @dataclass(frozen=True)
@@ -65,101 +81,89 @@ class SearchLimitReached(RuntimeError):
         return type(self), (self.nodes, self.level)
 
 
-class _Counter:
-    __slots__ = ("nodes", "limit", "level")
+def _search(g: CorrelationGraph, max_cost: int, limit: int) -> list[list[int]] | None:
+    """Blocks of the first minimum clustering of cost <= max_cost, or None.
 
-    def __init__(self, limit: int):
-        self.nodes = 0
-        self.limit = limit
-        self.level = 0
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise SearchLimitReached(self.nodes, self.level)
-
-
-def _search(
-    g: CorrelationGraph, extra: int, suffix: list[int], counter: _Counter
-) -> list[list[int]] | None:
-    """First clustering of cost <= extra in search order, or None.
-
+    Deepening runs from the bound ``suffix[0]`` up to max_cost, and more
+    than ``limit`` nodes over all levels raise SearchLimitReached.
     ``suffix[v]`` bounds the cost of the vertices v..n-1 from below (see
     the module docstring), so placing v leaves at most
     extra - used - suffix[v + 1] to spend on v itself.
     """
     n = g.n
+    suffix = _suffix_bounds(g)
     blue_pred = [[u for u in g.blue_neighbors(v) if u < v] for v in range(n)]
     red_pred: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.red_edges():
         red_pred[v].append(u)
-
-    blocks: list[list[int]] = []
+    # block subset masks by (block count, subset size), shared by all levels
+    subsets: dict[tuple[int, int], list[int]] = {}
     vmask = [0] * n
-    result: list[list[int]] | None = None
+    nodes = 0
 
-    def dfs(v: int, used: int) -> bool:
-        nonlocal result
+    def dfs(v: int, used: int, nb: int) -> list[list[int]] | None:
+        nonlocal nodes
         if v == n:
-            result = [list(b) for b in blocks]
-            return True
-        counter.tick()
+            return [[u for u in range(n) if vmask[u] >> b & 1] for b in range(nb)]
+        nodes += 1
+        if nodes > limit:
+            raise SearchLimitReached(nodes, extra)
         budget_left = extra - used - suffix[v + 1]
         if budget_left < 0:
-            return False
-        req = [vmask[u] for u in blue_pred[v]]
-        nb = len(blocks)
+            return None
+        preds = blue_pred[v]
         and_req = (1 << nb) - 1
-        for r in req:
-            and_req &= r
-
+        for u in preds:
+            and_req &= vmask[u]
         # single existing block: must hit every blue requirement and must
         # not be the lone block of a red predecessor
-        red_masks = [vmask[u] for u in red_pred[v]]
-        mask = and_req
+        bad = 0
+        for u in red_pred[v]:
+            rm = vmask[u]
+            if not rm & (rm - 1):
+                bad |= rm
+        mask = and_req & ~bad
         while mask:
             low = mask & -mask
             mask ^= low
-            if any(rm == low for rm in red_masks):
-                continue
-            b = low.bit_length() - 1
-            blocks[b].append(v)
             vmask[v] = low
-            if dfs(v + 1, used):
-                return True
-            blocks[b].pop()
+            found = dfs(v + 1, used, nb)
+            if found is not None:
+                return found
         # single fresh block: impossible once v has blue predecessors
-        if not req:
-            blocks.append([v])
+        if not preds:
             vmask[v] = 1 << nb
-            if dfs(v + 1, used):
-                return True
-            blocks.pop()
-        # m >= 2 memberships cost m - 1 extra; red pairs are then resolved
+            found = dfs(v + 1, used, nb + 1)
+            if found is not None:
+                return found
+        if not budget_left:
+            return None
+        # m >= 2 memberships cost m - 1 extra: s existing blocks, each
+        # subset in combinations order, and m - s fresh ones
+        req = [vmask[u] for u in preds]
         for m in range(2, budget_left + 2):
             for s in range(min(m, nb) + 1):
-                t = m - s
-                for combo in combinations(range(nb), s):
-                    cm = 0
-                    for b in combo:
-                        cm |= 1 << b
-                    if any(r & cm == 0 for r in req):
-                        continue
-                    for b in combo:
-                        blocks[b].append(v)
-                    for _ in range(t):
-                        blocks.append([v])
-                    vmask[v] = cm | (((1 << t) - 1) << nb)
-                    if dfs(v + 1, used + m - 1):
-                        return True
-                    for _ in range(t):
-                        blocks.pop()
-                    for b in combo:
-                        blocks[b].pop()
-        return False
+                fresh = ((1 << (m - s)) - 1) << nb
+                masks = subsets.get((nb, s))
+                if masks is None:
+                    masks = subsets[nb, s] = [
+                        sum(1 << b for b in combo) for combo in combinations(range(nb), s)
+                    ]
+                for cm in masks:
+                    for r in req:
+                        if not r & cm:
+                            break
+                    else:
+                        vmask[v] = cm | fresh
+                        found = dfs(v + 1, used + m - 1, nb + m - s)
+                        if found is not None:
+                            return found
+        return None
 
-    if dfs(0, 0):
-        return result
+    for extra in range(suffix[0], max_cost + 1):  # the level dfs reads
+        found = dfs(0, 0, 0)
+        if found is not None:
+            return found
     return None
 
 
@@ -180,16 +184,15 @@ def solve_exact(
         raise ValueError(f"vertex_cap must be an integer, got {vertex_cap!r}")
     if g.n > vertex_cap:
         raise ValueError(f"graph has {g.n} vertices, exact search capped at {vertex_cap}")
+    if g.n > _MAX_DEPTH:
+        raise ValueError(
+            f"graph has {g.n} vertices, exact search recurses once per vertex "
+            f"and takes at most {_MAX_DEPTH}"
+        )
     if g.n == 0:
         return Clustering(())
-    suffix = _suffix_bounds(g)
-    counter = _Counter(budget.node_limit)
-    for extra in range(suffix[0], budget.max_cost + 1):
-        counter.level = extra
-        found = _search(g, extra, suffix, counter)
-        if found is not None:
-            return Clustering(found)
-    return None
+    found = _search(g, budget.max_cost, budget.node_limit)
+    return None if found is None else Clustering(found)
 
 
 def decide(

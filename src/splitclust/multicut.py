@@ -33,6 +33,7 @@ from .clustering import (
     RealizedGraph,
     _add_singletons,
     _component_clusters,
+    _consistent_components,
     _violations,
     has_erroneous_cycle,
 )
@@ -56,7 +57,6 @@ from .graphs import (
     _read_groups,
     _read_ints,
     _read_vertex_count,
-    blue_components,
 )
 
 
@@ -365,12 +365,13 @@ def multicut_solution_to_clustering(
     get a singleton on the smaller split endpoint.
     """
     r = _realize(inst, sol)
-    if has_erroneous_cycle(r.base):
+    components = _consistent_components(r.base)
+    if components is None:
         raise ValueError("solution does not separate all terminal pairs")
     # a terminal pair of two unsplit vertices joins two distinct components,
     # so the clusters resolve it; only pairs touching a split vertex are passed
     split = sol.split_vertices
-    clusters = _component_clusters(r.ancestors, blue_components(r.base))
+    clusters = _component_clusters(r.ancestors, components)
     pairs = sorted(p for p in inst.terminals if p[0] in split or p[1] in split)
     return _add_singletons(clusters, inst.n, pairs, split)
 

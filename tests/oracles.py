@@ -35,7 +35,11 @@ bytes.
 ``unpruned_solve_exact`` is the exact search as it was before suffix
 lower bounds pruned it: every level is explored without a bound, and
 deepening starts at ``lower_bound``.  The pruned search must return the
-same clustering in no more nodes.
+same clustering in no more nodes.  ``blocks_solve_exact`` is the pruned
+search, on the package's ``_suffix_bounds``, as it was before it ran on
+membership bitmasks alone, with blocks kept as member lists.  The bitmask
+search must return the same clustering in the same number of nodes, and
+trip the node limit at the same count and level.
 """
 
 from __future__ import annotations
@@ -51,10 +55,12 @@ from splitclust import (
     MulticutInstance,
     PlainGraph,
     RealizedGraph,
+    SearchLimitReached,
     blue_components,
     has_erroneous_cycle,
     lower_bound,
 )
+from splitclust.detect import _suffix_bounds
 from splitclust.graphs import (
     _COLORS,
     _is_int,
@@ -728,6 +734,99 @@ def unpruned_solve_exact(
         return result if dfs(0, 0) else None
 
     for extra in range(lower_bound(g) if g.complete else 0, max_cost + 1):
+        found = search(extra)
+        if found is not None:
+            return Clustering(found), nodes
+    return None, nodes
+
+
+def blocks_solve_exact(
+    g: CorrelationGraph, max_cost: int, node_limit: int | None = None
+) -> tuple[Clustering | None, int]:
+    """(first minimum clustering of cost <= max_cost or None, nodes searched).
+
+    The suffix-bound search as it was before it ran on membership bitmasks
+    alone: each block is a list of its members, every node builds the
+    masks of its blue and red predecessors, and every multi-membership try
+    rebuilds its block subsets with ``combinations``.  Raises
+    ``SearchLimitReached`` as ``solve_exact`` does once more than
+    ``node_limit`` nodes are searched.
+    """
+    if g.n == 0:
+        return Clustering(()), 0
+    n = g.n
+    suffix = _suffix_bounds(g)
+    blue_pred = [[u for u in g.blue_neighbors(v) if u < v] for v in range(n)]
+    red_pred: list[list[int]] = [[] for _ in range(n)]
+    for u, v in g.red_edges():
+        red_pred[v].append(u)
+    nodes = 0
+
+    def search(extra: int) -> list[list[int]] | None:
+        blocks: list[list[int]] = []
+        vmask = [0] * n
+        result: list[list[int]] | None = None
+
+        def dfs(v: int, used: int) -> bool:
+            nonlocal result, nodes
+            if v == n:
+                result = [list(b) for b in blocks]
+                return True
+            nodes += 1
+            if node_limit is not None and nodes > node_limit:
+                raise SearchLimitReached(nodes, extra)
+            budget_left = extra - used - suffix[v + 1]
+            if budget_left < 0:
+                return False
+            req = [vmask[u] for u in blue_pred[v]]
+            nb = len(blocks)
+            and_req = (1 << nb) - 1
+            for r in req:
+                and_req &= r
+            red_masks = [vmask[u] for u in red_pred[v]]
+            mask = and_req
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                if any(rm == low for rm in red_masks):
+                    continue
+                b = low.bit_length() - 1
+                blocks[b].append(v)
+                vmask[v] = low
+                if dfs(v + 1, used):
+                    return True
+                blocks[b].pop()
+            if not req:
+                blocks.append([v])
+                vmask[v] = 1 << nb
+                if dfs(v + 1, used):
+                    return True
+                blocks.pop()
+            for m in range(2, budget_left + 2):
+                for s in range(min(m, nb) + 1):
+                    t = m - s
+                    for combo in combinations(range(nb), s):
+                        cm = 0
+                        for b in combo:
+                            cm |= 1 << b
+                        if any(r & cm == 0 for r in req):
+                            continue
+                        for b in combo:
+                            blocks[b].append(v)
+                        for _ in range(t):
+                            blocks.append([v])
+                        vmask[v] = cm | (((1 << t) - 1) << nb)
+                        if dfs(v + 1, used + m - 1):
+                            return True
+                        for _ in range(t):
+                            blocks.pop()
+                        for b in combo:
+                            blocks[b].pop()
+            return False
+
+        return result if dfs(0, 0) else None
+
+    for extra in range(suffix[0], max_cost + 1):
         found = search(extra)
         if found is not None:
             return Clustering(found), nodes

@@ -5,20 +5,26 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+import splitclust.clustering
+import splitclust.graphs
 from splitclust import (
     BLUE,
     RED,
     Clustering,
     CorrelationGraph,
     FormatError,
+    MulticutSolution,
     RealizedGraph,
     SearchBudget,
+    ccvs_to_mcvs,
+    clustering_to_multicut_solution,
     clustering_to_splits,
     complete_graph,
     cost,
     gen_random,
     has_erroneous_cycle,
     incomplete_graph,
+    multicut_solution_to_clustering,
     parse_clustering,
     solve_exact,
     splits_to_clustering,
@@ -140,6 +146,34 @@ def test_has_erroneous_cycle():
     g = incomplete_graph(4, blue=[(0, 1), (1, 2), (2, 3)], red=[(0, 3)])
     assert has_erroneous_cycle(g)
     assert not has_erroneous_cycle(incomplete_graph(4, blue=[(0, 1)], red=[(2, 3)]))
+
+
+def test_split_readers_label_blue_components_once(monkeypatch):
+    # the erroneous-cycle test and the clusters share one labelling
+    labelled = []
+    real = splitclust.graphs.blue_components
+
+    def counting(g, within=None):
+        labelled.append(g.n)
+        return real(g, within)
+
+    for module in (splitclust.graphs, splitclust.clustering):
+        monkeypatch.setattr(module, "blue_components", counting)
+    incomplete = incomplete_graph(3, blue=[(0, 1), (1, 2)], red=[(0, 2)])
+    for g in (BAD_TRIANGLE, incomplete):
+        r = clustering_to_splits(g, TRIANGLE_SOLUTION)
+        inst = ccvs_to_mcvs(g, 1)
+        sol = clustering_to_multicut_solution(g, TRIANGLE_SOLUTION)
+        labelled.clear()
+        assert splits_to_clustering(r) == TRIANGLE_SOLUTION
+        assert multicut_solution_to_clustering(inst, sol) == TRIANGLE_SOLUTION
+        assert labelled == [4, 4]
+    labelled.clear()
+    with pytest.raises(ValueError, match="^realized graph has an erroneous cycle$"):
+        splits_to_clustering(RealizedGraph(BAD_TRIANGLE, [0, 1, 2], 3))
+    with pytest.raises(ValueError, match="^solution does not separate all terminal pairs$"):
+        multicut_solution_to_clustering(ccvs_to_mcvs(BAD_TRIANGLE, 1), MulticutSolution({}))
+    assert labelled == [3, 3]
 
 
 def test_clustering_to_splits_on_triangle():

@@ -25,7 +25,11 @@ from splitclust import (
     solve_exact,
     verify_clustering,
 )
-from oracles import brute_min_clustering_cost, unpruned_solve_exact
+from oracles import (
+    blocks_solve_exact,
+    brute_min_clustering_cost,
+    unpruned_solve_exact,
+)
 
 BAD_TRIANGLE = complete_graph(3, [(0, 1), (1, 2)])
 
@@ -97,6 +101,17 @@ def test_vertex_cap():
             solve_exact(BAD_TRIANGLE, vertex_cap=cap)
 
 
+def test_vertex_limit_below_recursion_limit():
+    # the search recurses once per vertex, so it refuses before the stack
+    # overflows, whatever the cap
+    big = complete_graph(1500, [(i, i + 1) for i in range(0, 1499, 2)])
+    with pytest.raises(ValueError, match="takes at most 500"):
+        solve_exact(big, SearchBudget(max_cost=0), vertex_cap=1500)
+    g = complete_graph(500, [(i, i + 1) for i in range(0, 499, 2)])
+    f = solve_exact(g, SearchBudget(max_cost=0), vertex_cap=500)
+    assert f is not None and len(f) == 250 and cost(f, 500) == 0
+
+
 def test_node_limit():
     g = gen_random(8, 0.5, 0.5, complete=True, seed=11)
     with pytest.raises(SearchLimitReached):
@@ -164,6 +179,44 @@ def test_pruned_search_matches_unpruned_reference():
         assert solve_exact(g, budget, vertex_cap=cap) == reference
         outcomes.add(reference is None)
     assert outcomes == {False, True}
+
+
+def _bitmask_search_cases():
+    for seed in range(160):
+        n = 3 + seed % 8
+        if seed % 2:
+            g = gen_random(n, 0.4, 0.35, complete=False, seed=seed)
+        else:
+            g = gen_random(n, 0.5, 0.5, complete=True, seed=seed)
+        yield g, n, n
+        yield g, n, 2
+    for seed in range(20):
+        rng = random.Random(seed)
+        g, k = _planted(rng.randint(15, 60), rng.randint(2, 6), rng.randint(1, 4), seed)
+        kernel = kernelize(g, k)
+        assert isinstance(kernel, Kernelized)
+        yield kernel.graph, kernel.graph.n, k
+
+
+def test_bitmask_search_matches_list_of_blocks_search():
+    # the same clustering (or None) in exactly as many nodes, and one node
+    # fewer trips the limit at the same count and level
+    trips = 0
+    for g, cap, max_cost in _bitmask_search_cases():
+        reference, nodes = blocks_solve_exact(g, max_cost)
+        budget = SearchBudget(max_cost=max_cost, node_limit=max(nodes, 1))
+        assert solve_exact(g, budget, vertex_cap=cap) == reference
+        if nodes < 2:
+            continue
+        with pytest.raises(SearchLimitReached) as expected:
+            blocks_solve_exact(g, max_cost, nodes - 1)
+        with pytest.raises(SearchLimitReached) as info:
+            solve_exact(g, SearchBudget(max_cost, nodes - 1), vertex_cap=cap)
+        got = (info.value.nodes, info.value.level)
+        assert got == (expected.value.nodes, expected.value.level)
+        assert got[0] == nodes
+        trips += 1
+    assert trips > 300
 
 
 def test_determinism():
