@@ -10,13 +10,17 @@ and each S vertex also gets a singleton so red pairs inside S resolve.
 The cheapest candidate costs at most 7 times the optimum; when the
 cliques number at most one, the flat solution (one cluster with
 everything plus S singletons) costs |S| <= 3 * optimum.
+
+A candidate costs |S| plus the sizes of the covers it keeps, so
+``approximate`` compares those sums and builds only the first cheapest
+candidate; ``candidate_solutions`` builds them all, with the same helper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Hashable, Iterable
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .clustering import Clustering
 from .detect import _decompose
@@ -128,11 +132,20 @@ class SimpleSolutionParts:
     cost: int
 
 
-def candidate_solutions(g: CorrelationGraph) -> tuple[SimpleSolutionParts, ...]:
-    """All candidate solutions, one per guessed clique plus the no-guess one.
+class _Shared(NamedTuple):
+    """What every candidate of a non-degenerate input is assembled from."""
 
-    Every candidate's clustering is valid for g.  ``approximate`` picks the
-    first cheapest.
+    s_set: frozenset[int]
+    s_sorted: tuple[int, ...]
+    cliques: tuple[frozenset[int], ...]
+    covers: list[frozenset]  # one minimum vertex cover per clique
+
+
+def _shared_parts(g: CorrelationGraph) -> _Shared | SimpleSolutionParts:
+    """S, the cliques outside it and each clique's cover towards S.
+
+    Degenerate inputs (no bad structure, or at most one clique outside S)
+    have a single candidate, which is returned instead.
     """
     if not g.complete:
         raise ValueError("approximation is defined on complete graphs")
@@ -140,52 +153,73 @@ def candidate_solutions(g: CorrelationGraph) -> tuple[SimpleSolutionParts, ...]:
         raise ValueError("approximation needs at least one vertex")
     forest, cliques, edges = _decompose(g)
     s_set = forest.vertices
-    s_sorted = sorted(s_set)
+    s_sorted = tuple(sorted(s_set))
     if not s_sorted:
-        return (
-            SimpleSolutionParts(s_set, cliques, None, (), Clustering(cliques), 0),
-        )
+        return SimpleSolutionParts(s_set, cliques, None, (), Clustering(cliques), 0)
     if len(cliques) <= 1:
         flat = [frozenset(range(g.n))] + [frozenset((s,)) for s in s_sorted]
-        return (
-            SimpleSolutionParts(
-                s_set, cliques, None, (), Clustering(flat), len(s_sorted)
-            ),
+        return SimpleSolutionParts(
+            s_set, cliques, None, (), Clustering(flat), len(s_sorted)
         )
-    covers = {
-        clique: bipartite_min_vertex_cover(
-            BipartiteGraph(tuple(s_sorted), tuple(sorted(clique)), tuple(to_s))
+    covers = [
+        bipartite_min_vertex_cover(
+            BipartiteGraph(s_sorted, tuple(sorted(clique)), tuple(to_s))
         )
         for clique, to_s in zip(cliques, edges)
-    }
-    out = []
-    for guess in (*cliques, None):
-        hub = set(s_sorted)
-        if guess is not None:
-            hub |= guess
-        clusters = []
-        total = len(s_sorted)
-        for clique in cliques:
-            if clique == guess:
-                continue
-            cover = covers[clique]
-            hub |= cover & clique
-            clusters.append(clique | (cover & s_set))
-            total += len(cover)
-        assembled = Clustering(
-            [frozenset(hub), *clusters, *(frozenset((s,)) for s in s_sorted)]
-        )
-        cover_pairs = tuple(
-            (clique, covers[clique]) for clique in cliques if clique != guess
-        )
-        out.append(
-            SimpleSolutionParts(s_set, cliques, guess, cover_pairs, assembled, total)
-        )
-    return tuple(out)
+    ]
+    return _Shared(s_set, s_sorted, cliques, covers)
+
+
+def _assemble(parts: _Shared, pick: int) -> SimpleSolutionParts:
+    """The candidate that merges clique ``pick`` into the hub.
+
+    ``pick == len(cliques)`` gives the candidate that merges no clique.
+    """
+    s_set, s_sorted, cliques, covers = parts
+    guess = cliques[pick] if pick < len(cliques) else None
+    hub = set(s_sorted)
+    if guess is not None:
+        hub |= guess
+    clusters = []
+    cover_pairs = []
+    total = len(s_sorted)
+    for i, (clique, cover) in enumerate(zip(cliques, covers)):
+        if i == pick:
+            continue
+        hub |= cover & clique
+        clusters.append(clique | (cover & s_set))
+        cover_pairs.append((clique, cover))
+        total += len(cover)
+    assembled = Clustering(
+        [frozenset(hub), *clusters, *(frozenset((s,)) for s in s_sorted)]
+    )
+    return SimpleSolutionParts(s_set, cliques, guess, tuple(cover_pairs), assembled, total)
+
+
+def candidate_solutions(g: CorrelationGraph) -> tuple[SimpleSolutionParts, ...]:
+    """All candidate solutions, one per guessed clique plus the no-guess one.
+
+    Every candidate's clustering is valid for g.  ``approximate`` returns
+    the first cheapest one's clustering.
+    """
+    parts = _shared_parts(g)
+    if isinstance(parts, SimpleSolutionParts):
+        return (parts,)
+    return tuple(_assemble(parts, pick) for pick in range(len(parts.cliques) + 1))
 
 
 def approximate(g: CorrelationGraph) -> Clustering:
-    """Valid clustering of cost at most 7 times the optimum.  Deterministic."""
-    candidates = candidate_solutions(g)
-    best = min(candidates, key=lambda c: c.cost)
-    return best.assembled
+    """Valid clustering of cost at most 7 times the optimum.  Deterministic.
+
+    The clustering of the first cheapest of ``candidate_solutions(g)``.
+    Every candidate costs |S| plus the covers it keeps, which is every
+    cover but the guessed clique's, so the costs are compared first and
+    only the winner is assembled.
+    """
+    parts = _shared_parts(g)
+    if isinstance(parts, SimpleSolutionParts):
+        return parts.assembled
+    # candidate costs less |S|, which they all share
+    kept = sum(map(len, parts.covers))
+    costs = [kept - len(cover) for cover in parts.covers] + [kept]
+    return _assemble(parts, costs.index(min(costs))).assembled

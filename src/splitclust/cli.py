@@ -12,6 +12,7 @@ input produces identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -56,7 +57,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first ``run`` and shared by the later ones.
+
+    ``parse_args`` leaves a parser as it found it, so one serves every call.
+    """
     parser = _Parser(prog="splitclust", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -464,9 +470,8 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"splitclust: {exc}", file=stderr)
         return 2

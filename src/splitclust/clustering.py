@@ -26,7 +26,6 @@ from .graphs import (
     RED,
     CorrelationGraph,
     FormatError,
-    _blue_sets,
     _is_blue_clique,
     _is_integer,
     _pair,
@@ -120,7 +119,10 @@ def verify_clustering(g: CorrelationGraph, f: Clustering) -> ValidationReport:
     unsorted pass over the stored pairs (see ``_violations``), and no sort
     but of the violations.  The red pairs of a complete graph are not
     stored; only those inside one single-cluster group, or touching an
-    uncovered vertex, can be unresolved, and only those are listed.
+    uncovered vertex, can be unresolved.  The pass counts the blue pairs
+    inside each group, so a group that is a blue clique is skipped
+    without a look at its pairs, and only the other groups' pairs and the
+    uncovered vertices' pairs are listed.
     """
     return _violations(g, f.membership(g.n))
 
@@ -137,52 +139,70 @@ def _violations(g: CorrelationGraph, where: list[list[int]]) -> ValidationReport
     """
     sole = [w[0] if len(w) == 1 else -1 if w else -2 for w in where]
     uncovered_blue = []
-    unresolved = []
-    for pair, color in g._labels.items():
-        u, v = pair
-        a, b = sole[u], sole[v]
-        if a == -2 or b == -2:
-            (unresolved if color is RED else uncovered_blue).append(pair)
-        elif color is RED:
-            if a == b >= 0:
-                unresolved.append(pair)
-        elif a >= 0 and b >= 0:
-            if a != b:
-                uncovered_blue.append(pair)
-        elif set(where[u]).isdisjoint(where[v]):
-            uncovered_blue.append(pair)
-    uncovered_blue.sort()
     if g.complete:
-        unresolved = _unresolved_red_complete(g, sole)
+        # only blue pairs are stored; count those inside each sole group
+        inner = [0] * (max(sole, default=-1) + 1)
+        for pair in g._labels:
+            u, v = pair
+            a, b = sole[u], sole[v]
+            if a >= 0 and b >= 0:
+                if a == b:
+                    inner[a] += 1
+                else:
+                    uncovered_blue.append(pair)
+            elif a == -2 or b == -2 or set(where[u]).isdisjoint(where[v]):
+                uncovered_blue.append(pair)
+        unresolved = _unresolved_red_complete(g, sole, inner)
     else:
+        unresolved = []
+        for pair, color in g._labels.items():
+            u, v = pair
+            a, b = sole[u], sole[v]
+            if a == -2 or b == -2:
+                (unresolved if color is RED else uncovered_blue).append(pair)
+            elif color is RED:
+                if a == b >= 0:
+                    unresolved.append(pair)
+            elif a >= 0 and b >= 0:
+                if a != b:
+                    uncovered_blue.append(pair)
+            elif set(where[u]).isdisjoint(where[v]):
+                uncovered_blue.append(pair)
         unresolved.sort()
+    uncovered_blue.sort()
     uncovered_vertices = tuple(v for v, s in enumerate(sole) if s == -2)
     return ValidationReport(tuple(uncovered_blue), tuple(unresolved), uncovered_vertices)
 
 
 def _unresolved_red_complete(
-    g: CorrelationGraph, sole: list[int]
+    g: CorrelationGraph, sole: list[int], inner: list[int]
 ) -> list[tuple[int, int]]:
     """Sorted red pairs of a complete graph left unresolved.
 
-    ``sole`` is as in ``_violations``.  A red pair is unresolved iff an
-    endpoint is uncovered (-2), or both endpoints lie in exactly one
-    cluster and it is the same one.
+    ``sole`` is as in ``_violations``, and ``inner[s]`` counts the blue
+    pairs with both ends in the group of vertices whose sole cluster is s.
+    A red pair is unresolved iff an endpoint is uncovered (-2), or both
+    endpoints lie in exactly one cluster and it is the same one.  A group
+    of m members with m(m-1)/2 inner blue pairs holds no red pair and is
+    skipped; the pairs of the other groups are checked one by one.
     """
-    blue = _blue_sets(g)
+    adj = g._blue_adj
     groups: dict[int, list[int]] = {}
     for v, s in enumerate(sole):
         if s >= 0:
             groups.setdefault(s, []).append(v)
     unresolved = []
-    for members in groups.values():
+    for s, members in groups.items():
+        m = len(members)
+        if inner[s] == m * (m - 1) // 2:
+            continue
         for i, u in enumerate(members):
-            bu = blue[u]
+            bu = set(adj[u])
             unresolved.extend((u, v) for v in members[i + 1 :] if v not in bu)
     for u, s in enumerate(sole):
         if s != -2:
             continue
-        bu = blue[u]
+        bu = set(adj[u])
         # pairs of two uncovered vertices are taken from their smaller end
         unresolved.extend(
             _pair(u, v)

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-from .graphs import BLUE, RED, CorrelationGraph, _blue_sets, _check_vertices
+from .graphs import BLUE, RED, CorrelationGraph, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -89,27 +89,35 @@ def find_bad_triangle(
 
     Returns None when the (restricted) graph has no bad triangle.  On
     incomplete graphs only an explicitly red pair closes a triangle.  Takes
-    O(n + stored pairs) to build the neighbour sets and, on complete graphs,
-    the twin classes; the scan then takes set differences only between
-    non-twin neighbours (see ``_scan``).
+    O(n + stored pairs) to build the twin classes on complete graphs and
+    the blue and red neighbour sets on incomplete ones; on complete graphs
+    the scan then takes set differences only between non-twin neighbours
+    (see ``_scan``).
     """
     order = range(g.n) if within is None else _check_vertices(within, g.n)
-    blue = _blue_sets(g)
     if g.complete:
-        return _scan(g, blue, None, _twin_classes(g), set(order), order, 0)[1]
+        return _scan(g, set(order), order, 0, twins=_twin_classes(g))[1]
+    blue = [set(row) for row in g._blue_adj]
     red: list[set[int]] = [set() for _ in range(g.n)]
     for (a, b), color in g._labels.items():
         if color is RED:
             red[a].add(b)
             red[b].add(a)
-    return _scan(g, blue, red, None, set(order), order, 0)[1]
+    return _scan(g, set(order), order, 0, blue=blue, red=red)[1]
 
 
-def _twin_classes(g: CorrelationGraph) -> tuple[list[int], list[int]]:
-    """Class of each vertex's closed blue neighbourhood, and each class's size.
+# each vertex's class, each class's size and each class's N[c] as a set
+_TwinClasses = tuple[list[int], list[int], list[set[int]]]
+
+
+def _twin_classes(g: CorrelationGraph) -> _TwinClasses:
+    """Classes of the closed blue neighbourhoods: labels, sizes and sets.
 
     Vertices with the same N[v] = adj[v] + {v} are true twins: pairwise
-    blue, with the same blue neighbours elsewhere.  O(n + blue pairs).
+    blue, with the same blue neighbours elsewhere.  Every class also gets
+    its N[c] as one set, which serves all its members wherever a
+    per-vertex blue set would be read.  O(n + blue pairs), with one set
+    built per class and none per vertex.
     """
     ids: dict[tuple[int, ...], int] = {}
     label = []
@@ -119,58 +127,56 @@ def _twin_classes(g: CorrelationGraph) -> tuple[list[int], list[int]]:
     size = [0] * len(ids)
     for c in label:
         size[c] += 1
-    return label, size
+    return label, size, list(map(set, ids))
 
 
 def _scan(
     g: CorrelationGraph,
-    blue: list[set[int]],
-    red: list[set[int]] | None,
-    twins: tuple[list[int], list[int]] | None,
     alive: set[int],
     order: Sequence[int],
     start: int,
+    *,
+    twins: _TwinClasses | None = None,
+    blue: list[set[int]] | None = None,
+    red: list[set[int]] | None = None,
 ) -> tuple[int, tuple[int, int, int] | None]:
     """First bad triangle on alive vertices whose u is order[i] for i >= start.
 
     Returns that position i with the triangle, or (len(order), None).  For
     each u the blue neighbours v are tried in ascending order, and the
-    closing w is the smallest alive w > u in blue[v] that is red to u: not
-    blue when ``red`` is None (complete graphs), else in ``red[u]``.
+    closing w is the smallest alive w > u that is blue to v and red to u.
 
     Complete graphs pass ``twins`` from ``_twin_classes``, computed on the
-    whole graph, and skip the work that twins make empty.  A u whose class
-    is all of N[u] spans an isolated blue clique, which no bad triangle
-    touches, and is skipped outright.  A neighbour v in u's class has
-    N[v] = N[u], so its closing set blue[v] - N[u] is empty.  A set that is
-    empty on the whole graph stays empty on the alive vertices, so every
-    result is the triangle the plain scan finds.  After O(n + blue pairs)
-    to label the classes, each u costs O(deg u) plus one set difference per
-    neighbour outside its class.  (Twin neighbours outside u's class share
-    one closing set too, but trying each class once measured no faster.)
-    Incomplete graphs pass ``red`` instead and try every v.
+    whole graph, and read every set off the classes: since v lies in
+    N[u], the closing set is N[v] - N[u].  A u whose class is all of N[u]
+    spans an isolated blue clique, which no bad triangle touches, and is
+    skipped outright.  A neighbour v in u's class has N[v] = N[u], so its
+    closing set is empty.  A set that is empty on the whole graph stays
+    empty on the alive vertices, so every result is the triangle the plain
+    scan finds.  After O(n + blue pairs) to label the classes, each u
+    costs O(deg u) plus one set difference per neighbour outside its
+    class.  Incomplete graphs pass ``blue`` and ``red`` neighbour sets
+    instead, try every v, and close with blue[v] & red[u].
     """
     adj = g._blue_adj
-    if red is None:
-        label, size = twins
+    if twins is not None:
+        label, size, closed = twins
     for i in range(start, len(order)):
         u = order[i]
         if u not in alive:
             continue
-        if red is None:
-            if size[label[u]] == len(adj[u]) + 1:
-                continue  # N[u] is one class: an isolated blue clique
-            # u itself is a blue neighbour of every v; drop it up front so
-            # that inside a blue clique the difference below comes out empty
-            not_red = blue[u] | {u}
+        if twins is not None:
             cu = label[u]
+            if size[cu] == len(adj[u]) + 1:
+                continue  # N[u] is one class: an isolated blue clique
+            not_red = closed[cu]
         for v in adj[u]:
             if v not in alive:
                 continue
-            if red is None:
+            if twins is not None:
                 if label[v] == cu:
                     continue
-                closing = blue[v] - not_red
+                closing = closed[label[v]] - not_red
             else:
                 closing = blue[v] & red[u]
             if closing:
@@ -200,41 +206,37 @@ def maximal_bad_star_forest(g: CorrelationGraph) -> BadStarForest:
     """
     if not g.complete:
         raise ValueError("bad star forests are defined on complete graphs")
-    stars = _greedy_stars(g, _blue_sets(g), _twin_classes(g), 0)
-    return BadStarForest(tuple(stars))
+    return BadStarForest(tuple(_greedy_stars(g, _twin_classes(g), 0)))
 
 
-def _greedy_stars(
-    g: CorrelationGraph,
-    blue: list[set[int]],
-    twins: tuple[list[int], list[int]],
-    first: int,
-) -> list[BadStar]:
-    """The greedy forest's stars on G[{first..n-1}], from whole-graph sets.
+def _greedy_stars(g: CorrelationGraph, twins: _TwinClasses, first: int) -> list[BadStar]:
+    """The greedy forest's stars on G[{first..n-1}], from whole-graph twin classes.
 
-    ``blue`` and ``twins`` come from ``_blue_sets`` and ``_twin_classes``
-    on all of g, so one pair of them serves every ``first``: ``_scan``
-    gives on any alive subset the triangle that the scan of that induced
-    subgraph gives, and star growth only takes unused vertices.  The stars
-    are those of ``maximal_bad_star_forest(G[{first..n-1}])`` in g's ids.
+    ``twins`` comes from ``_twin_classes`` on all of g, so one call serves
+    every ``first``: ``_scan`` gives on any alive subset the triangle that
+    the scan of that induced subgraph gives, and star growth only takes
+    unused vertices.  The stars are those of
+    ``maximal_bad_star_forest(G[{first..n-1}])`` in g's ids.
     """
     adj = g._blue_adj
+    label, _, closed = twins
     unused = set(range(first, g.n))
     stars: list[BadStar] = []
     i = first
     while True:
-        i, triangle = _scan(g, blue, None, twins, unused, range(g.n), i)
+        i, triangle = _scan(g, unused, range(g.n), i, twins=twins)
         if triangle is None:
             return stars
         u, center, w = triangle
         leaves = [u, w]
-        # blue neighbours of a leaf cannot join: they are not red to it
-        blocked = blue[u] | blue[w]
-        blocked.update(leaves)
+        # blue neighbours of a leaf cannot join: they are not red to it.  So
+        # N[x] of each leaf x is blocked, x included; x is not met again,
+        # since the center's neighbours are distinct
+        blocked = closed[label[u]] | closed[label[w]]
         for x in adj[center]:
             if x in unused and x not in blocked:
                 leaves.append(x)
-                blocked |= blue[x]
+                blocked |= closed[label[x]]
         star = BadStar(center, tuple(sorted(leaves)))
         stars.append(star)
         unused -= star.vertices
@@ -248,15 +250,14 @@ def _suffix_bounds(g: CorrelationGraph) -> list[int]:
     entry v + 1 where that is larger: an induced subgraph's optimum never
     exceeds the graph's, because restricting a valid clustering keeps it
     valid.  Entry n is 0.  Incomplete graphs get all zeros.  One
-    ``_blue_sets`` and one ``_twin_classes`` serve all n forests.
+    ``_twin_classes`` serves all n forests.
     """
     bounds = [0] * (g.n + 1)
     if not g.complete:
         return bounds
-    blue = _blue_sets(g)
     twins = _twin_classes(g)
     for v in range(g.n - 1, -1, -1):
-        weight = sum(s.weight for s in _greedy_stars(g, blue, twins, v))
+        weight = sum(s.weight for s in _greedy_stars(g, twins, v))
         bounds[v] = max(weight, bounds[v + 1])
     return bounds
 

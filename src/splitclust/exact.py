@@ -88,7 +88,10 @@ def _search(g: CorrelationGraph, max_cost: int, limit: int) -> list[list[int]] |
     than ``limit`` nodes over all levels raise SearchLimitReached.
     ``suffix[v]`` bounds the cost of the vertices v..n-1 from below (see
     the module docstring), so placing v leaves at most
-    extra - used - suffix[v + 1] to spend on v itself.
+    extra - used - suffix[v + 1] to spend on v itself.  That budget is
+    never negative: it is extra - suffix[1] >= 0 at the root, a child is
+    entered only with used + m - 1 <= extra - suffix[v + 1], and suffix
+    never rises with v.
     """
     n = g.n
     suffix = _suffix_bounds(g)
@@ -109,8 +112,6 @@ def _search(g: CorrelationGraph, max_cost: int, limit: int) -> list[list[int]] |
         if nodes > limit:
             raise SearchLimitReached(nodes, extra)
         budget_left = extra - used - suffix[v + 1]
-        if budget_left < 0:
-            return None
         preds = blue_pred[v]
         and_req = (1 << nb) - 1
         for u in preds:

@@ -314,15 +314,6 @@ def _is_blue_clique(
     return all(len(pool.intersection(adj[v])) == want for v in comp)
 
 
-def _blue_sets(g: CorrelationGraph) -> list[set[int]]:
-    """Blue neighbours of every vertex as sets, built in O(n + blue pairs).
-
-    Complete-graph routines build these per call for membership tests, so
-    that graphs themselves store only the sorted lists.
-    """
-    return [set(row) for row in g._blue_adj]
-
-
 def _decode(data: bytes | str) -> str:
     if isinstance(data, bytes):
         try:
@@ -601,9 +592,6 @@ def _pair_lines(
     return out
 
 
-_COLOR_LETTERS = {BLUE: "b", RED: "r"}
-
-
 def write_graph(g: CorrelationGraph) -> bytes:
     """Serialize to the canonical ``ccg`` form: sorted edges, u < v.
 
@@ -620,7 +608,7 @@ def write_graph(g: CorrelationGraph) -> bytes:
     else:
         labels = g._labels
         out += [
-            f"e {names[u]} {names[v]} {_COLOR_LETTERS[labels[u, v]]}\n"
+            f"e {names[u]} {names[v]} {'b' if labels[u, v] is BLUE else 'r'}\n"
             for u, v in sorted(labels)
         ]
     return "".join(out).encode()

@@ -40,6 +40,10 @@ search, on the package's ``_suffix_bounds``, as it was before it ran on
 membership bitmasks alone, with blocks kept as member lists.  The bitmask
 search must return the same clustering in the same number of nodes, and
 trip the node limit at the same count and level.
+
+``first_cheapest_candidate`` is ``approximate`` as it was before it
+ranked the candidates by cost and assembled only the winner: it takes
+the first cheapest of all assembled candidates.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from splitclust import (
     RealizedGraph,
     SearchLimitReached,
     blue_components,
+    candidate_solutions,
     has_erroneous_cycle,
     lower_bound,
 )
@@ -831,3 +836,8 @@ def blocks_solve_exact(
         if found is not None:
             return Clustering(found), nodes
     return None, nodes
+
+
+def first_cheapest_candidate(g: CorrelationGraph) -> Clustering:
+    """The clustering of the first cheapest of all assembled candidates."""
+    return min(candidate_solutions(g), key=lambda c: c.cost).assembled

@@ -22,7 +22,7 @@ from splitclust import (
     solve_exact,
     verify_clustering,
 )
-from oracles import brute_bipartite_cover_size
+from oracles import brute_bipartite_cover_size, first_cheapest_candidate
 
 BAD_TRIANGLE = complete_graph(3, [(0, 1), (1, 2)])
 
@@ -168,3 +168,11 @@ def test_flat_fallback_bound_against_forest():
         forest = maximal_bad_star_forest(g)
         if len(cands) == 1 and forest.vertices:
             assert cands[0].cost == len(forest.vertices) <= 3 * forest.weight
+
+
+@given(st.integers(1, 24), st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_approximate_is_first_cheapest_candidate(n, p_blue, seed):
+    # approximate ranks the candidates by cost and assembles only the winner
+    g = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed)
+    assert approximate(g) == first_cheapest_candidate(g)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +289,30 @@ def test_identical_invocations_are_byte_identical(triangle_file):
         ["reduce", "ccvs-to-mcvs", triangle_file, "--budget", "2"],
     ):
         assert invoke(argv) == invoke(argv)
+
+
+def test_one_process_runs_match_separate_processes(tmp_path, triangle_file):
+    # the parser is built once per process; a usage error must leave it
+    # fit for the invocations after it
+    clu = tmp_path / "f.clu"
+    clu.write_text("clustering 1\nc 0 1 2\n")
+    runs = (
+        ["verify", triangle_file],  # missing clustering: usage error
+        ["verify", triangle_file, str(clu)],
+        ["reduce", "ccvs-to-mcvs", triangle_file, "--budget", "1"],
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    separate = []
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from splitclust.cli import main; main()", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        separate.append((proc.returncode, proc.stdout))
+    together = [invoke(argv)[:2] for argv in runs]
+    assert together == separate
+    assert [code for code, _ in together] == [2, 1, 0]

@@ -20,7 +20,6 @@ from splitclust import (
     solve_exact,
 )
 from splitclust.detect import _greedy_stars, _suffix_bounds, _twin_classes
-from splitclust.graphs import _blue_sets
 
 BAD_TRIANGLE = complete_graph(3, [(0, 1), (1, 2)])
 
@@ -126,9 +125,9 @@ def test_lower_bound_at_most_optimum(seed):
 
 @given(st.integers(1, 24), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10_000))
 def test_suffix_forests_match_induced_subgraphs(n, p_blue, seed):
-    # the stars found from whole-graph sets are those of each induced suffix
+    # the stars found from whole-graph twin classes are those of each induced suffix
     g = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed)
-    blue, twins = _blue_sets(g), _twin_classes(g)
+    twins = _twin_classes(g)
     expected = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
         sub, ids = g.induced_subgraph(range(v, n))
@@ -136,11 +135,20 @@ def test_suffix_forests_match_induced_subgraphs(n, p_blue, seed):
             (ids[s.center], tuple(ids[x] for x in s.leaves))
             for s in maximal_bad_star_forest(sub).stars
         ]
-        got = _greedy_stars(g, blue, twins, v)
+        got = _greedy_stars(g, twins, v)
         assert [(s.center, s.leaves) for s in got] == stars
         expected[v] = max(lower_bound(sub), expected[v + 1])
     assert _suffix_bounds(g) == expected
     assert _suffix_bounds(g)[0] >= lower_bound(g)
+
+
+@given(st.integers(1, 24), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10_000))
+def test_suffix_bounds_never_rise(n, p_blue, seed):
+    # the exact search relies on this to keep every child's budget >= 0
+    g = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed)
+    bounds = _suffix_bounds(g)
+    assert len(bounds) == n + 1 and bounds[n] == 0
+    assert all(a >= b for a, b in zip(bounds, bounds[1:]))
 
 
 def test_suffix_bounds_zero_on_incomplete_graphs():

@@ -6,13 +6,15 @@ split graphs and multicut solutions must come out exactly as the
 straightforward versions compute them, order included, on random and
 planted graphs.  Both translations of an invalid clustering must refuse
 it with the pairwise report.  Forests and bad triangles are also checked
-on twin-rich graphs, where the scan skips twins.  The kernel's isolated, kept and
-marked cliques and its many-cliques witness must match the reference that
-rescans the forest vertices for every clique.  Erroneous-cycle tests and
-multicut verification, which label blue components, must agree with
-union-find references.  The builders that skip the public constructors' pair checks
-must give the same graphs and instances, adjacency lists included, as the
-checked references that pass every pair through those constructors.
+on twin-rich graphs, where the scan skips twins, and so is ``approximate``
+against the first cheapest of all assembled candidates.  The kernel's
+isolated, kept and marked cliques and its many-cliques witness must match
+the reference that rescans the forest vertices for every clique.
+Erroneous-cycle tests and multicut verification, which label blue
+components, must agree with union-find references.  The builders that
+skip the public constructors' pair checks must give the same graphs and
+instances, adjacency lists included, as the checked references that pass
+every pair through those constructors.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from oracles import (
     checked_mcvs_to_ccvs,
     checked_realize,
     first_bad_triangle,
+    first_cheapest_candidate,
     greedy_bad_star_forest,
     pairwise_cluster_decomposition,
     pairwise_clustering_to_splits,
@@ -206,17 +209,28 @@ def test_forest_matches_rescanning_greedy_on_blow_ups(n, p_blue, seed):
     assert forest_stars(g) == greedy_bad_star_forest(g)
 
 
+def twin_rich(blown_up: bool, seed: int, data) -> CorrelationGraph:
+    """A blown-up random graph, or a planted one with a few pairs flipped."""
+    if blown_up:
+        return blow_up(data.draw(st.integers(2, 12)), data.draw(P_BLUE), seed)
+    n = data.draw(st.integers(10, 60))
+    clusters, flips = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 4))
+    return planted(n, clusters, n // 8, flips, seed)[0]
+
+
 @given(st.booleans(), st.integers(0, 10_000), st.data())
 @settings(max_examples=200, deadline=None)
 def test_bad_triangle_matches_reference_on_twin_rich(blown_up, seed, data):
-    if blown_up:
-        g = blow_up(data.draw(st.integers(2, 12)), data.draw(P_BLUE), seed)
-    else:
-        n = data.draw(st.integers(10, 60))
-        clusters, flips = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 4))
-        g, _ = planted(n, clusters, n // 8, flips, seed)
+    g = twin_rich(blown_up, seed, data)
     within = data.draw(st.none() | st.sets(st.integers(0, g.n - 1)))
     assert find_bad_triangle(g, within) == first_bad_triangle(g, within)
+
+
+@given(st.booleans(), st.integers(0, 10_000), st.data())
+@settings(max_examples=100, deadline=None)
+def test_approximate_is_first_cheapest_candidate_on_twin_rich(blown_up, seed, data):
+    g = twin_rich(blown_up, seed, data)
+    assert approximate(g) == first_cheapest_candidate(g)
 
 
 def with_pendants(core: CorrelationGraph, count: int, seed: int) -> CorrelationGraph:
@@ -308,6 +322,30 @@ def test_verify_matches_pairwise_on_planted(n, clusters, overlaps, seed):
     assert verify_clustering(g, f).ok
     for mutated in mutations(f, random.Random(seed)):
         check_verify(g, mutated)
+
+
+def test_verify_matches_pairwise_on_complete_groups():
+    """Groups of vertices with one sole cluster, on complete graphs.
+
+    A group that is a blue clique is skipped without listing its pairs;
+    one missing a blue pair, and an uncovered vertex, are listed.
+    """
+    for seed in range(40):
+        g, f = planted(40, 4, 5, 0, seed)
+        assert check_verify(g, f)  # every group fully blue
+        where = f.membership(g.n)
+        inside = [
+            (u, v) for u, v in g.blue_edges() if len(where[u]) == 1 and where[u] == where[v]
+        ]
+        rng = random.Random(seed)
+        u, v = rng.choice(inside)
+        missing = complete_graph(g.n, set(g.blue_edges()) - {(u, v)})
+        assert not check_verify(missing, f)
+        assert report_fields(missing, f) == ((), ((u, v),), ())
+        w = rng.randrange(g.n)
+        dropped = Clustering(c - {w} for c in f if c != {w})
+        assert not check_verify(g, dropped)
+        assert report_fields(g, dropped)[2] == (w,)
 
 
 def test_verify_matches_pairwise_on_incomplete():
