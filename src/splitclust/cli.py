@@ -27,8 +27,8 @@ from .clustering import (
 from .detect import lower_bound
 from .exact import SearchBudget, SearchLimitReached, decide, solve_exact
 from .graphs import (
-    CorrelationGraph,
     FormatError,
+    _read_ints,
     blue_components,
     cluster_decomposition,
     parse_graph,
@@ -420,9 +420,9 @@ def _parse_edge_list(text: str) -> list[tuple[int, int]]:
         left, sep, right = chunk.partition("-")
         if not sep:
             raise ValueError(f"edge {chunk!r} must look like 0-1")
-        try:
-            edges.append((int(left), int(right)))
-        except ValueError:
+        try:  # the documents' integer rule: int() would take "+1", "1_0", " 1"
+            edges.append(tuple(_read_ints(0, [left, right])))
+        except FormatError:
             raise ValueError(f"edge {chunk!r} must join two integers") from None
     return edges
 

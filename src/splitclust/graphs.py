@@ -92,10 +92,10 @@ class CorrelationGraph:
     ``bool``) in range, no self-loop, a colour allowed for the kind, and no
     two colours for one pair; then it normalises the pairs to u < v and
     drops default-coloured ones.  Code whose pairs are valid by
-    construction (the ``ccg`` parser, ``induced_subgraph``, split graphs,
-    ``mcvs_to_ccvs``) builds through ``_trusted`` instead, which skips
-    those per-pair checks.  Both end in ``_build``, the one place that
-    stores the labels and builds the sorted blue adjacency lists.
+    construction (the bulk ``ccg`` reader, ``induced_subgraph``, split
+    graphs, ``mcvs_to_ccvs``) builds through ``_trusted`` instead, which
+    skips those per-pair checks.  Both end in ``_build``, the one place
+    that stores the labels and builds the sorted blue adjacency lists.
     """
 
     __slots__ = ("n", "complete", "_labels", "_blue_adj")
@@ -314,15 +314,6 @@ def _is_blue_clique(
     return all(len(pool.intersection(adj[v])) == want for v in comp)
 
 
-def _decode(data: bytes | str) -> str:
-    if isinstance(data, bytes):
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"not valid UTF-8: {exc}") from None
-    return data
-
-
 def _read_document(
     data: bytes | str, keyword: str, arity: int | None, usage: str
 ) -> tuple[int, list[str], Iterator[tuple[int, list[str]]]]:
@@ -332,10 +323,15 @@ def _read_document(
     and has ``arity`` fields (any number when None).  Returns its line
     number and fields, and (line number, fields) for every later line.
     """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not valid UTF-8: {exc}") from None
     lines = (
         (lineno, fields)
         for lineno, fields in enumerate(
-            (raw.split() for raw in _decode(data).splitlines()), start=1
+            (raw.split() for raw in data.splitlines()), start=1
         )
         if fields and not fields[0].startswith("#")
     )
@@ -415,7 +411,7 @@ _COLORS = {"b": BLUE, "r": RED}
 def _pair_columns(
     body: bytes, n: int, width: int
 ) -> tuple[list[int], list[int], list[bytes]] | None:
-    """The columns of canonical pair lines, or None to read them line by line.
+    """The columns of canonical pair lines, or None for the fallback reader.
 
     ``body`` holds lines ``<tag> <u> <v> [<field>]`` of ``width`` fields,
     whose shape a regex has already checked.  Returns the u ids, the v ids
@@ -424,7 +420,7 @@ def _pair_columns(
     checks its range and shares one int object per id.  None when a lookup
     misses (an id out of range, with leading zeros or too long), when some
     pair is not u < v, or when the body has fewer fields than n: a table of
-    n spellings would then cost more than the line loop.  Never raises.
+    n spellings would then cost more than the fallback reader.  Never raises.
     O(n + body length).
     """
     tokens = body.split()
@@ -478,8 +474,8 @@ def _bulk_graph(data: bytes | str) -> CorrelationGraph | None:
     Checks the shape of every line with ``_canonical_body``, then builds
     the label dict from ``_pair_columns`` in one call.  Anything else, such
     as comments, other whitespace, a red pair of a complete graph or a pair
-    listed twice, gives None and is left to the line loop, which names its
-    faults.  Never raises.  O(n + document length).
+    listed twice, gives None and is left to ``_parse_graph_lines``, which
+    names its faults.  Never raises.  O(n + document length).
     """
     if not isinstance(data, bytes):
         return None
@@ -509,69 +505,35 @@ def parse_graph(data: bytes | str) -> CorrelationGraph:
     """Parse the ``ccg`` text format.
 
     A document exactly as ``write_graph`` emits it is read in bulk (see
-    ``_bulk_graph``); every other one goes through the line loop of
+    ``_bulk_graph``); every other one goes through the fallback reader
     ``_parse_graph_lines``, which gives the same object for it, or names
-    its fault.  Both are O(n + document length); the bulk path costs about
-    half as much per pair line.
+    its fault.  Both are O(n + document length); the bulk path costs
+    a fifth to a third as much per pair line.
     """
     g = _bulk_graph(data)
     return g if g is not None else _parse_graph_lines(data)
 
 
 def _parse_graph_lines(data: bytes | str) -> CorrelationGraph:
-    """Parse the ``ccg`` text format in one pass over the pair lines.
-
-    Each pair line is checked for syntax (shape, colour, integer ids), and
-    in the same loop for range, self-loops and colour conflicts while its
-    pair goes straight into the label dict, which is handed to
-    ``CorrelationGraph._trusted``.  Syntax errors are raised at their line.
-    The first semantic fault is raised only after the whole document passed
-    the syntax checks, as ``FormatError("inconsistent graph: ...")`` with
-    the message ``CorrelationGraph`` gives for it.  O(document length).
-    """
-    text = _decode(data)
+    """Check every pair line's syntax, then let the constructor check the pairs."""
     lineno, header, lines = _read_document(
-        text, "ccg", 3, "ccg <n> complete|incomplete"
+        data, "ccg", 3, "ccg <n> complete|incomplete"
     )
     n = _read_vertex_count(lineno, header[1])
     if header[2] not in ("complete", "incomplete"):
         raise FormatError(f"line {lineno}: unknown graph kind {header[2]!r}")
-    # in an ASCII document ``isdigit`` is the ASCII-digit test, so only
-    # negative ids and other documents need ``_is_int``
-    ascii_digits = text.isascii()
-    labels: dict[tuple[int, int], EdgeColor] = {}
-    fault = None
+    edges = []
     for lineno, fields in lines:
         if len(fields) != 4 or fields[0] != "e":
             raise FormatError(f"line {lineno}: expected 'e <u> <v> b|r'")
         color = _COLORS.get(fields[3])
         if color is None:
             raise FormatError(f"line {lineno}: unknown color {fields[3]!r}")
-        a, b = fields[1], fields[2]
-        if not (ascii_digits and a.isdigit() and b.isdigit()):
-            if not (_is_int(a) and _is_int(b)):
-                raise FormatError(f"line {lineno}: expected integer vertex ids")
-        try:
-            u, v = int(a), int(b)
-        except ValueError:  # over the interpreter's digit limit for int()
-            raise FormatError(f"line {lineno}: integer vertex ids too long") from None
-        if fault is not None:
-            continue
-        if u >= n or v >= n or (u | v) < 0:
-            fault = f"edge ({u},{v}) out of range for n={n}"
-        elif u == v:
-            fault = f"self-loop on vertex {u}"
-        else:
-            key = (u, v) if u < v else (v, u)
-            if labels.setdefault(key, color) is not color:
-                fault = f"conflicting colors for pair {key}"
-    if fault is not None:
-        raise FormatError(f"inconsistent graph: {fault}")
-    complete = header[2] == "complete"
-    if complete and RED in labels.values():
-        # explicit red pairs of a complete graph carry the default colour
-        labels = {k: c for k, c in labels.items() if c is BLUE}
-    return CorrelationGraph._trusted(n, labels, complete)
+        edges.append((*_read_ints(lineno, fields[1:3]), color))
+    try:
+        return CorrelationGraph(n, edges, complete=header[2] == "complete")
+    except ValueError as exc:
+        raise FormatError(f"inconsistent graph: {exc}") from None
 
 
 def _pair_lines(

@@ -18,15 +18,17 @@ terminal pair), and the kernel's parts found by separate component and
 clique passes that rescan the forest vertices for every clique.  The fast versions must agree with them exactly, down to
 order.
 
-The checked builders and two-pass parsers at the very end are the
-package's earlier versions of code that now builds graphs and instances
-through their private trusted constructors: every pair goes through the
-public constructor, and each parser reads all pair lines before the
-constructor checks them.  (``pairwise_clustering_to_splits`` serves as
-the checked split graph of a clustering.)  The trusted versions must give
-the same objects, adjacency lists included, and the same error messages.
-They are also the references for the bulk reading of canonical documents,
-which must agree with them on every document.  ``sorting_write_graph`` and
+The checked builders at the very end are the package's earlier versions
+of code that now builds graphs and instances through their private
+trusted constructors: every pair goes through the public constructor.
+(``pairwise_clustering_to_splits`` serves as the checked split graph of
+a clustering.)  The trusted versions must give the same objects,
+adjacency lists included.  The references for the bulk reading of
+canonical ``ccg`` and ``mcvs`` documents are not here: they are the
+package's fallback readers, ``graphs._parse_graph_lines`` and
+``multicut._parse_instance_lines``, which read all pair lines and then
+let the public constructor check them.  The bulk readers must agree with
+them on every document.  ``sorting_write_graph`` and
 ``sorting_write_multicut_instance`` are the writers as they were before
 they read pairs off the sorted adjacency lists: they sort every listed
 pair and format each line on its own.  The writers must emit the same
@@ -55,7 +57,6 @@ from splitclust import (
     RED,
     Clustering,
     CorrelationGraph,
-    FormatError,
     MulticutInstance,
     PlainGraph,
     RealizedGraph,
@@ -66,13 +67,6 @@ from splitclust import (
     lower_bound,
 )
 from splitclust.detect import _suffix_bounds
-from splitclust.graphs import (
-    _COLORS,
-    _is_int,
-    _read_counts,
-    _read_document,
-    _read_vertex_count,
-)
 
 
 def _family_is_valid(g: CorrelationGraph, family: tuple[frozenset[int], ...]) -> bool:
@@ -582,62 +576,6 @@ def checked_mcvs_to_ccvs(inst: MulticutInstance) -> tuple[CorrelationGraph, int]
     edges = [(u, v, BLUE) for u, v in inst.edges]
     edges += [(u, v, RED) for u, v in inst.terminals]
     return CorrelationGraph(inst.n, edges, complete=False), inst.k
-
-
-def _read_pair(lineno: int, fields: list[str]) -> tuple[int, int]:
-    u, v = fields[1], fields[2]
-    if not (_is_int(u) and _is_int(v)):
-        raise FormatError(f"line {lineno}: expected integer vertex ids")
-    try:
-        return int(u), int(v)
-    except ValueError:
-        raise FormatError(f"line {lineno}: integer vertex ids too long") from None
-
-
-def two_pass_parse_graph(data: bytes | str) -> CorrelationGraph:
-    """The ``ccg`` parser that reads every pair, then lets the constructor check them."""
-    lineno, header, lines = _read_document(
-        data, "ccg", 3, "ccg <n> complete|incomplete"
-    )
-    n = _read_vertex_count(lineno, header[1])
-    if header[2] not in ("complete", "incomplete"):
-        raise FormatError(f"line {lineno}: unknown graph kind {header[2]!r}")
-    edges = []
-    for lineno, fields in lines:
-        if len(fields) != 4 or fields[0] != "e":
-            raise FormatError(f"line {lineno}: expected 'e <u> <v> b|r'")
-        color = _COLORS.get(fields[3])
-        if color is None:
-            raise FormatError(f"line {lineno}: unknown color {fields[3]!r}")
-        u, v = _read_pair(lineno, fields)
-        edges.append((u, v, color))
-    try:
-        return CorrelationGraph(n, edges, complete=header[2] == "complete")
-    except ValueError as exc:
-        raise FormatError(f"inconsistent graph: {exc}") from None
-
-
-def two_pass_parse_multicut_instance(data: bytes | str) -> MulticutInstance:
-    """The ``mcvs`` parser that reads every pair, then lets the constructor check them."""
-    lineno, header, lines = _read_document(data, "mcvs", 5, "mcvs <n> <m> <t> <k>")
-    n = _read_vertex_count(lineno, header[1])
-    m, t, k = _read_counts(lineno, header[2:], "header field")
-    edges = []
-    terminals = []
-    for lineno, fields in lines:
-        if len(fields) != 3 or fields[0] not in ("e", "t"):
-            raise FormatError(f"line {lineno}: expected 'e <u> <v>' or 't <u> <v>'")
-        pair = _read_pair(lineno, fields)
-        (edges if fields[0] == "e" else terminals).append(pair)
-    try:
-        inst = MulticutInstance(n, edges, terminals, k)
-    except ValueError as exc:
-        raise FormatError(f"inconsistent instance: {exc}") from None
-    if len(inst.edges) != m:
-        raise FormatError(f"header says {m} edges, found {len(inst.edges)}")
-    if len(inst.terminals) != t:
-        raise FormatError(f"header says {t} terminal pairs, found {len(inst.terminals)}")
-    return inst
 
 
 def sorting_write_graph(g: CorrelationGraph) -> bytes:

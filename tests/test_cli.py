@@ -261,6 +261,12 @@ def test_gen_gadgets():
     assert out == "mcvs 4 3 3 2\ne 0 3\ne 1 3\ne 2 3\nt 0 1\nt 0 2\nt 1 2\n"
     code, _, err = invoke(["gen", "vc-gadget", "--n", "3", "--edges", "xy", "--budget", "1"])
     assert code == 2 and "0-1" in err
+    # ids follow the documents' integer rule: no "_", "+", other digits or spaces
+    for edges in ["1_0-2", "+1-2", "\u0663-1", " 1-2", "1-2 ", "0-" + "1" * 5000]:
+        code, out, err = invoke(
+            ["gen", "vc-gadget", "--n", "3", "--edges", edges, "--budget", "1"]
+        )
+        assert code == 2 and out == "" and "must join two integers" in err, edges
 
 
 def test_usage_and_format_errors(tmp_path, triangle_file):

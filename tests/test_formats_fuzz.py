@@ -1,4 +1,4 @@
-"""Byte-level fuzzing of the five text formats.
+"""Fuzzing and whole-object round trips of the five text formats.
 
 Each format starts from a canonical document produced by its writer.
 Random deletions, insertions and replacements drawn from the bytes that
@@ -7,18 +7,25 @@ invalid UTF-8) must either parse or raise ``FormatError``; whatever parses
 must survive a write and a second parse unchanged.  Examples are
 derandomized and bounded so the suite stays fast and repeatable.
 
-The one-pass ``ccg`` and ``mcvs`` parsers are also run against their
-two-pass references in ``oracles`` on these corruptions, on the
-malformed-document lists of their own tests and on documents with several
-faults: each must return an equal object or raise the same error.
+Whole objects of all five formats, drawn by strategies, must survive a
+write and a parse; ``ccg`` and ``mcvs`` documents respelled (pair lines
+shuffled, a comment after the header, ``str`` input) must read as the same
+object with the same adjacency lists.
 
-Canonical documents, exactly as the writers emit them, are read in bulk;
-everything else goes through the line loops.  Documents in canonical shape
-with one fault or one non-canonical spelling check that the bulk path
-hands each of them to the line loop, which must agree with the references;
-a guard makes the line loops raise to check that writer output never
-reaches them.  The writers must emit the same bytes as the sorting
-writers in ``oracles``.
+Canonical ``ccg`` and ``mcvs`` documents, exactly as the writers emit them,
+are read in bulk; everything else goes through the fallback readers
+``_parse_graph_lines`` and ``_parse_instance_lines``, which check the
+syntax of every pair line and then let the public constructors check the
+pairs.  The bulk readers are run against the fallback readers on
+corruptions, on the malformed-document lists of their own tests, on
+documents with several faults and on documents in canonical shape with one
+fault or one non-canonical spelling: each must return an equal object or
+raise the same error.  The last two lists pin each document's error, or the
+canonical document of what it reads as, as literals: syntax errors first,
+then the constructor's first fault, then the header counts, each with its
+line number.  A guard makes the fallback readers raise to check that writer
+output never reaches them.  The writers must emit the same bytes as the
+sorting writers in ``oracles``.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ import splitclust.graphs
 import splitclust.multicut
 
 from splitclust import (
+    BLUE,
+    RED,
     Clustering,
     CorrelationGraph,
     FormatError,
@@ -53,12 +62,9 @@ from splitclust import (
     write_multicut_solution,
     write_transcript,
 )
-from oracles import (
-    sorting_write_graph,
-    sorting_write_multicut_instance,
-    two_pass_parse_graph,
-    two_pass_parse_multicut_instance,
-)
+from splitclust.graphs import _parse_graph_lines
+from splitclust.multicut import _parse_instance_lines
+from oracles import sorting_write_graph, sorting_write_multicut_instance
 from test_graphs import MALFORMED as MALFORMED_CCG
 from test_multicut import MALFORMED_INSTANCES
 from test_oracle_agreement import planted, planted_incomplete
@@ -147,46 +153,224 @@ def test_corrupted_documents_parse_or_raise_format_error(name, edits):
     assert parse(write(parsed)) == parsed
 
 
-REFERENCES = {
-    "ccg": two_pass_parse_graph,
-    "mcvs": two_pass_parse_multicut_instance,
+def _pairs(draw, n: int, labels) -> list[tuple[int, int, object]]:
+    """Up to 60 labelled pairs of distinct ids in 0..n-1, in either order.
+
+    A pair may repeat with its first label but never takes another one.
+    """
+    if n < 2:
+        return []
+    ids = st.integers(0, n - 1)
+    drawn = draw(st.lists(st.tuples(ids, ids, st.sampled_from(labels)), max_size=60))
+    first = {}
+    return [
+        (u, v, label)
+        for u, v, label in drawn
+        if u != v and first.setdefault(frozenset((u, v)), label) == label
+    ]
+
+
+@st.composite
+def correlation_graphs(draw) -> CorrelationGraph:
+    n = draw(st.integers(0, 40))
+    # red pairs of a complete graph are allowed and carry the default colour
+    edges = _pairs(draw, n, [BLUE, RED])
+    return CorrelationGraph(n, edges, complete=draw(st.booleans()))
+
+
+@st.composite
+def multicut_instances(draw) -> MulticutInstance:
+    n = draw(st.integers(0, 40))
+    pairs = _pairs(draw, n, ["e", "t"])
+    edges = [(u, v) for u, v, kind in pairs if kind == "e"]
+    terminals = [(u, v) for u, v, kind in pairs if kind == "t"]
+    return MulticutInstance(n, edges, terminals, draw(st.integers(0, 10**30)))
+
+
+@st.composite
+def multicut_solutions(draw) -> tuple[int, MulticutSolution]:
+    """A vertex count and a solution on it; parts may be empty."""
+    n = draw(st.integers(1, 40))
+    splits = {}
+    for v in draw(st.sets(st.integers(0, n - 1), max_size=6)):
+        count = draw(st.integers(2, 4))
+        members = draw(st.sets(st.integers(0, n - 1), max_size=10))
+        parts = [set() for _ in range(count)]
+        for u in sorted(members):
+            parts[draw(st.integers(0, count - 1))].add(u)
+        splits[v] = parts
+    return n, MulticutSolution(splits)
+
+
+@st.composite
+def transcripts(draw) -> KernelTranscript:
+    """Vertices 0..n-1 dealt to the forest and up to six cliques.
+
+    Up to two cliques are removed; in each of the others at least one
+    vertex stays marked.
+    """
+    n = draw(st.integers(0, 30))
+    groups = [set() for _ in range(7)]
+    marked = set()
+    for v in range(n):
+        groups[draw(st.integers(0, 6))].add(v)
+        if draw(st.booleans()):
+            marked.add(v)
+    clusters = []
+    for clique in filter(None, groups[3:]):
+        keep = (clique & marked) or clique
+        clusters.append((frozenset(clique), frozenset(keep), frozenset(clique - keep)))
+    return KernelTranscript(
+        frozenset(groups[0]),
+        tuple(map(frozenset, filter(None, groups[1:3]))),
+        tuple(clusters),
+        n,
+    )
+
+
+OBJECTS = {
+    "ccg": correlation_graphs(),
+    "clu": st.lists(
+        st.frozensets(st.integers(0, 60), min_size=1, max_size=8), max_size=8
+    ).map(Clustering),
+    "ktx": transcripts(),
+    "mcvs": multicut_instances(),
+    "mcsol": multicut_solutions(),
 }
 
-# Documents with more than one fault, in every order: syntax errors come
-# first wherever they are, then the first semantic fault (for mcvs the
-# first among edges, then among terminal pairs, then a pair that is both).
+
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_whole_objects_round_trip(name, data):
+    parse, write, _ = FORMATS[name]
+    obj = data.draw(OBJECTS[name])
+    assert parse(write(obj)) == obj
+
+
+@pytest.mark.parametrize("name", ["ccg", "mcvs"])
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_respelled_documents_read_as_the_same_object(name, data):
+    """Shuffled pair lines, a comment after the header or ``str`` input."""
+    parse, write, _ = FORMATS[name]
+    obj = data.draw(OBJECTS[name])
+    head, *body = write(obj).splitlines(keepends=True)
+    body = data.draw(st.permutations(body))
+    if data.draw(st.booleans()):
+        body.insert(0, b"# c\n")
+    doc = b"".join([head, *body])
+    if data.draw(st.booleans()):
+        doc = doc.decode()
+    assert _outcome(parse, doc) == (obj, _adjacency(obj))
+
+
+REFERENCES = {
+    "ccg": _parse_graph_lines,
+    "mcvs": _parse_instance_lines,
+}
+
+
+def _fails(message: str) -> tuple[type, str]:
+    return FormatError, message
+
+
+# Documents with more than one fault, in every order, each with what it
+# reads as: the pinned error, or the canonical document of what it reads.
+# Syntax errors come first wherever they are, then the constructor's first
+# fault (for mcvs the first among edges, then among terminal pairs, then a
+# pair that is both), then the header counts of mcvs.
 SEVERAL_FAULTS = {
     "ccg": [
-        b"ccg 3 complete\ne 0 3 b\ne 0 1 x\n",
-        b"ccg 3 complete\ne 0 0 b\ne 0 q b\n",
-        b"ccg 3 complete\ne 0 1 b\ne 1 0 r\ne 2 2 b\n",
-        b"ccg 3 complete\ne 0 1 b\ne 1 0 r\ne 0 q b\n",
-        b"ccg 3 complete\ne 2 2 b\ne 0 1 b\ne 1 0 r\n",
-        b"ccg 3 incomplete\ne -1 2 r\ne 0 5 b\n",
-        b"ccg 3 incomplete\ne 0 1 r\ne 1 0 r\ne 0 2 b\n",
-        b"ccg 3 complete\ne 0 1 r\ne 1 0 b\n",
-        b"ccg 3 complete\ne 0 1 r\ne 0 2 r\n",
-        b"ccg 3 complete\ne -0 02 b\n",
-        "ccg 3 complete\n# \u00e9\ne 0 1 b\ne 2 -1 b\n".encode(),
-        "ccg 3 complete\n# \u00e9\ne 0 \u00b2 b\n".encode(),
-        b"ccg 3 complete\ne 0 " + b"1" * 5000 + b" b\n",
+        (b"ccg 3 complete\ne 0 3 b\ne 0 1 x\n", _fails("line 3: unknown color 'x'")),
+        (b"ccg 3 complete\ne 0 0 b\ne 0 q b\n", _fails("line 3: expected integer vertex ids")),
+        (
+            b"ccg 3 complete\ne 0 1 b\ne 1 0 r\ne 2 2 b\n",
+            _fails("inconsistent graph: conflicting colors for pair (0, 1)"),
+        ),
+        (
+            b"ccg 3 complete\ne 0 1 b\ne 1 0 r\ne 0 q b\n",
+            _fails("line 4: expected integer vertex ids"),
+        ),
+        (
+            b"ccg 3 complete\ne 2 2 b\ne 0 1 b\ne 1 0 r\n",
+            _fails("inconsistent graph: self-loop on vertex 2"),
+        ),
+        (
+            b"ccg 3 incomplete\ne -1 2 r\ne 0 5 b\n",
+            _fails("inconsistent graph: edge (-1,2) out of range for n=3"),
+        ),
+        (
+            b"ccg 3 incomplete\ne 0 1 r\ne 1 0 r\ne 0 2 b\n",
+            b"ccg 3 incomplete\ne 0 1 r\ne 0 2 b\n",
+        ),
+        (
+            b"ccg 3 complete\ne 0 1 r\ne 1 0 b\n",
+            _fails("inconsistent graph: conflicting colors for pair (0, 1)"),
+        ),
+        (b"ccg 3 complete\ne 0 1 r\ne 0 2 r\n", b"ccg 3 complete\n"),
+        (b"ccg 3 complete\ne -0 02 b\n", b"ccg 3 complete\ne 0 2 b\n"),
+        (
+            "ccg 3 complete\n# \u00e9\ne 0 1 b\ne 2 -1 b\n".encode(),
+            _fails("inconsistent graph: edge (2,-1) out of range for n=3"),
+        ),
+        (
+            "ccg 3 complete\n# \u00e9\ne 0 \u00b2 b\n".encode(),
+            _fails("line 3: expected integer vertex ids"),
+        ),
+        (
+            b"ccg 3 complete\ne 0 " + b"1" * 5000 + b" b\n",
+            _fails("line 2: integer vertex ids too long"),
+        ),
     ],
     "mcvs": [
-        b"mcvs 3 1 1 0\nt 0 3\ne 1 1\n",
-        b"mcvs 3 1 1 0\nt 0 0\ne 0 1\n",
-        b"mcvs 3 1 1 0\nt 0 1\ne 1 0\n",
-        b"mcvs 3 1 1 0\ne 0 5\ne 0 q\n",
-        b"mcvs 3 1 1 0\nt 1 1\nx 0 1\n",
-        b"mcvs 3 1 1 0\ne 0 1\nt 0 1\ne 0 q\n",
-        b"mcvs 3 2 1 0\ne 0 1\ne 1 0\nt 0 2\n",
-        b"mcvs 3 1 2 0\ne 0 1\nt 0 2\nt 2 0\n",
-        b"mcvs 3 1 1 0\nt 2 -1\ne -1 2\n",
-        b"mcvs 3 0 0 0\ne 0 1\n",
-        b"mcvs 3 0 1 0\nt -0 02\n",
-        "mcvs 3 1 0 0\n# \u00e9\ne 0 \u00b2\n".encode(),
-        b"mcvs 3 1 0 0\ne 0 " + b"1" * 5000 + b"\n",
+        (
+            b"mcvs 3 1 1 0\nt 0 3\ne 1 1\n",
+            _fails("inconsistent instance: self-loop on vertex 1"),
+        ),
+        (
+            b"mcvs 3 1 1 0\nt 0 0\ne 0 1\n",
+            _fails("inconsistent instance: terminal pair (0,0) is degenerate"),
+        ),
+        (
+            b"mcvs 3 1 1 0\nt 0 1\ne 1 0\n",
+            _fails("inconsistent instance: terminal pairs must not be edges"),
+        ),
+        (b"mcvs 3 1 1 0\ne 0 5\ne 0 q\n", _fails("line 3: expected integer vertex ids")),
+        (
+            b"mcvs 3 1 1 0\nt 1 1\nx 0 1\n",
+            _fails("line 3: expected 'e <u> <v>' or 't <u> <v>'"),
+        ),
+        (
+            b"mcvs 3 1 1 0\ne 0 1\nt 0 1\ne 0 q\n",
+            _fails("line 4: expected integer vertex ids"),
+        ),
+        (b"mcvs 3 2 1 0\ne 0 1\ne 1 0\nt 0 2\n", _fails("header says 2 edges, found 1")),
+        (
+            b"mcvs 3 1 2 0\ne 0 1\nt 0 2\nt 2 0\n",
+            _fails("header says 2 terminal pairs, found 1"),
+        ),
+        (
+            b"mcvs 3 1 1 0\nt 2 -1\ne -1 2\n",
+            _fails("inconsistent instance: edge (-1,2) out of range for n=3"),
+        ),
+        (b"mcvs 3 0 0 0\ne 0 1\n", _fails("header says 0 edges, found 1")),
+        (b"mcvs 3 0 1 0\nt -0 02\n", b"mcvs 3 0 1 0\nt 0 2\n"),
+        (
+            "mcvs 3 1 0 0\n# \u00e9\ne 0 \u00b2\n".encode(),
+            _fails("line 3: expected integer vertex ids"),
+        ),
+        (
+            b"mcvs 3 1 0 0\ne 0 " + b"1" * 5000 + b"\n",
+            _fails("line 2: integer vertex ids too long"),
+        ),
     ],
 }
+
+
+def _adjacency(parsed):
+    # ``==`` compares what the writers emit; the adjacency lists are built apart
+    return parsed._blue_adj if isinstance(parsed, CorrelationGraph) else parsed._adj
 
 
 def _outcome(parse, data):
@@ -195,16 +379,26 @@ def _outcome(parse, data):
         parsed = parse(data)
     except ValueError as exc:
         return type(exc), str(exc)
-    # ``==`` compares what the writers emit; the adjacency lists are built apart
-    adjacency = parsed._blue_adj if isinstance(parsed, CorrelationGraph) else parsed._adj
-    return parsed, adjacency
+    return parsed, _adjacency(parsed)
+
+
+def _check_pinned(name, data, expected):
+    """``data`` raises the pinned error, or reads as the pinned canonical document."""
+    parse = FORMATS[name][0]
+    if isinstance(expected, bytes):
+        assert FORMATS[name][1](parse(expected)) == expected
+        expected = _outcome(parse, expected)
+    assert _outcome(parse, data) == expected, data
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCES))
 def test_one_pass_parsers_match_references_on_fixed_documents(name):
     parse = FORMATS[name][0]
     docs = {"ccg": MALFORMED_CCG, "mcvs": MALFORMED_INSTANCES}[name]
-    for data in docs + SEVERAL_FAULTS[name] + [FORMATS[name][1](FORMATS[name][2])]:
+    for data, expected in SEVERAL_FAULTS[name]:
+        _check_pinned(name, data, expected)
+    several = [data for data, _ in SEVERAL_FAULTS[name]]
+    for data in docs + several + [FORMATS[name][1](FORMATS[name][2])]:
         assert _outcome(parse, data) == _outcome(REFERENCES[name], data), data
 
 
@@ -218,55 +412,164 @@ def test_one_pass_parsers_match_references_on_corruptions(name, edits):
 
 
 # One fault or one non-canonical spelling each, in an otherwise canonical
-# document: the bulk readers must pass every one to the line loops.
+# document, with what it reads as (see SEVERAL_FAULTS): the bulk readers
+# must pass every one to the fallback readers.
 CCG_SINGLE = {
-    "id out of range": b"ccg 4 incomplete\ne 0 1 b\ne 1 9 r\n",
-    "id equal to n": b"ccg 4 complete\ne 0 1 b\ne 1 4 b\n",
-    "self-loop": b"ccg 4 incomplete\ne 0 1 b\ne 2 2 r\n",
-    "u > v": b"ccg 4 incomplete\ne 0 1 b\ne 3 1 r\n",
-    "same pair twice": b"ccg 4 incomplete\ne 0 1 b\ne 0 1 b\ne 1 2 r\n",
-    "same pair reversed": b"ccg 4 complete\ne 0 1 b\ne 1 0 b\n",
-    "conflicting colours": b"ccg 4 incomplete\ne 0 1 b\ne 0 1 r\n",
-    "red pair of a complete graph": b"ccg 4 complete\ne 0 1 b\ne 1 2 r\ne 2 3 b\n",
-    "leading zeros": b"ccg 4 incomplete\ne 0 01 b\ne 002 3 r\n",
-    "leading zero in n": b"ccg 04 incomplete\ne 0 1 b\n",
-    "5000-digit id": b"ccg 4 complete\ne 0 " + b"1" * 5000 + b" b\n",
-    "n over the cap": b"ccg 100001 complete\ne 0 1 b\n",
-    "n over the cap, no pairs": b"ccg 100001 incomplete\n",
-    "missing final newline": b"ccg 4 complete\ne 0 1 b\ne 2 3 b",
-    "missing final newline after a long colour": b"ccg 4 complete\ne 0 1 bb",
-    "comment": b"ccg 4 complete\n# c\ne 0 1 b\n",
-    "blank line": b"ccg 4 complete\n\ne 0 1 b\n",
-    "two spaces": b"ccg 4 complete\ne 0  1 b\n",
-    "CRLF": b"ccg 4 complete\r\ne 0 1 b\r\n",
-    "sparse": b"ccg 1000 incomplete\ne 0 999 r\n",
-    "str input": "ccg 4 complete\ne 0 1 b\n",
-    "unknown colour": b"ccg 4 incomplete\ne 0 1 n\n",
+    "id out of range": (
+        b"ccg 4 incomplete\ne 0 1 b\ne 1 9 r\n",
+        _fails("inconsistent graph: edge (1,9) out of range for n=4"),
+    ),
+    "id equal to n": (
+        b"ccg 4 complete\ne 0 1 b\ne 1 4 b\n",
+        _fails("inconsistent graph: edge (1,4) out of range for n=4"),
+    ),
+    "self-loop": (
+        b"ccg 4 incomplete\ne 0 1 b\ne 2 2 r\n",
+        _fails("inconsistent graph: self-loop on vertex 2"),
+    ),
+    "u > v": (
+        b"ccg 4 incomplete\ne 0 1 b\ne 3 1 r\n",
+        b"ccg 4 incomplete\ne 0 1 b\ne 1 3 r\n",
+    ),
+    "same pair twice": (
+        b"ccg 4 incomplete\ne 0 1 b\ne 0 1 b\ne 1 2 r\n",
+        b"ccg 4 incomplete\ne 0 1 b\ne 1 2 r\n",
+    ),
+    "same pair reversed": (
+        b"ccg 4 complete\ne 0 1 b\ne 1 0 b\n",
+        b"ccg 4 complete\ne 0 1 b\n",
+    ),
+    "conflicting colours": (
+        b"ccg 4 incomplete\ne 0 1 b\ne 0 1 r\n",
+        _fails("inconsistent graph: conflicting colors for pair (0, 1)"),
+    ),
+    "red pair of a complete graph": (
+        b"ccg 4 complete\ne 0 1 b\ne 1 2 r\ne 2 3 b\n",
+        b"ccg 4 complete\ne 0 1 b\ne 2 3 b\n",
+    ),
+    "leading zeros": (
+        b"ccg 4 incomplete\ne 0 01 b\ne 002 3 r\n",
+        b"ccg 4 incomplete\ne 0 1 b\ne 2 3 r\n",
+    ),
+    "leading zero in n": (
+        b"ccg 04 incomplete\ne 0 1 b\n",
+        b"ccg 4 incomplete\ne 0 1 b\n",
+    ),
+    "5000-digit id": (
+        b"ccg 4 complete\ne 0 " + b"1" * 5000 + b" b\n",
+        _fails("line 2: integer vertex ids too long"),
+    ),
+    "n over the cap": (
+        b"ccg 100001 complete\ne 0 1 b\n",
+        _fails("line 1: vertex count 100001 exceeds the cap of 100000"),
+    ),
+    "n over the cap, no pairs": (
+        b"ccg 100001 incomplete\n",
+        _fails("line 1: vertex count 100001 exceeds the cap of 100000"),
+    ),
+    "missing final newline": (
+        b"ccg 4 complete\ne 0 1 b\ne 2 3 b",
+        b"ccg 4 complete\ne 0 1 b\ne 2 3 b\n",
+    ),
+    "missing final newline after a long colour": (
+        b"ccg 4 complete\ne 0 1 bb",
+        _fails("line 2: unknown color 'bb'"),
+    ),
+    "comment": (b"ccg 4 complete\n# c\ne 0 1 b\n", b"ccg 4 complete\ne 0 1 b\n"),
+    "blank line": (b"ccg 4 complete\n\ne 0 1 b\n", b"ccg 4 complete\ne 0 1 b\n"),
+    "two spaces": (b"ccg 4 complete\ne 0  1 b\n", b"ccg 4 complete\ne 0 1 b\n"),
+    "CRLF": (b"ccg 4 complete\r\ne 0 1 b\r\n", b"ccg 4 complete\ne 0 1 b\n"),
+    "sparse": (
+        b"ccg 1000 incomplete\ne 0 999 r\n",
+        b"ccg 1000 incomplete\ne 0 999 r\n",
+    ),
+    "str input": ("ccg 4 complete\ne 0 1 b\n", b"ccg 4 complete\ne 0 1 b\n"),
+    "unknown colour": (
+        b"ccg 4 incomplete\ne 0 1 n\n",
+        _fails("line 2: unknown color 'n'"),
+    ),
 }
 
 MCVS_SINGLE = {
-    "id out of range": b"mcvs 4 2 1 0\ne 0 1\ne 1 9\nt 0 2\n",
-    "id equal to n": b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 4\n",
-    "self-loop": b"mcvs 4 2 1 0\ne 0 1\ne 1 1\nt 0 2\n",
-    "degenerate terminal pair": b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 3 3\n",
-    "u > v": b"mcvs 4 2 1 0\ne 0 1\ne 2 1\nt 0 2\n",
-    "same edge twice, counted once": b"mcvs 4 2 1 0\ne 0 1\ne 0 1\ne 1 2\nt 0 2\n",
-    "same edge twice, counted twice": b"mcvs 4 3 1 0\ne 0 1\ne 0 1\ne 1 2\nt 0 2\n",
-    "same terminal pair twice": b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 2\nt 0 2\n",
-    "leading zeros": b"mcvs 4 2 1 0\ne 0 01\ne 1 2\nt 00 2\n",
-    "5000-digit id": b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 " + b"1" * 5000 + b"\n",
-    "n over the cap": b"mcvs 100001 1 0 0\ne 0 1\n",
-    "t lines before e lines": b"mcvs 4 2 1 0\nt 0 2\ne 0 1\ne 1 2\n",
-    "wrong m": b"mcvs 4 3 1 0\ne 0 1\ne 1 2\nt 0 2\n",
-    "wrong t": b"mcvs 4 2 0 0\ne 0 1\ne 1 2\nt 0 2\n",
-    "m and t swapped": b"mcvs 4 1 2 0\ne 0 1\ne 1 2\nt 0 2\n",
-    "edge and terminal pair": b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 1\n",
-    "missing final newline": b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 2",
-    "missing final newline after a long id": b"mcvs 4 1 0 0\ne 0 12",
-    "budget of 30 digits": b"mcvs 4 1 0 " + b"9" * 30 + b"\ne 0 1\n",
-    "comment": b"mcvs 4 1 0 0\n# c\ne 0 1\n",
-    "sparse": b"mcvs 1000 0 1 3\nt 5 999\n",
-    "str input": "mcvs 4 1 0 0\ne 0 1\n",
+    "id out of range": (
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 9\nt 0 2\n",
+        _fails("inconsistent instance: edge (1,9) out of range for n=4"),
+    ),
+    "id equal to n": (
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 4\n",
+        _fails("inconsistent instance: terminal pair (0,4) out of range for n=4"),
+    ),
+    "self-loop": (
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 1\nt 0 2\n",
+        _fails("inconsistent instance: self-loop on vertex 1"),
+    ),
+    "degenerate terminal pair": (
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 3 3\n",
+        _fails("inconsistent instance: terminal pair (3,3) is degenerate"),
+    ),
+    "u > v": (
+        b"mcvs 4 2 1 0\ne 0 1\ne 2 1\nt 0 2\n",
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 2\n",
+    ),
+    "same edge twice, counted once": (
+        b"mcvs 4 2 1 0\ne 0 1\ne 0 1\ne 1 2\nt 0 2\n",
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 2\n",
+    ),
+    "same edge twice, counted twice": (
+        b"mcvs 4 3 1 0\ne 0 1\ne 0 1\ne 1 2\nt 0 2\n",
+        _fails("header says 3 edges, found 2"),
+    ),
+    "same terminal pair twice": (
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 2\nt 0 2\n",
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 2\n",
+    ),
+    "leading zeros": (
+        b"mcvs 4 2 1 0\ne 0 01\ne 1 2\nt 00 2\n",
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 2\n",
+    ),
+    "5000-digit id": (
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 " + b"1" * 5000 + b"\n",
+        _fails("line 4: integer vertex ids too long"),
+    ),
+    "n over the cap": (
+        b"mcvs 100001 1 0 0\ne 0 1\n",
+        _fails("line 1: vertex count 100001 exceeds the cap of 100000"),
+    ),
+    "t lines before e lines": (
+        b"mcvs 4 2 1 0\nt 0 2\ne 0 1\ne 1 2\n",
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 2\n",
+    ),
+    "wrong m": (
+        b"mcvs 4 3 1 0\ne 0 1\ne 1 2\nt 0 2\n",
+        _fails("header says 3 edges, found 2"),
+    ),
+    "wrong t": (
+        b"mcvs 4 2 0 0\ne 0 1\ne 1 2\nt 0 2\n",
+        _fails("header says 0 terminal pairs, found 1"),
+    ),
+    "m and t swapped": (
+        b"mcvs 4 1 2 0\ne 0 1\ne 1 2\nt 0 2\n",
+        _fails("header says 1 edges, found 2"),
+    ),
+    "edge and terminal pair": (
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 1\n",
+        _fails("inconsistent instance: terminal pairs must not be edges"),
+    ),
+    "missing final newline": (
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 2",
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 2\n",
+    ),
+    "missing final newline after a long id": (
+        b"mcvs 4 1 0 0\ne 0 12",
+        _fails("inconsistent instance: edge (0,12) out of range for n=4"),
+    ),
+    "budget of 30 digits": (
+        b"mcvs 4 1 0 " + b"9" * 30 + b"\ne 0 1\n",
+        b"mcvs 4 1 0 " + b"9" * 30 + b"\ne 0 1\n",
+    ),
+    "comment": (b"mcvs 4 1 0 0\n# c\ne 0 1\n", b"mcvs 4 1 0 0\ne 0 1\n"),
+    "sparse": (b"mcvs 1000 0 1 3\nt 5 999\n", b"mcvs 1000 0 1 3\nt 5 999\n"),
+    "str input": ("mcvs 4 1 0 0\ne 0 1\n", b"mcvs 4 1 0 0\ne 0 1\n"),
 }
 
 SINGLE_FAULTS = {"ccg": CCG_SINGLE, "mcvs": MCVS_SINGLE}
@@ -277,7 +580,8 @@ SINGLE_FAULTS = {"ccg": CCG_SINGLE, "mcvs": MCVS_SINGLE}
     [(name, fault) for name in sorted(SINGLE_FAULTS) for fault in SINGLE_FAULTS[name]],
 )
 def test_bulk_readers_match_references_on_single_faults(name, fault):
-    data = SINGLE_FAULTS[name][fault]
+    data, expected = SINGLE_FAULTS[name][fault]
+    _check_pinned(name, data, expected)
     assert _outcome(FORMATS[name][0], data) == _outcome(REFERENCES[name], data)
 
 
@@ -394,11 +698,11 @@ def test_writers_match_sorting_writers():
 
 
 def test_sparse_bodies_are_not_tabled():
-    """A body with fewer fields than n is left to the line loop.
+    """A body with fewer fields than n is left to the fallback reader.
 
-    Its id table would cost O(n) against O(body) for the loop: at n =
-    MAX_VERTICES it would add about 30 ms to a two-line document that the
-    line loop reads in 16 ms.
+    Its id table would cost O(n) against O(body) for the fallback: at n =
+    MAX_VERTICES it would add 46-58 ms to a two-line document that the
+    fallback reads in 13-16 ms (Python 3.11, 2-vCPU Xeon).
     """
     columns = splitclust.graphs._pair_columns
     assert columns(b"e 0 1 b\n", 4, 4) == ([0], [1], [b"b"])

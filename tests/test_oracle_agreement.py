@@ -58,7 +58,8 @@ from splitclust import (
     write_graph,
     write_multicut_instance,
 )
-from splitclust.multicut import _realize
+from splitclust.graphs import _parse_graph_lines
+from splitclust.multicut import _parse_instance_lines, _realize
 from oracles import (
     _separates,
     _split_choices,
@@ -77,8 +78,6 @@ from oracles import (
     repairing_multicut_to_clustering,
     repairing_splits_to_clustering,
     rescanning_kernel_parts,
-    two_pass_parse_graph,
-    two_pass_parse_multicut_instance,
 )
 
 P_BLUE = st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9])
@@ -648,8 +647,8 @@ def test_trusted_builders_match_checked_references():
         assert r.ancestors == ref.ancestors
 
         for doc in (write_graph(g), write_graph(sub), write_graph(back)):
-            assert graph_fields(parse_graph(doc)) == graph_fields(two_pass_parse_graph(doc))
+            assert graph_fields(parse_graph(doc)) == graph_fields(_parse_graph_lines(doc))
         doc = write_multicut_instance(inst)
         assert instance_fields(parse_multicut_instance(doc)) == instance_fields(
-            two_pass_parse_multicut_instance(doc)
+            _parse_instance_lines(doc)
         )
