@@ -19,7 +19,7 @@ candidate; ``candidate_solutions`` builds them all, with the same helper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable
 from typing import NamedTuple, TypeVar
 
 from .clustering import Clustering

@@ -406,27 +406,38 @@ def _read_groups(lineno: int, tokens: list[str]) -> list[list[int]]:
 
 
 _COLORS = {"b": BLUE, "r": RED}
+_R_AS_B = bytes.maketrans(b"r", b"b")
 
 
 def _pair_columns(
-    body: bytes, n: int, width: int
+    body: bytes, n: int, shape: bytes, width: int
 ) -> tuple[list[int], list[int], list[bytes]] | None:
     """The columns of canonical pair lines, or None for the fallback reader.
 
-    ``body`` holds lines ``<tag> <u> <v> [<field>]`` of ``width`` fields,
-    whose shape a regex has already checked.  Returns the u ids, the v ids
-    and the fourth fields (empty when ``width`` is 3).  Every id is looked
-    up in a table of the spellings of 0..n-1, one lookup that converts it,
-    checks its range and shares one int object per id.  None when a lookup
-    misses (an id out of range, with leading zeros or too long), when some
-    pair is not u < v, or when the body has fewer fields than n: a table of
-    n spellings would then cost more than the fallback reader.  Never raises.
-    O(n + body length).
+    ``body`` holds newline-ended lines ``<tag> <u> <v> [<field>]`` of
+    ``width`` fields, and must equal ``shape`` once its digits are deleted
+    and ``r`` is read as ``b``: one C-level translate and compare check
+    every separator and letter.  Returns the u ids, the v ids and the
+    fourth fields (empty when ``width`` is 3; a glued digit, as in ``b0``,
+    is left to the caller).  Every id is looked up in a table of the
+    spellings of 0..n-1, one lookup that converts it, checks its range and
+    shares one int object per id.  None on another shape, an empty field,
+    a digit glued to a tag, a missed lookup (an id out of range, with
+    leading zeros or too long), a pair not u < v, or fewer fields than n,
+    whose table would cost more than the fallback reader.  Never raises.
+    O(n + body length), in C passes but for one dict lookup per id.
     """
+    if body.translate(_R_AS_B, b"0123456789") != shape:
+        return None
+    lines = shape.count(b"\n")
+    del shape  # freed before the split, to keep the peak low
     tokens = body.split()
-    if not tokens:
-        return [], [], []
+    if len(tokens) != width * lines:  # an empty field
+        return None
     if n > len(tokens):
+        return None if tokens else ([], [], [])
+    tags = tokens[::width]  # the digit of ``0e`` was deleted before the compare
+    if tags.count(b"e") + tags.count(b"t") != lines:
         return None
     table = dict(zip(map(str.encode, map(str, range(n))), range(n)))
     try:
@@ -434,68 +445,54 @@ def _pair_columns(
         vs = list(map(table.__getitem__, islice(tokens, 2, None, width)))
     except KeyError:
         return None
-    fields = list(islice(tokens, 3, None, width)) if width > 3 else []
+    fields = tokens[3::width] if width > 3 else []
     del tokens  # freed before the caller builds its pairs, to keep the peak low
     if not all(map(operator.lt, us, vs)):
         return None
     return us, vs, fields
 
 
-def _canonical_body(
-    data: bytes, header: re.Pattern[bytes], bad_line: re.Pattern[bytes]
-) -> re.Match[bytes] | None:
-    """The header match of a canonical document, or None.
-
-    ``header`` matches the first line; every later line ends in a newline
-    and none is found by ``bad_line``, a MULTILINE pattern that finds a
-    line which is not a canonical pair line.  Searching for one keeps no
-    state per line, where a regex repetition over all lines would keep
-    some 300 bytes per line until it ends.
-    """
-    match = header.match(data)
-    if match is None:
-        return None
-    start = match.end()
-    if start < len(data) and (
-        data[-1:] != b"\n" or bad_line.search(data, start, len(data) - 1)
-    ):
-        return None
-    return match
-
-
-_CCG_HEADER = re.compile(rb"ccg (0|[1-9][0-9]{0,5}) (complete|incomplete)\n")
-_NOT_CCG_LINE = re.compile(rb"^(?!e [0-9]+ [0-9]+ [br]$)", re.MULTILINE)
+# ASCII comment lines may lead, as ``reduce mcvs-to-ccvs`` emits them; no
+# line break but ``\n`` may end or hide in one
+_CCG_HEADER = re.compile(
+    rb"(?:#[\t -~]*\n)*ccg (0|[1-9][0-9]{0,5}) (complete|incomplete)\n"
+)
 _BYTE_COLORS = {b"b": BLUE, b"r": RED}
 
 
 def _bulk_graph(data: bytes | str) -> CorrelationGraph | None:
     """The graph of a document exactly as ``write_graph`` emits it, else None.
 
-    Checks the shape of every line with ``_canonical_body``, then builds
-    the label dict from ``_pair_columns`` in one call.  Anything else, such
-    as comments, other whitespace, a red pair of a complete graph or a pair
-    listed twice, gives None and is left to ``_parse_graph_lines``, which
-    names its faults.  Never raises.  O(n + document length).
+    A block of ASCII comment lines may lead.  ``_pair_columns`` checks and
+    splits the body, whose columns give the label dict in one call.
+    Anything else, such as other comments or whitespace, a red pair of a
+    complete graph or a pair listed twice, gives None and is left to
+    ``_parse_graph_lines``, which names its faults.  Never raises.
+    O(n + document length).
     """
     if not isinstance(data, bytes):
         return None
-    match = _canonical_body(data, _CCG_HEADER, _NOT_CCG_LINE)
+    match = _CCG_HEADER.match(data)
     if match is None:
         return None
     n = int(match[1])
     if n > MAX_VERTICES:
         return None
-    columns = _pair_columns(data[match.end() :], n, 4)
+    body = data[match.end() :]
+    columns = _pair_columns(body, n, b"e   b\n" * body.count(b"\n"), 4)
     if columns is None:
         return None
     us, vs, colors = columns
     complete = match[2] == b"complete"
     if complete:
-        if b"r" in colors:
+        if colors.count(b"b") != len(colors):  # a red pair, or ``b0``
             return None
         labels = dict.fromkeys(zip(us, vs), BLUE)
     else:
-        labels = dict(zip(zip(us, vs), map(_BYTE_COLORS.__getitem__, colors)))
+        try:
+            labels = dict(zip(zip(us, vs), map(_BYTE_COLORS.__getitem__, colors)))
+        except KeyError:  # a digit glued to a colour (``b0``)
+            return None
     if len(labels) != len(us):
         return None
     return CorrelationGraph._trusted(n, labels, complete)
@@ -504,11 +501,11 @@ def _bulk_graph(data: bytes | str) -> CorrelationGraph | None:
 def parse_graph(data: bytes | str) -> CorrelationGraph:
     """Parse the ``ccg`` text format.
 
-    A document exactly as ``write_graph`` emits it is read in bulk (see
-    ``_bulk_graph``); every other one goes through the fallback reader
-    ``_parse_graph_lines``, which gives the same object for it, or names
-    its fault.  Both are O(n + document length); the bulk path costs
-    a fifth to a third as much per pair line.
+    A document exactly as ``write_graph`` emits it, ASCII comment lines
+    before the header allowed, is read in bulk (see ``_bulk_graph``); every
+    other one goes through the fallback reader ``_parse_graph_lines``,
+    which gives the same object for it, or names its fault.  Both are
+    O(n + document length); the bulk path costs about a fifth as much.
     """
     g = _bulk_graph(data)
     return g if g is not None else _parse_graph_lines(data)
@@ -537,20 +534,20 @@ def _parse_graph_lines(data: bytes | str) -> CorrelationGraph:
 
 
 def _pair_lines(
-    adj: list[list[int]], names: list[str], tag: str, end: str
+    rows: list[list[int]], names: list[str], tag: str, tails: list[str]
 ) -> list[str]:
-    """Lines ``<tag> <u> <v><end>`` for every pair u < v of sorted adjacency lists.
+    """Lines ``<tag> <u> <tails[x]>`` for every x > u in the sorted ``rows[u]``.
 
-    The lines come out sorted, one string per vertex, with no sort.
-    ``names`` holds the id strings.  O(n + pairs).
+    Symmetric adjacency lists thus give one line per pair.  The lines come
+    out sorted, one string per vertex, with no sort.  O(n + pairs).
     """
     out = []
-    for u, row in enumerate(adj):
+    for u, row in enumerate(rows):
         above = row[bisect_right(row, u) :]
         if above:
             head = f"{tag} {names[u]} "
-            joined = f"{end}\n{head}".join(map(names.__getitem__, above))
-            out.append(f"{head}{joined}{end}\n")
+            joined = f"\n{head}".join(map(tails.__getitem__, above))
+            out.append(f"{head}{joined}\n")
     return out
 
 
@@ -558,19 +555,21 @@ def write_graph(g: CorrelationGraph) -> bytes:
     """Serialize to the canonical ``ccg`` form: sorted edges, u < v.
 
     Complete graphs list only blue pairs, read off the sorted blue
-    adjacency lists in O(n + blue pairs).  Incomplete graphs list blue and
-    red pairs, in one sort of the stored pairs: O(n + p log p) for p
-    stored pairs.  ``parse_graph(write_graph(g)) == g``.
+    adjacency lists; incomplete ones list blue and red pairs off sorted
+    rows of ints ``2*v + (colour is RED)``, one per smaller id u.  No tuple
+    is sorted: O(n + p log d) for p stored pairs, rows of at most d.
+    ``parse_graph(write_graph(g)) == g``.
     """
     kind = "complete" if g.complete else "incomplete"
     names = list(map(str, range(g.n)))
     out = [f"ccg {g.n} {kind}\n"]
     if g.complete:
-        out += _pair_lines(g._blue_adj, names, "e", " b")
+        out += _pair_lines(g._blue_adj, names, "e", [f"{s} b" for s in names])
     else:
-        labels = g._labels
-        out += [
-            f"e {names[u]} {names[v]} {'b' if labels[u, v] is BLUE else 'r'}\n"
-            for u, v in sorted(labels)
-        ]
+        rows: list[list[int]] = [[] for _ in range(g.n)]
+        for (u, v), c in g._labels.items():
+            rows[u].append(2 * v + (c is RED))
+        for row in rows:
+            row.sort()
+        out += _pair_lines(rows, names, "e", [f"{s} {c}" for s in names for c in "br"])
     return "".join(out).encode()

@@ -24,13 +24,16 @@ raise the same error.  The last two lists pin each document's error, or the
 canonical document of what it reads as, as literals: syntax errors first,
 then the constructor's first fault, then the header counts, each with its
 line number.  A guard makes the fallback readers raise to check that writer
-output never reaches them.  The writers must emit the same bytes as the
-sorting writers in ``oracles``.
+output, and the ``ccg`` that ``reduce mcvs-to-ccvs`` prints after a comment
+line, never reach them.  The writers must emit the same bytes as the
+sorting writers in ``oracles``, also on pairs stored in hash order.
 """
 
 from __future__ import annotations
 
+import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,9 +51,11 @@ from splitclust import (
     MulticutInstance,
     MulticutSolution,
     ccvs_to_mcvs,
+    clustering_to_splits,
     complete_graph,
     gen_random,
     incomplete_graph,
+    mcvs_to_ccvs,
     parse_clustering,
     parse_graph,
     parse_multicut_instance,
@@ -62,6 +67,7 @@ from splitclust import (
     write_multicut_solution,
     write_transcript,
 )
+from splitclust.cli import run
 from splitclust.graphs import _parse_graph_lines
 from splitclust.multicut import _parse_instance_lines
 from oracles import sorting_write_graph, sorting_write_multicut_instance
@@ -488,6 +494,49 @@ CCG_SINGLE = {
         b"ccg 4 incomplete\ne 0 1 n\n",
         _fails("line 2: unknown color 'n'"),
     ),
+    "digit glued to a tag": (
+        b"ccg 4 complete\ne 0 1 b\n0e 1 2 b\n",
+        _fails("line 3: expected 'e <u> <v> b|r'"),
+    ),
+    "digit glued to a blue colour": (
+        b"ccg 4 complete\ne 0 1 b\ne 1 2 b0\n",
+        _fails("line 3: unknown color 'b0'"),
+    ),
+    "digit glued to a red colour": (
+        b"ccg 4 incomplete\ne 0 1 b\ne 1 2 r0\n",
+        _fails("line 3: unknown color 'r0'"),
+    ),
+    "empty id field": (
+        b"ccg 4 complete\ne 0 1 b\ne 1  b\n",
+        _fails("line 3: expected 'e <u> <v> b|r'"),
+    ),
+    "tab": (
+        b"ccg 4 incomplete\ne 0 1 b\ne 1\t2 r\n",
+        b"ccg 4 incomplete\ne 0 1 b\ne 1 2 r\n",
+    ),
+    "CRLF line end": (
+        b"ccg 4 complete\ne 0 1 b\r\ne 2 3 b\n",
+        b"ccg 4 complete\ne 0 1 b\ne 2 3 b\n",
+    ),
+    "comment lines before the header": (
+        b"# budget 3\n#\nccg 4 complete\ne 0 1 b\n",
+        b"ccg 4 complete\ne 0 1 b\n",
+    ),
+    "form feed in a comment before the header": (
+        b"# c\x0ce 2 2 b\nccg 4 complete\ne 0 1 b\n",
+        _fails("line 2: expected 'ccg <n> complete|incomplete'"),
+    ),
+    "carriage return in a comment before the header": (
+        b"# c\re 2 2 b\nccg 4 complete\ne 0 1 b\n",
+        _fails("line 2: expected 'ccg <n> complete|incomplete'"),
+    ),
+    "invalid UTF-8 in a comment before the header": (
+        b"# \xff\nccg 4 complete\ne 0 1 b\n",
+        _fails(
+            "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 2: "
+            "invalid start byte"
+        ),
+    ),
 }
 
 MCVS_SINGLE = {
@@ -570,6 +619,31 @@ MCVS_SINGLE = {
     "comment": (b"mcvs 4 1 0 0\n# c\ne 0 1\n", b"mcvs 4 1 0 0\ne 0 1\n"),
     "sparse": (b"mcvs 1000 0 1 3\nt 5 999\n", b"mcvs 1000 0 1 3\nt 5 999\n"),
     "str input": ("mcvs 4 1 0 0\ne 0 1\n", b"mcvs 4 1 0 0\ne 0 1\n"),
+    "digit glued to a tag": (
+        b"mcvs 4 1 1 0\ne 0 1\nt0 1 2\n",
+        _fails("line 3: expected 'e <u> <v>' or 't <u> <v>'"),
+    ),
+    "digit glued to the first tag": (
+        b"mcvs 4 1 1 0\n0e 0 1\nt 1 2\n",
+        _fails("line 2: expected 'e <u> <v>' or 't <u> <v>'"),
+    ),
+    "empty id field": (
+        b"mcvs 4 2 1 0\ne 0 1\ne 1 \nt 0 2\n",
+        _fails("line 3: expected 'e <u> <v>' or 't <u> <v>'"),
+    ),
+    "tab": (b"mcvs 4 1 1 0\ne 0\t1\nt 1 2\n", b"mcvs 4 1 1 0\ne 0 1\nt 1 2\n"),
+    "CRLF line end": (
+        b"mcvs 4 1 1 0\ne 0 1\r\nt 1 2\n",
+        b"mcvs 4 1 1 0\ne 0 1\nt 1 2\n",
+    ),
+    "edge count beyond the document": (
+        b"mcvs 3 999999999999999999 0 0\ne 0 1\n",
+        _fails("header says 999999999999999999 edges, found 1"),
+    ),
+    "terminal count beyond the document": (
+        b"mcvs 3 1 999999999999999999 0\ne 0 1\n",
+        _fails("header says 999999999999999999 terminal pairs, found 0"),
+    ),
 }
 
 SINGLE_FAULTS = {"ccg": CCG_SINGLE, "mcvs": MCVS_SINGLE}
@@ -667,6 +741,24 @@ def test_writer_output_is_read_in_bulk(monkeypatch):
         parse_graph(b"ccg 3 complete\ne 1 0 b\n")
 
 
+def test_reduced_documents_are_read_in_bulk(monkeypatch, tmp_path):
+    """``reduce mcvs-to-ccvs`` output, led by ``# budget k``, reaches no line loop."""
+    instances = [
+        ccvs_to_mcvs(planted_incomplete(60, 5, seed=4)[0], 3),
+        MulticutInstance(5, [(0, 1), (1, 4)], [(3, 4)], 0),
+        MulticutInstance(0, [], [], 2),
+    ]
+    monkeypatch.setattr(splitclust.graphs, "_parse_graph_lines", _refuse)
+    path = tmp_path / "in.mcvs"
+    for inst in instances:
+        path.write_bytes(write_multicut_instance(inst))
+        out = io.StringIO()
+        assert run(["reduce", "mcvs-to-ccvs", str(path)], None, out, io.StringIO()) == 0
+        assert out.getvalue().startswith(f"# budget {inst.k}\n")
+        g = mcvs_to_ccvs(inst)[0]
+        assert _outcome(parse_graph, out.getvalue().encode()) == (g, g._blue_adj)
+
+
 def _pair_list(rng: random.Random, ids: list[int], count: int) -> list[tuple[int, int]]:
     """Random pairs of distinct ids, in either order, some listed twice."""
     pairs = [tuple(rng.sample(ids, 2)) for _ in range(count)]
@@ -690,11 +782,22 @@ def test_writers_match_sorting_writers():
         assert write_multicut_instance(inst) == sorting_write_multicut_instance(inst)
         assert parse_multicut_instance(write_multicut_instance(inst)) == inst
         cases += bool(pairs)
-    for g in (planted(200, 7, 6, 0, seed=2)[0], planted_incomplete(50, 4, seed=2)[0]):
-        assert write_graph(g) == sorting_write_graph(g)
+    # pairs stored in hash order, where the sorting writers sort tuples
+    for g, f in (planted(200, 7, 6, 0, seed=2), planted_incomplete(50, 4, seed=2)):
         inst = ccvs_to_mcvs(g, 4)
-        assert write_multicut_instance(inst) == sorting_write_multicut_instance(inst)
+        read = parse_multicut_instance(write_multicut_instance(inst))
+        for h in (g, mcvs_to_ccvs(read)[0], clustering_to_splits(g, f).base):
+            assert write_graph(h) == sorting_write_graph(h)
+        for i in (inst, read):
+            assert write_multicut_instance(i) == sorting_write_multicut_instance(i)
     assert cases >= 70
+
+
+def test_pair_columns_refuse_an_empty_field():
+    """An empty field would shift every later column, so it is refused."""
+    columns = splitclust.graphs._pair_columns
+    assert columns(b"e 0 1 b\ne 2  b\n", 3, b"e   b\ne   b\n", 4) is None
+    assert columns(b"e 0 1\nt 2 \n", 3, b"e  \nt  \n", 3) is None
 
 
 def test_sparse_bodies_are_not_tabled():
@@ -705,6 +808,15 @@ def test_sparse_bodies_are_not_tabled():
     fallback reads in 13-16 ms (Python 3.11, 2-vCPU Xeon).
     """
     columns = splitclust.graphs._pair_columns
-    assert columns(b"e 0 1 b\n", 4, 4) == ([0], [1], [b"b"])
-    assert columns(b"e 0 1 b\n", 5, 4) is None
-    assert columns(b"", 100_000, 4) == ([], [], [])
+    assert columns(b"e 0 1 b\n", 4, b"e   b\n", 4) == ([0], [1], [b"b"])
+    assert columns(b"e 0 1 b\n", 5, b"e   b\n", 4) is None
+    tracemalloc.start()
+    try:
+        assert columns(b"", 100_000, b"", 4) == ([], [], [])
+        # header counts far beyond the document build no shape either
+        huge = b"mcvs 3 " + b"9" * 18 + b" 0 0\ne 0 1\n"
+        assert splitclust.multicut._bulk_instance(huge) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a table of 100 000 spellings takes megabytes
