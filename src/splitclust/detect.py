@@ -90,20 +90,29 @@ def find_bad_triangle(
     Returns None when the (restricted) graph has no bad triangle.  On
     incomplete graphs only an explicitly red pair closes a triangle.  Takes
     O(n + stored pairs) to build the twin classes on complete graphs and
-    the blue and red neighbour sets on incomplete ones; on complete graphs
-    the scan then takes set differences only between non-twin neighbours
-    (see ``_scan``).
+    the blue and red neighbour sets on incomplete ones.  Complete graphs
+    are then scanned by ``_scan``, which takes set differences only between
+    non-twin neighbours; incomplete ones try every blue neighbour v of u
+    and close with blue[v] & red[u].
     """
     order = range(g.n) if within is None else _check_vertices(within, g.n)
+    alive = set(order)
     if g.complete:
-        return _scan(g, set(order), order, 0, twins=_twin_classes(g))[1]
-    blue = [set(row) for row in g._blue_adj]
+        return _scan(g, alive, order, 0, _twin_classes(g))[1]
+    adj = g._blue_adj
+    blue = list(map(set, adj))
     red: list[set[int]] = [set() for _ in range(g.n)]
     for (a, b), color in g._labels.items():
         if color is RED:
             red[a].add(b)
             red[b].add(a)
-    return _scan(g, set(order), order, 0, blue=blue, red=red)[1]
+    for u in order:
+        for v in adj[u]:
+            if v in alive:
+                ws = [w for w in blue[v] & red[u] if w > u and w in alive]
+                if ws:
+                    return u, v, min(ws)
+    return None
 
 
 # each vertex's class, each class's size and each class's N[c] as a set
@@ -135,10 +144,7 @@ def _scan(
     alive: set[int],
     order: Sequence[int],
     start: int,
-    *,
-    twins: _TwinClasses | None = None,
-    blue: list[set[int]] | None = None,
-    red: list[set[int]] | None = None,
+    twins: _TwinClasses,
 ) -> tuple[int, tuple[int, int, int] | None]:
     """First bad triangle on alive vertices whose u is order[i] for i >= start.
 
@@ -146,8 +152,8 @@ def _scan(
     each u the blue neighbours v are tried in ascending order, and the
     closing w is the smallest alive w > u that is blue to v and red to u.
 
-    Complete graphs pass ``twins`` from ``_twin_classes``, computed on the
-    whole graph, and read every set off the classes: since v lies in
+    The graph is complete, and ``twins`` comes from ``_twin_classes`` on
+    the whole graph; every set is read off the classes: since v lies in
     N[u], the closing set is N[v] - N[u].  A u whose class is all of N[u]
     spans an isolated blue clique, which no bad triangle touches, and is
     skipped outright.  A neighbour v in u's class has N[v] = N[u], so its
@@ -155,30 +161,22 @@ def _scan(
     empty on the alive vertices, so every result is the triangle the plain
     scan finds.  After O(n + blue pairs) to label the classes, each u
     costs O(deg u) plus one set difference per neighbour outside its
-    class.  Incomplete graphs pass ``blue`` and ``red`` neighbour sets
-    instead, try every v, and close with blue[v] & red[u].
+    class.
     """
     adj = g._blue_adj
-    if twins is not None:
-        label, size, closed = twins
+    label, size, closed = twins
     for i in range(start, len(order)):
         u = order[i]
         if u not in alive:
             continue
-        if twins is not None:
-            cu = label[u]
-            if size[cu] == len(adj[u]) + 1:
-                continue  # N[u] is one class: an isolated blue clique
-            not_red = closed[cu]
+        cu = label[u]
+        if size[cu] == len(adj[u]) + 1:
+            continue  # N[u] is one class: an isolated blue clique
+        not_red = closed[cu]
         for v in adj[u]:
-            if v not in alive:
+            if v not in alive or label[v] == cu:
                 continue
-            if twins is not None:
-                if label[v] == cu:
-                    continue
-                closing = closed[label[v]] - not_red
-            else:
-                closing = blue[v] & red[u]
+            closing = closed[label[v]] - not_red
             if closing:
                 ws = [w for w in closing if w > u and w in alive]
                 if ws:
@@ -224,7 +222,7 @@ def _greedy_stars(g: CorrelationGraph, twins: _TwinClasses, first: int) -> list[
     stars: list[BadStar] = []
     i = first
     while True:
-        i, triangle = _scan(g, unused, range(g.n), i, twins=twins)
+        i, triangle = _scan(g, unused, range(g.n), i, twins)
         if triangle is None:
             return stars
         u, center, w = triangle

@@ -201,10 +201,9 @@ def decide(
     k: int,
     *,
     node_limit: int | None = None,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> bool:
     """Whether some valid clustering has cost at most k."""
     if not _is_integer(k) or k < 0:
         raise ValueError(f"budget must be a non-negative integer, got {k!r}")
     budget = SearchBudget(max_cost=k) if node_limit is None else SearchBudget(k, node_limit)
-    return solve_exact(g, budget, vertex_cap=vertex_cap) is not None
+    return solve_exact(g, budget) is not None

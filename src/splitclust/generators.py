@@ -10,7 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from .graphs import BLUE, RED, CorrelationGraph, _check_ids, _check_vertex_count, _pair
+from .graphs import (
+    BLUE,
+    RED,
+    CorrelationGraph,
+    _check_ids,
+    _check_vertex_count,
+    _is_integer,
+    _pair,
+)
 from .multicut import MulticutInstance
 
 _MASK64 = (1 << 64) - 1
@@ -88,11 +96,13 @@ def gen_vertex_cover_gadget(g: PlainGraph, k: int) -> CorrelationGraph:
     The input's edges turn red, everything else blue, and k+1 fresh
     vertices form a blue clique forcing one big cluster.  The result has a
     clustering of cost at most k iff g has a vertex cover of size at most
-    k.
+    k.  The budget and the vertex count g.n + k + 1 are checked before any
+    of the O((g.n + k)^2) pairs is listed.
     """
-    if k < 0:
-        raise ValueError("negative cover budget")
+    if not _is_integer(k) or k < 0:
+        raise ValueError(f"cover budgets are non-negative integers, got {k!r}")
     total = g.n + k + 1
+    _check_vertex_count(total)
     labeled = [
         (u, v, RED if (u, v) in g.edges else BLUE)
         for u in range(total)

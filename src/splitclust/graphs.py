@@ -92,10 +92,11 @@ class CorrelationGraph:
     ``bool``) in range, no self-loop, a colour allowed for the kind, and no
     two colours for one pair; then it normalises the pairs to u < v and
     drops default-coloured ones.  Code whose pairs are valid by
-    construction (the bulk ``ccg`` reader, ``induced_subgraph``, split
-    graphs, ``mcvs_to_ccvs``) builds through ``_trusted`` instead, which
-    skips those per-pair checks.  Both end in ``_build``, the one place
-    that stores the labels and builds the sorted blue adjacency lists.
+    construction (the bulk ``ccg`` and ``mcvs`` readers,
+    ``induced_subgraph``, split graphs, the graphs that store multicut
+    instances) builds through ``_trusted`` instead, which skips those
+    per-pair checks.  Both end in ``_build``, the one place that stores
+    the labels and builds the sorted blue adjacency lists.
     """
 
     __slots__ = ("n", "complete", "_labels", "_blue_adj")

@@ -9,8 +9,11 @@ disconnected.  Its cost is the number of extra copies.
 
 Blue edges map to edges and red pairs to terminal pairs: a correlation
 graph has a clustering of cost k exactly when the derived multicut
-instance has a solution of cost k.  The translations below convert
-solutions in both directions without raising the cost.
+instance has a solution of cost k.  An instance is stored as that
+incomplete correlation graph and its budget, so ``ccvs_to_mcvs`` of an
+incomplete graph and ``mcvs_to_ccvs`` share the graph and copy no pair.
+The translations below convert solutions in both directions without
+raising the cost.
 
 ``verify_multicut_solution`` and ``multicut_solution_to_clustering`` both
 build the split graph of a solution: an incomplete correlation graph with
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-from itertools import islice
+from itertools import islice, repeat
 
 from .clustering import (
     Clustering,
@@ -42,6 +45,7 @@ from .graphs import (
     MAX_VERTICES,
     RED,
     CorrelationGraph,
+    EdgeColor,
     FormatError,
     _check_ids,
     _check_vertex_count,
@@ -67,14 +71,19 @@ def _check_counts(n: int, k: int) -> None:
 class MulticutInstance:
     """Graph, terminal pairs, and split budget.  Immutable.
 
+    Stored as the incomplete correlation graph of its reduction,
+    ``_graph``, whose blue pairs are the edges and whose red pairs are the
+    terminal pairs, and the budget ``k``.  ``edges`` and ``terminals``
+    list those pairs afresh on each access, in O(pairs).
+
     The public constructor checks the vertex count and budget, and every
     pair: integer ids (not ``bool``) in range, no self-loop, no pair both
     an edge and a terminal pair.  ``ccvs_to_mcvs`` and the bulk ``mcvs``
-    reader, whose pairs are valid by construction, build through
-    ``_trusted``, which checks only the two counts.
+    reader, whose pairs are valid by construction, build through ``_of``,
+    which checks only the two counts and shares the graph it is given.
     """
 
-    __slots__ = ("n", "edges", "terminals", "k", "_adj")
+    __slots__ = ("_graph", "k")
 
     def __init__(
         self,
@@ -84,86 +93,61 @@ class MulticutInstance:
         k: int,
     ):
         _check_counts(n, k)
-        edge_set = set()
+        labels: dict[tuple[int, int], EdgeColor] = {}
         for u, v in edges:
             _check_ids(u, v, n)
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
-            edge_set.add(_pair(u, v))
-        term_set = set()
+            labels[_pair(u, v)] = BLUE
+        overlap = False
         for u, v in terminals:
             _check_ids(u, v, n, "terminal pair")
             if u == v:
                 raise ValueError(f"terminal pair ({u},{u}) is degenerate")
-            term_set.add(_pair(u, v))
-        if edge_set & term_set:
+            overlap |= labels.setdefault(_pair(u, v), RED) is BLUE
+        if overlap:
             raise ValueError("terminal pairs must not be edges")
-        self._build(n, edge_set, term_set, k)
+        object.__setattr__(self, "_graph", CorrelationGraph._trusted(n, labels, False))
+        object.__setattr__(self, "k", k)
 
     @classmethod
-    def _trusted(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        terminals: Iterable[tuple[int, int]],
-        k: int,
-    ) -> "MulticutInstance":
-        """An instance from pairs that are valid by construction.
-
-        Edges and terminal pairs are (u, v) with 0 <= u < v < n, and no
-        pair is both; only the vertex count and budget are checked.
-        """
-        _check_counts(n, k)
+    def _of(cls, g: CorrelationGraph, k: int) -> "MulticutInstance":
+        """The instance of an incomplete graph and a budget; g is shared, not copied."""
+        _check_counts(g.n, k)
         inst = object.__new__(cls)
-        inst._build(n, edges, terminals, k)
+        object.__setattr__(inst, "_graph", g)
+        object.__setattr__(inst, "k", k)
         return inst
-
-    def _build(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        terminals: Iterable[tuple[int, int]],
-        k: int,
-    ) -> None:
-        edges = frozenset(edges)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "terminals", frozenset(terminals))
-        object.__setattr__(self, "k", k)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for row in adj:
-            row.sort()
-        object.__setattr__(self, "_adj", adj)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MulticutInstance is immutable")
 
+    @property
+    def n(self) -> int:
+        return self._graph.n
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(p for p, c in self._graph._labels.items() if c is BLUE)
+
+    @property
+    def terminals(self) -> frozenset[tuple[int, int]]:
+        return frozenset(p for p, c in self._graph._labels.items() if c is RED)
+
     def neighbors(self, v: int) -> list[int]:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return list(self._adj[v])
+        return self._graph.blue_neighbors(v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MulticutInstance):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.edges == other.edges
-            and self.terminals == other.terminals
-            and self.k == other.k
-        )
+        return self._graph == other._graph and self.k == other.k
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges, self.terminals, self.k))
+        return hash((self._graph, self.k))
 
     def __repr__(self) -> str:
-        return (
-            f"MulticutInstance(n={self.n}, {len(self.edges)} edges, "
-            f"{len(self.terminals)} terminals, k={self.k})"
-        )
+        m, t = self._graph.count_colors()
+        return f"MulticutInstance(n={self.n}, {m} edges, {t} terminals, k={self.k})"
 
 
 class MulticutSolution:
@@ -235,10 +219,11 @@ def _realize(inst: MulticutInstance, sol: MulticutSolution) -> RealizedGraph:
     """The split graph of a solution (see the module docstring).
 
     Raises ValueError when a split vertex is out of range or its parts do
-    not cover exactly its neighborhood.  One unsorted pass over the edges
-    and one over the terminal pairs: O(n + m + t + split neighborhoods) for
-    m edges and t terminal pairs, with no sort.
+    not cover exactly its neighborhood.  One unsorted pass over the
+    instance's pairs: O(n + m + t + split neighborhoods) for m edges and t
+    terminal pairs, with no sort.
     """
+    g = inst._graph
     split_parts = dict(sol.splits)
     ancestors: list[int] = []
     plain: list[int] = []  # the copy of each unsplit vertex, -1 if split
@@ -252,7 +237,7 @@ def _realize(inst: MulticutInstance, sol: MulticutSolution) -> RealizedGraph:
             plain.append(len(ancestors))
             ancestors.append(v)
             continue
-        if set().union(*parts) != set(inst._adj[v]):
+        if set().union(*parts) != set(g._blue_adj[v]):
             raise ValueError(f"parts of {v} must cover exactly its neighborhood")
         plain.append(-1)
         for part in parts:
@@ -262,16 +247,15 @@ def _realize(inst: MulticutInstance, sol: MulticutSolution) -> RealizedGraph:
     # copies are numbered by vertex, so a pair u < v keeps its order, and
     # an edge and a terminal pair never land on one pair of copies
     labels = {}
-    for u, v in inst.edges:
+    for (u, v), c in g._labels.items():
         d1, d2 = plain[u], plain[v]
-        if d1 < 0:
-            d1 = owner[u, v]
-        if d2 < 0:
-            d2 = owner[v, u]
-        labels[d1, d2] = BLUE
-    for u, v in inst.terminals:
-        d1, d2 = plain[u], plain[v]
-        if d1 >= 0 and d2 >= 0:
+        if c is BLUE:
+            if d1 < 0:
+                d1 = owner[u, v]
+            if d2 < 0:
+                d2 = owner[v, u]
+            labels[d1, d2] = BLUE
+        elif d1 >= 0 and d2 >= 0:
             labels[d1, d2] = RED
     base = CorrelationGraph._trusted(len(ancestors), labels, False)
     return RealizedGraph(base, ancestors, inst.n)
@@ -292,12 +276,12 @@ _MAX_LISTED_RED_PAIRS = 1_000_000
 def ccvs_to_mcvs(g: CorrelationGraph, k: int) -> MulticutInstance:
     """Blue pairs become edges, red pairs become terminal pairs.
 
-    The pairs of a graph are valid by construction; only the budget and
-    vertex count are checked.  O(n + stored pairs + red pairs).  A complete
-    graph with more than ``_MAX_LISTED_RED_PAIRS`` red pairs raises
-    ``ValueError`` before any pair is listed.
+    Only the budget and vertex count are checked.  An incomplete graph is
+    the instance's own graph, shared in O(1).  A complete graph's red pairs
+    are listed into one incomplete graph, in O(n + n^2); one with more than
+    ``_MAX_LISTED_RED_PAIRS`` red pairs raises ``ValueError`` before any
+    pair is listed.
     """
-    labels = g._labels
     if g.complete:
         red_count = g.count_colors()[1]
         if red_count > _MAX_LISTED_RED_PAIRS:
@@ -305,21 +289,18 @@ def ccvs_to_mcvs(g: CorrelationGraph, k: int) -> MulticutInstance:
                 f"complete graph has {red_count} red pairs; ccvs_to_mcvs lists "
                 f"at most {_MAX_LISTED_RED_PAIRS} terminal pairs"
             )
-        terminals = g.red_edges()
-    else:
-        terminals = [p for p, c in labels.items() if c is RED]
-    edges = [p for p, c in labels.items() if c is BLUE]
-    return MulticutInstance._trusted(g.n, edges, terminals, k)
+        labels = dict(g._labels)
+        labels.update(zip(g.red_edges(), repeat(RED)))
+        g = CorrelationGraph._trusted(g.n, labels, False)
+    return MulticutInstance._of(g, k)
 
 
 def mcvs_to_ccvs(inst: MulticutInstance) -> tuple[CorrelationGraph, int]:
     """Edges become blue pairs, terminal pairs red; the rest is neutral.
 
-    The pairs of an instance are valid by construction and are not checked.
+    That graph is the instance's own, returned as is in O(1).
     """
-    labels = dict.fromkeys(inst.edges, BLUE)
-    labels.update(dict.fromkeys(inst.terminals, RED))
-    return CorrelationGraph._trusted(inst.n, labels, False), inst.k
+    return inst._graph, inst.k
 
 
 def clustering_to_multicut_solution(
@@ -369,7 +350,11 @@ def multicut_solution_to_clustering(
     # so the clusters resolve it; only pairs touching a split vertex are passed
     split = sol.split_vertices
     clusters = _component_clusters(r.ancestors, components)
-    pairs = sorted(p for p in inst.terminals if p[0] in split or p[1] in split)
+    pairs = sorted(
+        p
+        for p, c in inst._graph._labels.items()
+        if c is RED and (p[0] in split or p[1] in split)
+    )
     return _add_singletons(clusters, inst.n, pairs, split)
 
 
@@ -383,12 +368,12 @@ def _bulk_instance(data: bytes | str) -> MulticutInstance | None:
     """The instance of a document exactly as ``write_multicut_instance`` emits it.
 
     The body must be m e lines, then t t lines, as the header counts them;
-    ``_pair_columns`` checks and splits them, and the edge and terminal
-    sets are built in one call each.  Anything else, such as comments, a t
-    line before an e line, a pair listed twice, a pair that is both an
-    edge and a terminal pair or counts that differ from the header, gives
-    None and is left to ``_parse_instance_lines``, which names its faults.
-    Never raises.  O(n + document length).
+    ``_pair_columns`` checks and splits them, and one label dict takes the
+    edges blue and then the terminal pairs red.  Anything else, such as
+    comments, a t line before an e line, a pair listed twice, a pair that
+    is both an edge and a terminal pair or counts that differ from the
+    header, gives None and is left to ``_parse_instance_lines``, which
+    names its faults.  Never raises.  O(n + document length).
     """
     if not isinstance(data, bytes):
         return None
@@ -404,11 +389,11 @@ def _bulk_instance(data: bytes | str) -> MulticutInstance | None:
     if columns is None:
         return None
     pairs = zip(columns[0], columns[1])
-    edges = frozenset(islice(pairs, m))
-    terminals = frozenset(pairs)
-    if len(edges) != m or len(terminals) != t or not edges.isdisjoint(terminals):
+    labels = dict.fromkeys(islice(pairs, m), BLUE)
+    labels.update(dict.fromkeys(pairs, RED))
+    if len(labels) != m + t:  # a pair listed twice, as edge or terminal pair
         return None
-    return MulticutInstance._trusted(n, edges, terminals, k)
+    return MulticutInstance._of(CorrelationGraph._trusted(n, labels, False), k)
 
 
 def parse_multicut_instance(data: bytes | str) -> MulticutInstance:
@@ -438,28 +423,33 @@ def _parse_instance_lines(data: bytes | str) -> MulticutInstance:
         inst = MulticutInstance(n, pairs["e"], pairs["t"], k)
     except ValueError as exc:
         raise FormatError(f"inconsistent instance: {exc}") from None
-    if len(inst.edges) != m:
-        raise FormatError(f"header says {m} edges, found {len(inst.edges)}")
-    if len(inst.terminals) != t:
-        raise FormatError(f"header says {t} terminal pairs, found {len(inst.terminals)}")
+    found_m, found_t = inst._graph.count_colors()
+    if found_m != m:
+        raise FormatError(f"header says {m} edges, found {found_m}")
+    if found_t != t:
+        raise FormatError(f"header says {t} terminal pairs, found {found_t}")
     return inst
 
 
 def write_multicut_instance(inst: MulticutInstance) -> bytes:
     """Canonical ``mcvs`` form: sorted e lines, then sorted t lines.
 
-    Edges are read off the sorted adjacency lists, terminal pairs off
-    sorted rows of ints, one per smaller id, so no tuple is sorted:
-    O(n + m + t log d) for m edges, t terminal pairs, rows of at most d.
+    Edges are read off the graph's sorted blue adjacency lists, terminal
+    pairs off sorted rows of ints, one per smaller id, so no tuple is
+    sorted: O(n + m + t log d) for m edges, t terminal pairs, rows of at
+    most d.
     """
-    names = list(map(str, range(inst.n)))
-    rows: list[list[int]] = [[] for _ in range(inst.n)]
-    for u, v in inst.terminals:
-        rows[u].append(v)
+    g = inst._graph
+    names = list(map(str, range(g.n)))
+    rows: list[list[int]] = [[] for _ in range(g.n)]
+    for (u, v), c in g._labels.items():
+        if c is RED:
+            rows[u].append(v)
     for row in rows:
         row.sort()
-    out = [f"mcvs {inst.n} {len(inst.edges)} {len(inst.terminals)} {inst.k}\n"]
-    out += _pair_lines(inst._adj, names, "e", names)
+    t = sum(map(len, rows))
+    out = [f"mcvs {g.n} {len(g._labels) - t} {t} {inst.k}\n"]
+    out += _pair_lines(g._blue_adj, names, "e", names)
     out += _pair_lines(rows, names, "t", names)
     return "".join(out).encode()
 

@@ -376,7 +376,7 @@ SEVERAL_FAULTS = {
 
 def _adjacency(parsed):
     # ``==`` compares what the writers emit; the adjacency lists are built apart
-    return parsed._blue_adj if isinstance(parsed, CorrelationGraph) else parsed._adj
+    return (parsed if isinstance(parsed, CorrelationGraph) else parsed._graph)._blue_adj
 
 
 def _outcome(parse, data):
@@ -736,7 +736,7 @@ def test_writer_output_is_read_in_bulk(monkeypatch):
         assert _outcome(parse_graph, write_graph(g)) == (g, g._blue_adj)
     for inst in instances:
         data = write_multicut_instance(inst)
-        assert _outcome(parse_multicut_instance, data) == (inst, inst._adj)
+        assert _outcome(parse_multicut_instance, data) == (inst, inst._graph._blue_adj)
     with pytest.raises(AssertionError):
         parse_graph(b"ccg 3 complete\ne 1 0 b\n")
 
@@ -782,13 +782,16 @@ def test_writers_match_sorting_writers():
         assert write_multicut_instance(inst) == sorting_write_multicut_instance(inst)
         assert parse_multicut_instance(write_multicut_instance(inst)) == inst
         cases += bool(pairs)
-    # pairs stored in hash order, where the sorting writers sort tuples
+    # pairs stored in hash order, where the sorting writers sort tuples: the
+    # constructor stores them in the order of the frozensets it is given
     for g, f in (planted(200, 7, 6, 0, seed=2), planted_incomplete(50, 4, seed=2)):
         inst = ccvs_to_mcvs(g, 4)
         read = parse_multicut_instance(write_multicut_instance(inst))
-        for h in (g, mcvs_to_ccvs(read)[0], clustering_to_splits(g, f).base):
+        hashed = MulticutInstance(g.n, inst.edges, inst.terminals, 4)
+        graphs = [mcvs_to_ccvs(i)[0] for i in (read, hashed)]
+        for h in (g, *graphs, clustering_to_splits(g, f).base):
             assert write_graph(h) == sorting_write_graph(h)
-        for i in (inst, read):
+        for i in (inst, read, hashed):
             assert write_multicut_instance(i) == sorting_write_multicut_instance(i)
     assert cases >= 70
 

@@ -123,6 +123,23 @@ def test_vertex_cover_gadget_frozen():
         gen_vertex_cover_gadget(PlainGraph(2, []), -1)
 
 
+def test_vertex_cover_gadget_checks_budget_first():
+    for bad in (-1, 1.5, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            gen_vertex_cover_gadget(PlainGraph(2, []), bad)
+    # over the cap it fails before listing the (cap + 1)^2 / 2 pairs; edges
+    # that refuse lookups stop a gadget that lists them at the first pair
+    class Unlisted:
+        def __contains__(self, pair):
+            raise AssertionError("a pair was listed before the cap check")
+
+    over = PlainGraph(3, [(0, 1)])
+    object.__setattr__(over, "edges", Unlisted())
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        gen_vertex_cover_gadget(over, MAX_VERTICES - 3)
+    assert gen_vertex_cover_gadget(PlainGraph(0, []), 2).n == 3
+
+
 def test_vertex_cover_gadget_decides_cover():
     graphs = [
         PlainGraph(4, []),

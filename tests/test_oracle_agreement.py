@@ -29,6 +29,7 @@ from splitclust import (
     Clustering,
     CorrelationGraph,
     Kernelized,
+    MulticutInstance,
     MulticutSolution,
     NoInstance,
     RealizedGraph,
@@ -59,7 +60,7 @@ from splitclust import (
     write_multicut_instance,
 )
 from splitclust.graphs import _parse_graph_lines
-from splitclust.multicut import _parse_instance_lines, _realize
+from splitclust.multicut import _bulk_instance, _parse_instance_lines, _realize
 from oracles import (
     _separates,
     _split_choices,
@@ -600,7 +601,8 @@ def graph_fields(g: CorrelationGraph):
 
 
 def instance_fields(inst):
-    return inst.n, inst.edges, inst.terminals, inst.k, inst._adj
+    """Everything an instance stores: its graph's fields and its budget."""
+    return graph_fields(inst._graph), inst.k
 
 
 def edge_clustering(g: CorrelationGraph) -> Clustering:
@@ -639,6 +641,8 @@ def test_trusted_builders_match_checked_references():
         back, budget = mcvs_to_ccvs(inst)
         ref, ref_budget = checked_mcvs_to_ccvs(inst)
         assert graph_fields(back) == graph_fields(ref) and budget == ref_budget == k
+        if not g.complete:
+            assert mcvs_to_ccvs(ccvs_to_mcvs(g, k))[0] is g
 
         sol = clustering_to_multicut_solution(g, f)
         r = _realize(inst, sol)
@@ -652,3 +656,10 @@ def test_trusted_builders_match_checked_references():
         assert instance_fields(parse_multicut_instance(doc)) == instance_fields(
             _parse_instance_lines(doc)
         )
+        built = [
+            MulticutInstance(g.n, g.blue_edges(), g.red_edges(), k),
+            _bulk_instance(doc),
+            _parse_instance_lines(doc),
+        ]
+        assert all(other == inst for other in built)
+        assert {hash(other) for other in built} == {hash(inst)}
