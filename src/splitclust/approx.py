@@ -52,65 +52,77 @@ def bipartite_min_vertex_cover(b: BipartiteGraph) -> frozenset:
     """Minimum vertex cover via maximum matching and alternating reachability.
 
     Deterministic for a fixed input ordering.  The cover size equals the
-    maximum matching size.
+    maximum matching size.  The matching is grown by Hopcroft and Karp's
+    phases, O(E sqrt V) in all: each phase layers the left vertices by a
+    breadth-first search from the unmatched ones, then augments along
+    vertex-disjoint shortest paths.  The cover is Koenig's: the left
+    vertices that no alternating path from an unmatched left vertex
+    reaches, and the right vertices that one reaches.  Those sets are the
+    same for every maximum matching, so the cover does not depend on
+    which one the phases find.
     """
     adj: dict = {l: [] for l in b.left}
-    seen_edges = set()
-    for l, r in b.edges:
-        if (l, r) not in seen_edges:
-            seen_edges.add((l, r))
-            adj[l].append(r)
+    for l, r in dict.fromkeys(b.edges):
+        adj[l].append(r)
     match_left: dict = {}
     match_right: dict = {}
-
-    def augment(root) -> bool:
-        # depth-first search for an augmenting path with an explicit stack:
+    while True:
+        # layer the left vertices: unmatched ones at 0, then across a
+        # non-matching edge and back along a matching edge, up to the first
+        # layer with an edge to an unmatched right vertex
+        free = [l for l in b.left if l not in match_left]
+        layer = dict.fromkeys(free, 0)
+        frontier = free
+        found = False
+        while frontier and not found:
+            deeper = []
+            for l in frontier:
+                for r in adj[l]:
+                    back = match_right.get(r)
+                    if back is None:
+                        found = True
+                    elif back not in layer:
+                        layer[back] = layer[l] + 1
+                        deeper.append(back)
+            frontier = deeper
+        if not found:
+            # the matching is maximum, and the layered left vertices are
+            # those that alternating paths from unmatched ones reach
+            reached = {r for l in layer for r in adj[l]}
+            cover = [l for l in b.left if l not in layer]
+            cover += [r for r in b.right if r in reached]
+            return frozenset(cover)
+        # depth-first search along the layers with an explicit stack:
         # stack[i] holds a left vertex and its untried edges, path[i] the
-        # right vertex through which stack[i + 1] was entered
-        visited: set = set()
-        stack = [(root, iter(adj[root]))]
-        path: list = []
-        while stack:
-            for r in stack[-1][1]:
-                if r in visited:
-                    continue
-                visited.add(r)
-                path.append(r)
-                if r not in match_right:
-                    for (left, _), right in zip(stack, path):
-                        match_left[left] = right
-                        match_right[right] = left
-                    return True
-                stack.append((match_right[r], iter(adj[match_right[r]])))
-                break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-        return False
-
-    for l in b.left:
-        if adj[l]:
-            augment(l)
-
-    # alternating reachability from unmatched left vertices: non-matching
-    # edges forward, matching edges back; cover = unreached left + reached right
-    reach_left = {l for l in b.left if l not in match_left}
-    reach_right: set = set()
-    frontier = list(reach_left)
-    while frontier:
-        l = frontier.pop()
-        for r in adj[l]:
-            if match_left.get(l) == r or r in reach_right:
-                continue
-            reach_right.add(r)
-            back = match_right.get(r)
-            if back is not None and back not in reach_left:
-                reach_left.add(back)
-                frontier.append(back)
-    cover = [l for l in b.left if l not in reach_left]
-    cover += [r for r in b.right if r in reach_right]
-    return frozenset(cover)
+        # right vertex through which stack[i + 1] was entered; a right
+        # vertex is entered at most once per phase, so the paths found are
+        # vertex-disjoint
+        used: set = set()
+        for root in free:
+            stack = [(root, iter(adj[root]))]
+            path: list = []
+            while stack:
+                l, untried = stack[-1]
+                for r in untried:
+                    if r in used:
+                        continue
+                    back = match_right.get(r)
+                    if back is not None and layer.get(back) != layer[l] + 1:
+                        continue
+                    used.add(r)
+                    path.append(r)
+                    if back is None:
+                        for (left, _), right in zip(stack, path):
+                            match_left[left] = right
+                            match_right[right] = left
+                        stack = []
+                    else:
+                        stack.append((back, iter(adj[back])))
+                    break
+                else:
+                    stack.pop()
+                    if path:
+                        path.pop()
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ def find_bad_triangle(
     order = range(g.n) if within is None else _check_vertices(within, g.n)
     alive = set(order)
     if g.complete:
-        return _scan(g, alive, order, 0, _twin_classes(g))[1]
+        return _scan(alive, order, 0, _twin_classes(g))[1]
     adj = g._blue_adj
     blue = list(map(set, adj))
     red: list[set[int]] = [set() for _ in range(g.n)]
@@ -115,32 +115,42 @@ def find_bad_triangle(
     return None
 
 
-# each vertex's class, each class's size and each class's N[c] as a set
-_TwinClasses = tuple[list[int], list[int], list[set[int]]]
+# each vertex's class, each class's blue neighbours outside it (sorted), and
+# each class's N[c] as a set
+_TwinClasses = tuple[list[int], list[list[int]], list[set[int]]]
 
 
 def _twin_classes(g: CorrelationGraph) -> _TwinClasses:
-    """Classes of the closed blue neighbourhoods: labels, sizes and sets.
+    """Classes of the closed blue neighbourhoods: labels, outside rows and sets.
 
     Vertices with the same N[v] = adj[v] + {v} are true twins: pairwise
-    blue, with the same blue neighbours elsewhere.  Every class also gets
-    its N[c] as one set, which serves all its members wherever a
-    per-vertex blue set would be read.  O(n + blue pairs), with one set
-    built per class and none per vertex.
+    blue, with the same blue neighbours elsewhere.  Every class c gets
+    ``others[c]``, the sorted blue neighbours outside c, which is the same
+    list for every member, and its N[c] as one set, which serves all its
+    members wherever a per-vertex blue set would be read.  A class of one
+    vertex shares that vertex's adjacency list as its row, which callers
+    must not change.  O(n + blue pairs): one tuple per vertex to label it,
+    then one set per class and one pass over a member's row per class of
+    two or more, none per vertex.
     """
     ids: dict[tuple[int, ...], int] = {}
     label = []
+    others: list[list[int]] = []  # the first member's row until a twin shows up
+    shared = set()  # classes with two or more members
     for v, row in enumerate(g._blue_adj):
         i = bisect_left(row, v)  # N[v] as a sorted tuple; cheaper than a frozenset
-        label.append(ids.setdefault((*row[:i], v, *row[i:]), len(ids)))
-    size = [0] * len(ids)
-    for c in label:
-        size[c] += 1
-    return label, size, list(map(set, ids))
+        c = ids.setdefault((*row[:i], v, *row[i:]), len(ids))
+        if c == len(others):
+            others.append(row)
+        else:
+            shared.add(c)
+        label.append(c)
+    for c in shared:
+        others[c] = [w for w in others[c] if label[w] != c]
+    return label, others, list(map(set, ids))
 
 
 def _scan(
-    g: CorrelationGraph,
     alive: set[int],
     order: Sequence[int],
     start: int,
@@ -154,27 +164,25 @@ def _scan(
 
     The graph is complete, and ``twins`` comes from ``_twin_classes`` on
     the whole graph; every set is read off the classes: since v lies in
-    N[u], the closing set is N[v] - N[u].  A u whose class is all of N[u]
-    spans an isolated blue clique, which no bad triangle touches, and is
-    skipped outright.  A neighbour v in u's class has N[v] = N[u], so its
-    closing set is empty.  A set that is empty on the whole graph stays
-    empty on the alive vertices, so every result is the triangle the plain
-    scan finds.  After O(n + blue pairs) to label the classes, each u
-    costs O(deg u) plus one set difference per neighbour outside its
-    class.
+    N[u], the closing set is N[v] - N[u].  A neighbour v in u's class has
+    N[v] = N[u], so its closing set is empty, and only the neighbours in
+    ``others`` of u's class are tried.  A u whose class has no such
+    neighbour spans an isolated blue clique, which no bad triangle
+    touches, and is skipped outright.  A set that is empty on the whole
+    graph stays empty on the alive vertices, so every result is the
+    triangle the plain scan finds.  After O(n + blue pairs) to label the
+    classes, each u costs O(|others|) of its class plus one set difference
+    per alive neighbour in it.
     """
-    adj = g._blue_adj
-    label, size, closed = twins
+    label, others, closed = twins
     for i in range(start, len(order)):
         u = order[i]
         if u not in alive:
             continue
         cu = label[u]
-        if size[cu] == len(adj[u]) + 1:
-            continue  # N[u] is one class: an isolated blue clique
         not_red = closed[cu]
-        for v in adj[u]:
-            if v not in alive or label[v] == cu:
+        for v in others[cu]:  # empty when N[u] is an isolated blue clique
+            if v not in alive:
                 continue
             closing = closed[label[v]] - not_red
             if closing:
@@ -197,10 +205,12 @@ def maximal_bad_star_forest(g: CorrelationGraph) -> BadStarForest:
     Removing vertices creates no bad triangle, so the first vertex of the
     smallest one only moves forward and one scan, resumed after each star,
     finds them all.  It labels the twin classes once, in O(n + blue pairs),
-    and then takes set differences only between non-twin neighbours (see
+    and then each vertex walks only its class's row of blue neighbours
+    outside the class, with one set difference per alive one (see
     ``_scan``): near-linear when most vertices have a true twin, as on
-    graphs close to a cluster graph.  Star growth walks the center's blue
-    neighbours, O(n + blue pairs) in all.
+    graphs close to a cluster graph, and nothing at all for a vertex of an
+    isolated blue clique.  Star growth walks the center's blue neighbours,
+    O(n + blue pairs) in all.
     """
     if not g.complete:
         raise ValueError("bad star forests are defined on complete graphs")
@@ -214,7 +224,9 @@ def _greedy_stars(g: CorrelationGraph, twins: _TwinClasses, first: int) -> list[
     every ``first``: ``_scan`` gives on any alive subset the triangle that
     the scan of that induced subgraph gives, and star growth only takes
     unused vertices.  The stars are those of
-    ``maximal_bad_star_forest(G[{first..n-1}])`` in g's ids.
+    ``maximal_bad_star_forest(G[{first..n-1}])`` in g's ids.  One resumed
+    scan reads each vertex's class row once, O(n - first + the rows' total
+    length) plus the set differences, and star growth O(n + blue pairs).
     """
     adj = g._blue_adj
     label, _, closed = twins
@@ -222,7 +234,7 @@ def _greedy_stars(g: CorrelationGraph, twins: _TwinClasses, first: int) -> list[
     stars: list[BadStar] = []
     i = first
     while True:
-        i, triangle = _scan(g, unused, range(g.n), i, twins)
+        i, triangle = _scan(unused, range(g.n), i, twins)
         if triangle is None:
             return stars
         u, center, w = triangle

@@ -96,7 +96,9 @@ class CorrelationGraph:
     ``induced_subgraph``, split graphs, the graphs that store multicut
     instances) builds through ``_trusted`` instead, which skips those
     per-pair checks.  Both end in ``_build``, the one place that stores
-    the labels and builds the sorted blue adjacency lists.
+    the labels and the sorted blue adjacency lists; it builds the lists
+    unless the caller already holds them, as complete ``induced_subgraph``
+    does.
     """
 
     __slots__ = ("n", "complete", "_labels", "_blue_adj")
@@ -133,33 +135,44 @@ class CorrelationGraph:
 
     @classmethod
     def _trusted(
-        cls, n: int, labels: dict[tuple[int, int], EdgeColor], complete: bool
+        cls,
+        n: int,
+        labels: dict[tuple[int, int], EdgeColor],
+        complete: bool,
+        adj: list[list[int]] | None = None,
     ) -> "CorrelationGraph":
         """A graph built from pairs that are valid by construction.
 
         ``labels`` maps pairs (u, v) with 0 <= u < v < n to a colour of the
         graph's kind, and holds no default-coloured pair; it is stored, not
         copied, and nothing is checked but the vertex count (split graphs
-        can outgrow the cap).  O(n + stored pairs), with no per-pair check.
+        can outgrow the cap).  ``adj``, when given, must be the sorted blue
+        adjacency lists of ``labels`` and is stored as they are; otherwise
+        they are built.  O(n + stored pairs), with no per-pair check.
         """
         _check_vertex_count(n)
         g = object.__new__(cls)
-        g._build(n, labels, complete)
+        g._build(n, labels, complete, adj)
         return g
 
     def _build(
-        self, n: int, labels: dict[tuple[int, int], EdgeColor], complete: bool
+        self,
+        n: int,
+        labels: dict[tuple[int, int], EdgeColor],
+        complete: bool,
+        adj: list[list[int]] | None = None,
     ) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "complete", complete)
         object.__setattr__(self, "_labels", labels)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for (u, v), c in labels.items():
-            if c is BLUE:
-                adj[u].append(v)
-                adj[v].append(u)
-        for row in adj:
-            row.sort()
+        if adj is None:
+            adj = [[] for _ in range(n)]
+            for (u, v), c in labels.items():
+                if c is BLUE:
+                    adj[u].append(v)
+                    adj[v].append(u)
+            for row in adj:
+                row.sort()
         object.__setattr__(self, "_blue_adj", adj)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -207,9 +220,28 @@ class CorrelationGraph:
         Returns the subgraph and the sorted tuple mapping new ids to old.
         The vertices must be integer ids in range; the kept pairs are not
         checked again, because re-indexing in sorted order keeps them valid
-        and u < v.  O(n + stored pairs).
+        and u < v.  A complete graph maps each kept vertex's sorted blue row
+        through an index list; the mapped rows stay sorted because the kept
+        ids ascend, so they are stored as the subgraph's adjacency lists,
+        and the label dict is read off them, one tuple per kept pair:
+        O(n + the kept vertices' degrees).  An incomplete graph filters its
+        stored pairs: O(n + stored pairs).
         """
         keep = _check_vertices(vertices, self.n)
+        if self.complete:
+            new_id: list[int | None] = [None] * self.n
+            for new, old in enumerate(keep):
+                new_id[old] = new
+            adj = self._blue_adj
+            rows = [
+                [x for x in map(new_id.__getitem__, adj[old]) if x is not None]
+                for old in keep
+            ]
+            labels = dict.fromkeys(
+                [(u, x) for u, row in enumerate(rows) for x in row[bisect_right(row, u) :]],
+                BLUE,
+            )
+            return CorrelationGraph._trusted(len(keep), labels, True, rows), tuple(keep)
         index = {old: new for new, old in enumerate(keep)}
         labels = {
             (index[u], index[v]): c

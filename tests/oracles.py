@@ -11,7 +11,8 @@ The pair-by-pair references at the end are the package's original,
 straightforward versions of routines that now run on neighbour sets: the
 greedy bad star forest that rescans from vertex 0 for every star, the
 pairwise clustering check, the clique test over all member pairs, the
-recursive augmenting-path matching, the split graph of a clustering
+recursive and the stack-based augmenting-path matchings (one search per
+left vertex, before Hopcroft-Karp phases), the split graph of a clustering
 built over all descendant pairs, and the clustering read off a split graph
 by repairing every red ancestor pair (or, for a multicut solution, every
 terminal pair), and the kernel's parts found by separate component and
@@ -396,6 +397,65 @@ def recursive_min_vertex_cover(left, right, edges) -> frozenset:
     for l in left:
         if adj[l]:
             augment(l, set())
+    reach_left = {l for l in left if l not in match_left}
+    reach_right: set = set()
+    frontier = list(reach_left)
+    while frontier:
+        l = frontier.pop()
+        for r in adj[l]:
+            if match_left.get(l) == r or r in reach_right:
+                continue
+            reach_right.add(r)
+            back = match_right.get(r)
+            if back is not None and back not in reach_left:
+                reach_left.add(back)
+                frontier.append(back)
+    return frozenset(
+        [l for l in left if l not in reach_left] + [r for r in right if r in reach_right]
+    )
+
+
+def augmenting_min_vertex_cover(left, right, edges) -> frozenset:
+    """Minimum vertex cover by one augmenting-path search per left vertex.
+
+    Each search is depth-first with an explicit stack, so long alternating
+    chains raise no ``RecursionError``; a chain of p pairs costs O(p^2).
+    Then Koenig's sets, read off alternating reachability.
+    """
+    adj: dict = {l: [] for l in left}
+    for l, r in dict.fromkeys(edges):
+        adj[l].append(r)
+    match_left: dict = {}
+    match_right: dict = {}
+
+    def augment(root) -> bool:
+        # stack[i] holds a left vertex and its untried edges, path[i] the
+        # right vertex through which stack[i + 1] was entered
+        visited: set = set()
+        stack = [(root, iter(adj[root]))]
+        path: list = []
+        while stack:
+            for r in stack[-1][1]:
+                if r in visited:
+                    continue
+                visited.add(r)
+                path.append(r)
+                if r not in match_right:
+                    for (l, _), matched in zip(stack, path):
+                        match_left[l] = matched
+                        match_right[matched] = l
+                    return True
+                stack.append((match_right[r], iter(adj[match_right[r]])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+        return False
+
+    for l in left:
+        if adj[l]:
+            augment(l)
     reach_left = {l for l in left if l not in match_left}
     reach_right: set = set()
     frontier = list(reach_left)

@@ -7,14 +7,19 @@ straightforward versions compute them, order included, on random and
 planted graphs.  Both translations of an invalid clustering must refuse
 it with the pairwise report.  Forests and bad triangles are also checked
 on twin-rich graphs, where the scan skips twins, and so is ``approximate``
-against the first cheapest of all assembled candidates.  The kernel's
-isolated, kept and marked cliques and its many-cliques witness must match
-the reference that rescans the forest vertices for every clique.
+against the first cheapest of all assembled candidates; each twin class's
+row of outside neighbours must be every member's blue row without the
+class.  The kernel's isolated, kept and marked cliques and its
+many-cliques witness must match the reference that rescans the forest
+vertices for every clique.
 Erroneous-cycle tests and multicut verification, which label blue
 components, must agree with union-find references.  The builders that
 skip the public constructors' pair checks must give the same graphs and
 instances, adjacency lists included, as the checked references that pass
-every pair through those constructors.
+every pair through those constructors; on complete graphs that includes
+the kernel graphs of planted graphs of the benchmark's sizes.  The
+Hopcroft-Karp vertex cover must equal the covers of the recursive and the
+stack-based augmenting-path matchings.
 """
 
 from __future__ import annotations
@@ -59,12 +64,14 @@ from splitclust import (
     write_graph,
     write_multicut_instance,
 )
+from splitclust.detect import _twin_classes
 from splitclust.graphs import _parse_graph_lines
 from splitclust.multicut import _bulk_instance, _parse_instance_lines, _realize
 from oracles import (
     _separates,
     _split_choices,
     _UnionFind,
+    augmenting_min_vertex_cover,
     checked_ccvs_to_mcvs,
     checked_induced_subgraph,
     checked_mcvs_to_ccvs,
@@ -224,6 +231,26 @@ def test_bad_triangle_matches_reference_on_twin_rich(blown_up, seed, data):
     g = twin_rich(blown_up, seed, data)
     within = data.draw(st.none() | st.sets(st.integers(0, g.n - 1)))
     assert find_bad_triangle(g, within) == first_bad_triangle(g, within)
+
+
+def check_twin_rows(g: CorrelationGraph) -> None:
+    """Each class's ``others`` row is every member's blue row without the class."""
+    label, others, closed = _twin_classes(g)
+    adj = g._blue_adj
+    for u in range(g.n):
+        assert others[label[u]] == [v for v in adj[u] if label[v] != label[u]]
+        assert closed[label[u]] == {u, *adj[u]}
+
+
+@given(st.booleans(), st.integers(0, 10_000), st.data())
+@settings(max_examples=100, deadline=None)
+def test_twin_class_rows_match_adjacency(blown_up, seed, data):
+    check_twin_rows(twin_rich(blown_up, seed, data))
+    n = data.draw(st.integers(1, 30))
+    p_blue = data.draw(P_BLUE)
+    check_twin_rows(gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed))
+    n = data.draw(st.integers(10, 80))
+    check_twin_rows(planted(n, data.draw(st.integers(1, 6)), n // 8, 0, seed)[0])
 
 
 @given(st.booleans(), st.integers(0, 10_000), st.data())
@@ -392,6 +419,35 @@ def test_iterative_cover_matches_recursive(data):
     assert bipartite_min_vertex_cover(
         BipartiteGraph(left, right, edges)
     ) == recursive_min_vertex_cover(left, right, edges)
+
+
+def test_hopcroft_karp_cover_matches_augmenting_paths():
+    """Random bipartite graphs up to 40 + 40 vertices, duplicate edges included.
+
+    The cover is read off alternating reachability, which is the same for
+    every maximum matching, so Hopcroft-Karp phases and one augmenting
+    search per left vertex give the same set.
+    """
+    for seed in range(300):
+        rng = random.Random(seed)
+        left = [f"l{i}" for i in range(rng.randint(0, 40))]
+        right = [f"r{i}" for i in range(rng.randint(0, 40))]
+        rng.shuffle(left)
+        p = rng.choice([0.02, 0.05, 0.1, 0.3, 0.7])
+        edges = [(l, r) for l in left for r in right if rng.random() < p]
+        edges += rng.sample(edges, min(len(edges), 3))
+        rng.shuffle(edges)
+        b = BipartiteGraph(tuple(left), tuple(right), tuple(edges))
+        assert bipartite_min_vertex_cover(b) == augmenting_min_vertex_cover(left, right, edges)
+    for pairs in (1, 2, 50, 200):
+        for tail in (False, True):
+            # a path l0 r0 l1 r1 ..., each l[i + 1] listing r[i] first
+            left = list(range(pairs + tail))
+            right = [-1 - i for i in range(pairs)]
+            edges = [(left[i + 1], right[i]) for i in range(len(left) - 1)]
+            edges += [(left[i], right[i]) for i in range(pairs)]
+            b = BipartiteGraph(tuple(left), tuple(right), tuple(edges))
+            assert bipartite_min_vertex_cover(b) == augmenting_min_vertex_cover(left, right, edges)
 
 
 def with_overlaps(f: Clustering, n: int, rng: random.Random) -> Clustering:
@@ -608,6 +664,27 @@ def instance_fields(inst):
 def edge_clustering(g: CorrelationGraph) -> Clustering:
     """One cluster per blue pair and one singleton per vertex: valid for any graph."""
     return Clustering([*map(set, g.blue_edges()), *([v] for v in range(g.n))])
+
+
+@pytest.mark.parametrize("n, seed", [(200, 1), (200, 2), (500, 1), (500, 2)])
+def test_complete_induced_subgraph_matches_checked_reference_on_kernels(n, seed):
+    """The kernel's keep set of a planted graph of the benchmark's sizes.
+
+    The keep set also goes in shuffled with duplicates and as a set; the
+    mapped adjacency rows must equal those the constructor builds.
+    """
+    g = planted(n, n // 30, n // 70, 0, seed)[0]
+    result = kernelize(g, cost(approximate(g), n))
+    assert isinstance(result, Kernelized)
+    keep = list(result.transcript.id_map)
+    assert 0 < len(keep) < n
+    shuffled = keep + keep[::3]
+    random.Random(seed).shuffle(shuffled)
+    ref, ref_map = checked_induced_subgraph(g, keep)
+    for given_keep in (keep, shuffled, set(keep)):
+        sub, id_map = g.induced_subgraph(given_keep)
+        assert graph_fields(sub) == graph_fields(ref) and id_map == ref_map
+    assert graph_fields(result.graph) == graph_fields(ref)
 
 
 def test_trusted_builders_match_checked_references():
