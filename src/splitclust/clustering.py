@@ -18,7 +18,7 @@ directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Container, Iterable
+from collections.abc import Container, Iterable, Sequence
 from itertools import chain, combinations
 
 from .graphs import (
@@ -467,7 +467,7 @@ def splits_to_clustering(r: RealizedGraph) -> Clustering:
 
 
 def _component_clusters(
-    ancestors: tuple[int, ...], components: list[list[int]]
+    ancestors: Sequence[int], components: list[list[int]]
 ) -> list[frozenset[int]]:
     """Ancestor sets of a split graph's blue components, duplicates merged, in order."""
     return list(

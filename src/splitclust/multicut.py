@@ -15,30 +15,30 @@ incomplete graph and ``mcvs_to_ccvs`` share the graph and copy no pair.
 The translations below convert solutions in both directions without
 raising the cost.
 
-``verify_multicut_solution`` and ``multicut_solution_to_clustering`` both
-build the split graph of a solution: an incomplete correlation graph with
-one copy of each unsplit vertex and one copy per part of each split,
-numbered by vertex and then by part.  Each edge is blue between the two
-copies that keep it, and each terminal pair of two unsplit vertices is red.
-The solution separates its instance exactly when this graph has no
-erroneous cycle, and the ancestor sets of its blue components are the
-clusters read off the solution.
+The split graph of a solution is an incomplete correlation graph with one
+copy of each unsplit vertex and one copy per part of each split, numbered
+by vertex and then by part.  Each edge is blue between the two copies
+that keep it, and each terminal pair of two unsplit vertices is red.  The
+solution separates its instance exactly when this graph has no erroneous
+cycle, that is, when no such red pair lies within one blue component, and
+the ancestor sets of its blue components are the clusters read off the
+solution.  So ``verify_multicut_solution`` and
+``multicut_solution_to_clustering`` need only those components: they
+label them straight from the instance's adjacency lists and the parts,
+and never build the split graph.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 from itertools import islice, repeat
 
 from .clustering import (
     Clustering,
-    RealizedGraph,
     _add_singletons,
     _component_clusters,
-    _consistent_components,
     _violations,
-    has_erroneous_cycle,
 )
 from .graphs import (
     BLUE,
@@ -215,55 +215,85 @@ class MulticutSolution:
         return f"MulticutSolution({len(self.splits)} splits, cost {self.cost})"
 
 
-def _realize(inst: MulticutInstance, sol: MulticutSolution) -> RealizedGraph:
-    """The split graph of a solution (see the module docstring).
+def _split_components(
+    inst: MulticutInstance, sol: MulticutSolution
+) -> tuple[list[int], list[list[int]], list[tuple[int, int]] | None]:
+    """The blue components of a solution's split graph, without building it.
+
+    Returns the copies' ancestors, the components and the terminal pairs
+    that touch a split vertex, sorted; the pairs are None when a terminal
+    pair of two unsplit vertices lies within one component, so that the
+    solution does not separate the instance.  Copies are numbered as in
+    the split graph (see the module docstring), and the components are
+    ordered by smallest copy, with sorted members, as ``blue_components``
+    gives them.
 
     Raises ValueError when a split vertex is out of range or its parts do
-    not cover exactly its neighborhood.  One unsorted pass over the
-    instance's pairs: O(n + m + t + split neighborhoods) for m edges and t
-    terminal pairs, with no sort.
+    not cover exactly its neighborhood.  A copy reaches, for each neighbor
+    u it keeps, u's only copy, or the copy of u that keeps it when u is
+    split; then one pass over the instance's pairs reads the terminal
+    pairs.  O(n + m + t + split neighborhoods) for m edges and t terminal
+    pairs, and a sort of each component and of the listed pairs.
     """
     g = inst._graph
+    adj = g._blue_adj
     split_parts = dict(sol.splits)
+    for v in split_parts:
+        if v >= g.n:
+            raise ValueError(f"split vertex {v} out of range")
     ancestors: list[int] = []
     plain: list[int] = []  # the copy of each unsplit vertex, -1 if split
+    kept: list[Collection[int]] = []  # the neighbors each copy keeps
     owner: dict[tuple[int, int], int] = {}  # (split vertex, neighbor) -> copy
-    for v in split_parts:
-        if v >= inst.n:
-            raise ValueError(f"split vertex {v} out of range")
-    for v in range(inst.n):
+    for v in range(g.n):
         parts = split_parts.get(v)
         if parts is None:
             plain.append(len(ancestors))
             ancestors.append(v)
+            kept.append(adj[v])
             continue
-        if set().union(*parts) != set(g._blue_adj[v]):
+        if set().union(*parts) != set(adj[v]):
             raise ValueError(f"parts of {v} must cover exactly its neighborhood")
         plain.append(-1)
         for part in parts:
             for u in part:
                 owner[v, u] = len(ancestors)
             ancestors.append(v)
-    # copies are numbered by vertex, so a pair u < v keeps its order, and
-    # an edge and a terminal pair never land on one pair of copies
-    labels = {}
+            kept.append(part)
+    component = [-1] * len(ancestors)
+    components: list[list[int]] = []
+    for start in range(len(ancestors)):
+        if component[start] >= 0:
+            continue
+        i = len(components)
+        component[start] = i
+        comp = [start]
+        for d in comp:  # comp grows as it is walked
+            v = ancestors[d]
+            for u in kept[d]:
+                e = plain[u]
+                if e < 0:
+                    e = owner[u, v]
+                if component[e] < 0:
+                    component[e] = i
+                    comp.append(e)
+        comp.sort()
+        components.append(comp)
+    pairs = []
     for (u, v), c in g._labels.items():
-        d1, d2 = plain[u], plain[v]
-        if c is BLUE:
-            if d1 < 0:
-                d1 = owner[u, v]
-            if d2 < 0:
-                d2 = owner[v, u]
-            labels[d1, d2] = BLUE
-        elif d1 >= 0 and d2 >= 0:
-            labels[d1, d2] = RED
-    base = CorrelationGraph._trusted(len(ancestors), labels, False)
-    return RealizedGraph(base, ancestors, inst.n)
+        if c is RED:
+            a, b = plain[u], plain[v]
+            if a < 0 or b < 0:
+                pairs.append((u, v))
+            elif component[a] == component[b]:
+                return ancestors, components, None
+    pairs.sort()
+    return ancestors, components, pairs
 
 
 def verify_multicut_solution(inst: MulticutInstance, sol: MulticutSolution) -> bool:
     """Whether all terminal pairs not removed by splits end up disconnected."""
-    return not has_erroneous_cycle(_realize(inst, sol).base)
+    return _split_components(inst, sol)[2] is not None
 
 
 # A complete graph's red pairs are not stored: ccvs_to_mcvs lists one
@@ -342,20 +372,13 @@ def multicut_solution_to_clustering(
     clustering; terminal pairs whose resolution was lost to a removed pair
     get a singleton on the smaller split endpoint.
     """
-    r = _realize(inst, sol)
-    components = _consistent_components(r.base)
-    if components is None:
+    ancestors, components, pairs = _split_components(inst, sol)
+    if pairs is None:
         raise ValueError("solution does not separate all terminal pairs")
     # a terminal pair of two unsplit vertices joins two distinct components,
     # so the clusters resolve it; only pairs touching a split vertex are passed
-    split = sol.split_vertices
-    clusters = _component_clusters(r.ancestors, components)
-    pairs = sorted(
-        p
-        for p, c in inst._graph._labels.items()
-        if c is RED and (p[0] in split or p[1] in split)
-    )
-    return _add_singletons(clusters, inst.n, pairs, split)
+    clusters = _component_clusters(ancestors, components)
+    return _add_singletons(clusters, inst.n, pairs, sol.split_vertices)
 
 
 _COUNT = rb"(0|[1-9][0-9]{0,17})"
@@ -484,9 +507,20 @@ def parse_multicut_solution(data: bytes | str) -> tuple[int, MulticutSolution]:
 
 
 def write_multicut_solution(n: int, sol: MulticutSolution) -> bytes:
-    """Canonical ``mcsol`` form: one s line per split vertex, ascending."""
+    """Canonical ``mcsol`` form: one s line per split vertex, ascending.
+
+    Raises ValueError unless n is a vertex count (0..MAX_VERTICES) and
+    every split vertex and part member is below n, so every document
+    written parses back to ``(n, sol)``.
+    """
+    _check_vertex_count(n)
     out = [f"mcsol {n}"]
     for v, parts in sol.splits:
-        rendered = " | ".join(" ".join(map(str, sorted(p))) for p in parts)
+        if v >= n:
+            raise ValueError(f"split vertex {v} out of range for n={n}")
+        rows = [sorted(p) for p in parts]
+        if any(row and row[-1] >= n for row in rows):
+            raise ValueError(f"part member of {v} out of range for n={n}")
+        rendered = " | ".join(" ".join(map(str, row)) for row in rows)
         out.append(f"s {v} : {rendered}".rstrip())
     return ("\n".join(out) + "\n").encode("utf-8")

@@ -599,17 +599,27 @@ def checked_induced_subgraph(
 
 
 def checked_realize(inst: MulticutInstance, sol) -> RealizedGraph:
-    """``multicut._realize`` passing every pair of the split graph to the constructor."""
+    """The split graph of a solution, every pair passed to the constructor.
+
+    The reference that ``multicut._split_components`` labels without
+    building it.  Raises ValueError when a split vertex is out of range or
+    its parts do not cover exactly its neighborhood.
+    """
     split_parts = dict(sol.splits)
     ancestors: list[int] = []
     plain: dict[int, int] = {}
     owner: dict[tuple[int, int], int] = {}
+    if any(v >= inst.n for v in split_parts):
+        raise ValueError("split vertex out of range")
     for v in range(inst.n):
         parts = split_parts.get(v)
         if parts is None:
             plain[v] = len(ancestors)
             ancestors.append(v)
             continue
+        members = [u for part in parts for u in part]
+        if sorted(members) != inst.neighbors(v):
+            raise ValueError(f"parts of {v} must cover exactly its neighborhood")
         for part in parts:
             for u in part:
                 owner[v, u] = len(ancestors)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import splitclust.clustering
 import splitclust.graphs
+import splitclust.multicut
 from splitclust import (
     BLUE,
     RED,
@@ -149,16 +150,25 @@ def test_has_erroneous_cycle():
 
 
 def test_split_readers_label_blue_components_once(monkeypatch):
-    # the erroneous-cycle test and the clusters share one labelling
+    # the erroneous-cycle test and the clusters share one labelling:
+    # splits_to_clustering labels the split graph with blue_components, and
+    # multicut_solution_to_clustering labels the copies with _split_components
+    # and never builds the split graph
     labelled = []
     real = splitclust.graphs.blue_components
+    real_split = splitclust.multicut._split_components
 
     def counting(g, within=None):
-        labelled.append(g.n)
+        labelled.append(("blue_components", g.n))
         return real(g, within)
+
+    def counting_split(inst, sol):
+        labelled.append(("_split_components", inst.n))
+        return real_split(inst, sol)
 
     for module in (splitclust.graphs, splitclust.clustering):
         monkeypatch.setattr(module, "blue_components", counting)
+    monkeypatch.setattr(splitclust.multicut, "_split_components", counting_split)
     incomplete = incomplete_graph(3, blue=[(0, 1), (1, 2)], red=[(0, 2)])
     for g in (BAD_TRIANGLE, incomplete):
         r = clustering_to_splits(g, TRIANGLE_SOLUTION)
@@ -166,14 +176,16 @@ def test_split_readers_label_blue_components_once(monkeypatch):
         sol = clustering_to_multicut_solution(g, TRIANGLE_SOLUTION)
         labelled.clear()
         assert splits_to_clustering(r) == TRIANGLE_SOLUTION
+        assert labelled == [("blue_components", 4)]
+        labelled.clear()
         assert multicut_solution_to_clustering(inst, sol) == TRIANGLE_SOLUTION
-        assert labelled == [4, 4]
+        assert labelled == [("_split_components", 3)]
     labelled.clear()
     with pytest.raises(ValueError, match="^realized graph has an erroneous cycle$"):
         splits_to_clustering(RealizedGraph(BAD_TRIANGLE, [0, 1, 2], 3))
     with pytest.raises(ValueError, match="^solution does not separate all terminal pairs$"):
         multicut_solution_to_clustering(ccvs_to_mcvs(BAD_TRIANGLE, 1), MulticutSolution({}))
-    assert labelled == [3, 3]
+    assert labelled == [("blue_components", 3), ("_split_components", 3)]
 
 
 def test_clustering_to_splits_on_triangle():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import splitclust.multicut
 from splitclust import (
@@ -304,6 +307,56 @@ def test_solution_format_round_trip():
     assert parse_multicut_solution(data) == (5, sol)
 
     assert parse_multicut_solution(b"mcsol 0\n") == (0, MulticutSolution({}))
+
+
+@st.composite
+def counted_solutions(draw) -> tuple[object, MulticutSolution]:
+    """A vertex count, in half the draws not one, and a solution.
+
+    In a quarter of the draws the ids reach the vertex count itself.
+    """
+    n = draw(st.integers(0, 8))
+    top = n if draw(st.integers(0, 3)) == 0 else n - 1
+    splits = {}
+    for v in draw(st.sets(st.integers(0, top), max_size=4)) if top >= 0 else ():
+        parts = [set() for _ in range(draw(st.integers(2, 3)))]
+        for u in draw(st.sets(st.integers(0, top), max_size=5)):
+            parts[draw(st.integers(0, len(parts) - 1))].add(u)
+        splits[v] = parts
+    count = draw(st.sampled_from([n, n, n, n, -1, True, 2.0, MAX_VERTICES + 1]))
+    return count, MulticutSolution(splits)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(counted_solutions())
+def test_written_solutions_parse_back(drawn):
+    n, sol = drawn
+    ids = [x for v, parts in sol.splits for x in (v, *set().union(*parts))]
+    count = type(n) is int and 0 <= n <= MAX_VERTICES
+    if not (count and all(x < n for x in ids)):
+        with pytest.raises(ValueError):
+            write_multicut_solution(n, sol)
+        return
+    assert parse_multicut_solution(write_multicut_solution(n, sol)) == (n, sol)
+
+
+@pytest.mark.parametrize(
+    "n, splits, message",
+    [
+        (2, {5: [[], []]}, "split vertex 5 out of range for n=2"),
+        (2, {0: [[7], []]}, "part member of 0 out of range for n=2"),
+        (2, {0: [[1], [2]]}, "part member of 0 out of range for n=2"),
+        (0, {0: [[], []]}, "split vertex 0 out of range for n=0"),
+        (-1, {}, "vertex counts are non-negative integers, got -1"),
+        (True, {}, "vertex counts are non-negative integers, got True"),
+        (2.0, {}, "vertex counts are non-negative integers, got 2.0"),
+        (MAX_VERTICES + 1, {}, f"vertex count {MAX_VERTICES + 1} exceeds the cap"),
+    ],
+)
+def test_write_solution_rejects_what_it_cannot_write(n, splits, message):
+    # each of these used to be written as a document the parser rejects
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_multicut_solution(n, MulticutSolution(splits))
 
 
 @pytest.mark.parametrize(

@@ -13,10 +13,13 @@ class.  The kernel's isolated, kept and marked cliques and its
 many-cliques witness must match the reference that rescans the forest
 vertices for every clique.
 Erroneous-cycle tests and multicut verification, which label blue
-components, must agree with union-find references.  The builders that
-skip the public constructors' pair checks must give the same graphs and
-instances, adjacency lists included, as the checked references that pass
-every pair through those constructors; on complete graphs that includes
+components, must agree with union-find references.  The blue components
+that the multicut translations label on a solution's copies must be those
+of its split graph built pair by pair, and both must refuse the same
+faulty solutions.  The builders that skip the public constructors' pair
+checks must give the same graphs and instances, adjacency lists included,
+as the checked references that pass every pair through those
+constructors; on complete graphs that includes
 the kernel graphs of planted graphs of the benchmark's sizes.  The
 Hopcroft-Karp vertex cover must equal the covers of the recursive and the
 stack-based augmenting-path matchings.
@@ -41,6 +44,7 @@ from splitclust import (
     ValidationReport,
     approximate,
     bipartite_min_vertex_cover,
+    blue_components,
     ccvs_to_mcvs,
     cluster_decomposition,
     clustering_to_multicut_solution,
@@ -66,7 +70,7 @@ from splitclust import (
 )
 from splitclust.detect import _twin_classes
 from splitclust.graphs import _parse_graph_lines
-from splitclust.multicut import _bulk_instance, _parse_instance_lines, _realize
+from splitclust.multicut import _bulk_instance, _parse_instance_lines, _split_components
 from oracles import (
     _separates,
     _split_choices,
@@ -634,6 +638,83 @@ def test_verify_multicut_matches_separates():
     assert min(outcomes.values()) >= 50 and removals >= 50 and repaired >= 10
 
 
+def random_split_solution(inst: MulticutInstance, rng: random.Random) -> MulticutSolution:
+    """Random parts for random vertices, some of them faulty.
+
+    About one split in twenty has a part that misses a neighbor, one in
+    twenty a part with a vertex that is not a neighbor (the split vertex
+    itself, or an id up to n + 1), and one solution in twenty also splits
+    a vertex out of range.
+    """
+    splits = {}
+    for v in range(inst.n):
+        if rng.random() < 0.5:
+            continue
+        neighbors = inst.neighbors(v)
+        parts = [set() for _ in range(rng.randint(2, 3))]
+        for u in neighbors:
+            rng.choice(parts).add(u)
+        fault = rng.random()
+        if fault < 0.05 and neighbors:
+            for part in parts:
+                part.discard(neighbors[0])
+        elif fault < 0.1:
+            stranger = rng.choice([x for x in range(inst.n + 2) if x not in neighbors])
+            rng.choice(parts).add(stranger)
+        splits[v] = parts
+    if rng.random() < 0.05:
+        splits[inst.n + rng.randint(0, 2)] = [set(), set()]
+    return MulticutSolution(splits)
+
+
+def test_multicut_translations_match_split_graph_references():
+    """Random incomplete graphs up to 12 vertices and random splits.
+
+    The ancestors, components and verdict of ``_split_components`` must be
+    those of the split graph built pair by pair, its pairs the terminal
+    pairs that touch a split vertex, and both translations must raise
+    ValueError exactly where that graph refuses the solution.  A
+    separating solution must read back as the union-find reference that
+    repairs every terminal pair, at no more than its cost.
+    """
+    outcomes = {"refused": 0, "connected": 0, "separated": 0}
+    repaired = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        p_blue, p_red = rng.choice([0.2, 0.35, 0.5]), rng.choice([0.2, 0.4])
+        g = gen_random(n, p_blue, p_red, complete=False, seed=seed)
+        inst = ccvs_to_mcvs(g, 0)
+        sol = random_split_solution(inst, rng)
+        try:
+            ref = checked_realize(inst, sol)
+        except ValueError:
+            for call in (_split_components, verify_multicut_solution, multicut_solution_to_clustering):
+                with pytest.raises(ValueError):
+                    call(inst, sol)
+            outcomes["refused"] += 1
+            continue
+        ancestors, components, pairs = _split_components(inst, sol)
+        assert tuple(ancestors) == ref.ancestors
+        assert components == blue_components(ref.base)
+        separated = not has_erroneous_cycle(ref.base)
+        assert verify_multicut_solution(inst, sol) == separated == (pairs is not None)
+        if not separated:
+            with pytest.raises(ValueError):
+                multicut_solution_to_clustering(inst, sol)
+            outcomes["connected"] += 1
+            continue
+        split = sol.split_vertices
+        assert pairs == sorted(p for p in inst.terminals if split.intersection(p))
+        f = multicut_solution_to_clustering(inst, sol)
+        expected, added = repairing_multicut_to_clustering(inst, sol)
+        assert f == expected
+        assert cost(f, n) <= sol.cost
+        outcomes["separated"] += 1
+        repaired += added > 0
+    assert min(outcomes.values()) >= 100 and repaired >= 10, (outcomes, repaired)
+
+
 def test_complete_graph_pipeline_makes_no_label_calls(monkeypatch):
     g, planted_f = planted(200, 7, 6, 0, seed=5)
 
@@ -722,10 +803,11 @@ def test_trusted_builders_match_checked_references():
             assert mcvs_to_ccvs(ccvs_to_mcvs(g, k))[0] is g
 
         sol = clustering_to_multicut_solution(g, f)
-        r = _realize(inst, sol)
+        ancestors, components, pairs = _split_components(inst, sol)
         ref = checked_realize(inst, sol)
-        assert graph_fields(r.base) == graph_fields(ref.base)
-        assert r.ancestors == ref.ancestors
+        assert tuple(ancestors) == ref.ancestors
+        assert components == blue_components(ref.base)
+        assert pairs is not None
 
         for doc in (write_graph(g), write_graph(sub), write_graph(back)):
             assert graph_fields(parse_graph(doc)) == graph_fields(_parse_graph_lines(doc))
