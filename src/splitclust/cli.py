@@ -1,17 +1,19 @@
 """Command line front end.
 
-Exit codes: 0 success (or yes/valid), 1 negative answer (no, invalid,
-nothing found), 2 usage or input format errors, 3 search resource
-exhausted.  ``-`` reads the input document from stdin.  ``--json`` swaps
-the text output for a single JSON object with fields ``command``,
-``input``, ``result`` and, where meaningful, ``cost``, ``bound`` and
-``valid``.  All output is deterministic: the same invocation on the same
-input produces identical bytes.
+Every subcommand answers on stdout in text, or under ``--json`` as one JSON
+object with the keys ``command``, ``input``, ``result`` and, where
+meaningful, ``cost``, ``bound`` or ``valid``, in that order.  Exit codes: 0
+success (or yes/valid), 1 negative answer (no, invalid, nothing found), 2
+usage or input format errors, 3 search node limit reached.  An error or a
+refusal is one ``splitclust: ...`` line on stderr.  ``-`` reads the input
+document from stdin.  All output is deterministic: the same invocation on
+the same input produces identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -151,214 +153,134 @@ def _read(path: str, stdin) -> bytes:
         return handle.read()
 
 
-def _emit(stdout, data: bytes | str) -> None:
-    stdout.write(data.decode("utf-8") if isinstance(data, bytes) else data)
+class _Negative(Exception):
+    """A negative answer, told on stderr with exit code 1.
+
+    Under ``--json`` an answer with ``fields`` prints them instead.
+    """
+
+    def __init__(self, message: str, fields=None):
+        super().__init__(message)
+        self.fields = fields
 
 
-def _emit_json(stdout, obj) -> None:
-    stdout.write(json.dumps(obj) + "\n")
+# Each _cmd_* returns (exit code, text, fields) or raises.  ``fields`` builds
+# the JSON fields after "command" and "input"; run calls it only under --json,
+# where it may do work or raise what the text never needs (lift's cost).
+def _clustering_answer(f: Clustering, n: int):
+    return 0, write_clustering(f).decode(), lambda: {
+        "result": [sorted(c) for c in f],
+        "cost": cost(f, n),
+    }
 
 
-def _clusters_as_lists(f: Clustering) -> list[list[int]]:
-    return [sorted(c) for c in f]
-
-
-def _cmd_stats(args, stdin, stdout, stderr) -> int:
+def _cmd_stats(args, stdin):
     g = parse_graph(_read(args.graph, stdin))
     n_blue, n_red = g.count_colors()
-    comps = blue_components(g)
+    comps = len(blue_components(g))
     is_cluster = cluster_decomposition(g) is not None
-    bound = lower_bound(g) if g.complete else None
-    if args.json:
-        result = {
-            "n": g.n,
-            "complete": g.complete,
-            "blue": n_blue,
-            "red": n_red,
-            "blue_components": len(comps),
-            "cluster_graph": is_cluster,
-        }
-        obj = {"command": "stats", "input": args.graph, "result": result}
-        if bound is not None:
-            obj["bound"] = bound
-        _emit_json(stdout, obj)
-        return 0
-    lines = [
-        f"n {g.n}",
-        f"kind {'complete' if g.complete else 'incomplete'}",
-        f"blue {n_blue}",
-        f"red {n_red}",
-        f"blue-components {len(comps)}",
-        f"cluster-graph {'yes' if is_cluster else 'no'}",
-    ]
-    if bound is not None:
-        lines.append(f"lower-bound {bound}")
-    _emit(stdout, "\n".join(lines) + "\n")
-    return 0
+    text = (
+        f"n {g.n}\nkind {'complete' if g.complete else 'incomplete'}\n"
+        f"blue {n_blue}\nred {n_red}\nblue-components {comps}\n"
+        f"cluster-graph {'yes' if is_cluster else 'no'}\n"
+    )
+    result = {
+        "n": g.n,
+        "complete": g.complete,
+        "blue": n_blue,
+        "red": n_red,
+        "blue_components": comps,
+        "cluster_graph": is_cluster,
+    }
+    fields = {"result": result}
+    if g.complete:
+        fields["bound"] = bound = lower_bound(g)
+        text += f"lower-bound {bound}\n"
+    return 0, text, lambda: fields
 
 
-def _cmd_lb(args, stdin, stdout, stderr) -> int:
-    g = parse_graph(_read(args.graph, stdin))
-    bound = lower_bound(g)
-    if args.json:
-        obj = {"command": "lb", "input": args.graph, "result": bound, "bound": bound}
-        _emit_json(stdout, obj)
-    else:
-        _emit(stdout, f"{bound}\n")
-    return 0
+def _cmd_lb(args, stdin):
+    bound = lower_bound(parse_graph(_read(args.graph, stdin)))
+    return 0, f"{bound}\n", lambda: {"result": bound, "bound": bound}
 
 
-def _budget(args) -> SearchBudget:
-    kwargs = {}
-    if getattr(args, "budget", None) is not None:
-        kwargs["max_cost"] = args.budget
-    if getattr(args, "node_limit", None) is not None:
-        kwargs["node_limit"] = args.node_limit
-    return SearchBudget(**kwargs)
-
-
-def _cmd_decide(args, stdin, stdout, stderr) -> int:
+def _cmd_decide(args, stdin):
     g = parse_graph(_read(args.graph, stdin))
     answer = decide(g, args.budget, node_limit=args.node_limit)
-    if args.json:
-        obj = {"command": "decide", "input": args.graph, "result": answer}
-        _emit_json(stdout, obj)
-    else:
-        _emit(stdout, "yes\n" if answer else "no\n")
-    return 0 if answer else 1
+    return (0 if answer else 1), ("yes\n" if answer else "no\n"), lambda: {"result": answer}
 
 
-def _cmd_exact(args, stdin, stdout, stderr) -> int:
+def _cmd_exact(args, stdin):
     g = parse_graph(_read(args.graph, stdin))
-    found = solve_exact(g, _budget(args))
-    if args.json:
-        obj = {
-            "command": "exact",
-            "input": args.graph,
-            "result": None if found is None else _clusters_as_lists(found),
-        }
-        if found is not None:
-            obj["cost"] = cost(found, g.n)
-        _emit_json(stdout, obj)
-        return 0 if found is not None else 1
+    limits = {"max_cost": args.budget, "node_limit": args.node_limit}
+    found = solve_exact(g, SearchBudget(**{k: v for k, v in limits.items() if v is not None}))
     if found is None:
-        print("splitclust: no clustering within the budget", file=stderr)
-        return 1
-    _emit(stdout, write_clustering(found))
-    return 0
+        raise _Negative("no clustering within the budget", lambda: {"result": None})
+    return _clustering_answer(found, g.n)
 
 
-def _cmd_approx(args, stdin, stdout, stderr) -> int:
+def _cmd_approx(args, stdin):
     g = parse_graph(_read(args.graph, stdin))
     if args.guess_all:
         candidates = candidate_solutions(g)
-        if args.json:
-            result = [
-                {
-                    "guess": None if c.guess is None else sorted(c.guess),
-                    "cost": c.cost,
-                    "clusters": _clusters_as_lists(c.assembled),
-                }
-                for c in candidates
-            ]
-            obj = {"command": "approx", "input": args.graph, "result": result}
-            _emit_json(stdout, obj)
-            return 0
-        for c in candidates:
-            label = "-" if c.guess is None else " ".join(map(str, sorted(c.guess)))
-            _emit(stdout, f"guess {label} cost {c.cost}\n")
-            _emit(stdout, write_clustering(c.assembled))
-        return 0
+        guesses = [None if c.guess is None else sorted(c.guess) for c in candidates]
+        text = "".join(
+            f"guess {'-' if guess is None else ' '.join(map(str, guess))} cost {c.cost}\n"
+            + write_clustering(c.assembled).decode()
+            for guess, c in zip(guesses, candidates)
+        )
+        return 0, text, lambda: {"result": [
+            {"guess": guess, "cost": c.cost, "clusters": [sorted(x) for x in c.assembled]}
+            for guess, c in zip(guesses, candidates)
+        ]}
     f = approximate(g)
     if not verify_clustering(g, f).ok:
         raise AssertionError("approximate clustering failed verification")
-    if args.json:
-        obj = {
-            "command": "approx",
-            "input": args.graph,
-            "result": _clusters_as_lists(f),
-            "cost": cost(f, g.n),
-        }
-        _emit_json(stdout, obj)
-    else:
-        _emit(stdout, write_clustering(f))
-    return 0
+    return _clustering_answer(f, g.n)
 
 
-def _cmd_kernel(args, stdin, stdout, stderr) -> int:
+def _cmd_kernel(args, stdin):
     g = parse_graph(_read(args.graph, stdin))
     outcome = kernelize(g, args.budget)
-    if isinstance(outcome, Kernelized):
-        if args.transcript:
-            with open(args.transcript, "wb") as handle:
-                handle.write(write_transcript(outcome.transcript))
-        if args.json:
-            result = {"kind": "kernel", "n": outcome.graph.n}
-            obj = {"command": "kernel", "input": args.graph, "result": result}
-            _emit_json(stdout, obj)
-        else:
-            _emit(stdout, write_graph(outcome.graph))
-        return 0
-    weight = outcome.witness.weight
-    if args.json:
+    if not isinstance(outcome, Kernelized):
+        weight = outcome.witness.weight
         result = {"kind": "no-instance", "weight": weight}
-        obj = {"command": "kernel", "input": args.graph, "result": result}
-        _emit_json(stdout, obj)
-    else:
-        _emit(stdout, f"no-instance weight {weight}\n")
-    return 1
+        return 1, f"no-instance weight {weight}\n", lambda: {"result": result}
+    if args.transcript:
+        with open(args.transcript, "wb") as handle:
+            handle.write(write_transcript(outcome.transcript))
+    result = {"kind": "kernel", "n": outcome.graph.n}
+    return 0, write_graph(outcome.graph).decode(), lambda: {"result": result}
 
 
-def _cmd_lift(args, stdin, stdout, stderr) -> int:
+def _cmd_lift(args, stdin):
     f = parse_clustering(_read(args.clustering, stdin))
     transcript = parse_transcript(_read(args.transcript, stdin))
     try:
         lifted = lift_clustering(f, transcript)
     except ValueError as exc:
-        print(f"splitclust: {exc}", file=stderr)
-        return 1
-    if args.json:
-        obj = {
-            "command": "lift",
-            "input": [args.clustering, args.transcript],
-            "result": _clusters_as_lists(lifted),
-            "cost": cost(lifted, transcript.original_n),
-        }
-        _emit_json(stdout, obj)
-    else:
-        _emit(stdout, write_clustering(lifted))
-    return 0
+        raise _Negative(str(exc)) from None
+    return _clustering_answer(lifted, transcript.original_n)
 
 
-def _cmd_verify(args, stdin, stdout, stderr) -> int:
+def _cmd_verify(args, stdin):
     g = parse_graph(_read(args.graph, stdin))
-    f = parse_clustering(_read(args.clustering, stdin))
-    report = verify_clustering(g, f)
-    if args.json:
-        result = {
+    report = verify_clustering(g, parse_clustering(_read(args.clustering, stdin)))
+    text = "" if report.ok else "invalid\n"
+    text += "".join(f"uncovered-vertex {v}\n" for v in report.uncovered_vertices)
+    text += "".join(f"uncovered-blue {u} {v}\n" for u, v in report.uncovered_blue)
+    text += "".join(f"unresolved-red {u} {v}\n" for u, v in report.unresolved_red)
+    return (0 if report.ok else 1), text, lambda: {
+        "result": {
             "uncovered_vertices": list(report.uncovered_vertices),
             "uncovered_blue": [list(p) for p in report.uncovered_blue],
             "unresolved_red": [list(p) for p in report.unresolved_red],
-        }
-        obj = {
-            "command": "verify",
-            "input": [args.graph, args.clustering],
-            "result": result,
-            "valid": report.ok,
-        }
-        _emit_json(stdout, obj)
-        return 0 if report.ok else 1
-    if report.ok:
-        return 0
-    lines = ["invalid"]
-    lines += [f"uncovered-vertex {v}" for v in report.uncovered_vertices]
-    lines += [f"uncovered-blue {u} {v}" for u, v in report.uncovered_blue]
-    lines += [f"unresolved-red {u} {v}" for u, v in report.unresolved_red]
-    _emit(stdout, "\n".join(lines) + "\n")
-    return 1
+        },
+        "valid": report.ok,
+    }
 
 
-def _cmd_reduce(args, stdin, stdout, stderr) -> int:
+def _cmd_reduce(args, stdin):
     direction = args.direction
     expected = {"ccvs-to-mcvs": 1, "mcvs-to-ccvs": 1, "clu-to-mcsol": 2, "mcsol-to-clu": 2}
     if len(args.inputs) != expected[direction]:
@@ -368,30 +290,18 @@ def _cmd_reduce(args, stdin, stdout, stderr) -> int:
         )
     if direction == "ccvs-to-mcvs":
         g = parse_graph(_read(args.inputs[0], stdin))
-        inst = ccvs_to_mcvs(g, args.budget)
-        document = write_multicut_instance(inst)
-        obj = {"command": "reduce", "input": args.inputs[0], "result": document.decode("utf-8")}
+        document = write_multicut_instance(ccvs_to_mcvs(g, args.budget))
+        fields = {}
     elif direction == "mcvs-to-ccvs":
-        inst = parse_multicut_instance(_read(args.inputs[0], stdin))
-        g, k = mcvs_to_ccvs(inst)
+        g, k = mcvs_to_ccvs(parse_multicut_instance(_read(args.inputs[0], stdin)))
         document = f"# budget {k}\n".encode("utf-8") + write_graph(g)
-        obj = {
-            "command": "reduce",
-            "input": args.inputs[0],
-            "result": document.decode("utf-8"),
-            "bound": k,
-        }
+        fields = {"bound": k}
     elif direction == "clu-to-mcsol":
         g = parse_graph(_read(args.inputs[0], stdin))
         f = parse_clustering(_read(args.inputs[1], stdin))
         sol = clustering_to_multicut_solution(g, f)
         document = write_multicut_solution(g.n, sol)
-        obj = {
-            "command": "reduce",
-            "input": list(args.inputs),
-            "result": document.decode("utf-8"),
-            "cost": sol.cost,
-        }
+        fields = {"cost": sol.cost}
     else:
         inst = parse_multicut_instance(_read(args.inputs[0], stdin))
         n, sol = parse_multicut_solution(_read(args.inputs[1], stdin))
@@ -399,17 +309,9 @@ def _cmd_reduce(args, stdin, stdout, stderr) -> int:
             raise ValueError(f"solution is for {n} vertices, instance has {inst.n}")
         f = multicut_solution_to_clustering(inst, sol)
         document = write_clustering(f)
-        obj = {
-            "command": "reduce",
-            "input": list(args.inputs),
-            "result": document.decode("utf-8"),
-            "cost": cost(f, inst.n),
-        }
-    if args.json:
-        _emit_json(stdout, obj)
-    else:
-        _emit(stdout, document)
-    return 0
+        fields = {"cost": cost(f, inst.n)}
+    text = document.decode()
+    return 0, text, lambda: {"result": text, **fields}
 
 
 def _parse_edge_list(text: str) -> list[tuple[int, int]]:
@@ -427,15 +329,9 @@ def _parse_edge_list(text: str) -> list[tuple[int, int]]:
     return edges
 
 
-def _cmd_gen(args, stdin, stdout, stderr) -> int:
+def _cmd_gen(args, stdin):
     if args.generator == "random":
-        g = gen_random(
-            args.n,
-            args.p_blue,
-            args.p_red,
-            complete=args.complete,
-            seed=args.seed,
-        )
+        g = gen_random(args.n, args.p_blue, args.p_red, complete=args.complete, seed=args.seed)
         document = write_graph(g)
     elif args.generator == "vc-gadget":
         plain = PlainGraph(args.n, _parse_edge_list(args.edges))
@@ -443,12 +339,8 @@ def _cmd_gen(args, stdin, stdout, stderr) -> int:
     else:
         plain = PlainGraph(args.n, _parse_edge_list(args.edges))
         document = write_multicut_instance(gen_coloring_gadget(plain, args.colors))
-    if args.json:
-        obj = {"command": "gen", "input": None, "result": document.decode("utf-8")}
-        _emit_json(stdout, obj)
-    else:
-        _emit(stdout, document)
-    return 0
+    text = document.decode()
+    return 0, text, lambda: {"result": text}
 
 
 _COMMANDS = {
@@ -465,29 +357,51 @@ _COMMANDS = {
 }
 
 
+def _input(args):
+    """The JSON ``input`` field: the input path, a list of paths, or None."""
+    if args.command == "gen":
+        return None
+    if args.command == "lift":
+        return [args.clustering, args.transcript]
+    if args.command == "verify":
+        return [args.graph, args.clustering]
+    if args.command == "reduce":
+        return args.inputs[0] if len(args.inputs) == 1 else list(args.inputs)
+    return args.graph
+
+
 def run(argv, stdin=None, stdout=None, stderr=None) -> int:
-    """Run one invocation; returns the exit code instead of exiting."""
+    """Run one invocation; returns the exit code instead of exiting.
+
+    Each ``_cmd_*`` returns ``(exit code, text, JSON fields)`` or raises;
+    this is the only code that writes to ``stdout`` and ``stderr``.
+    """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = _parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"splitclust: {exc}", file=stderr)
-        return 2
+        with contextlib.redirect_stdout(stdout):  # where --help prints
+            args = _parser().parse_args(argv)
+        try:
+            code, text, fields = _COMMANDS[args.command](args, stdin)
+        except _Negative as exc:
+            if not (args.json and exc.fields):
+                raise
+            code, text, fields = 1, "", exc.fields
+        if args.json:
+            text = json.dumps({"command": args.command, "input": _input(args), **fields()}) + "\n"
+        stdout.write(text)
+        return code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args, stdin, stdout, stderr)
+    except _Negative as exc:
+        code, error = 1, exc
     except SearchLimitReached as exc:
-        print(f"splitclust: {exc}", file=stderr)
-        return 3
-    except (FormatError, OSError) as exc:
-        print(f"splitclust: {exc}", file=stderr)
-        return 2
-    except ValueError as exc:
-        print(f"splitclust: {exc}", file=stderr)
-        return 2
+        code, error = 3, exc
+    except (_UsageError, OSError, ValueError) as exc:  # FormatError is a ValueError
+        code, error = 2, exc
+    print(f"splitclust: {error}", file=stderr)
+    return code
 
 
 def main() -> None:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
 
-from .graphs import BLUE, RED, CorrelationGraph, _check_vertices
+from .graphs import BLUE, RED, CorrelationGraph
 
 
 @dataclass(frozen=True)
@@ -82,23 +81,19 @@ def is_bad_star(g: CorrelationGraph, star: BadStar) -> bool:
     )
 
 
-def find_bad_triangle(
-    g: CorrelationGraph, within: Iterable[int] | None = None
-) -> tuple[int, int, int] | None:
+def find_bad_triangle(g: CorrelationGraph) -> tuple[int, int, int] | None:
     """Lexicographically smallest (u, v, w) with blue uv, blue vw, red uw, u < w.
 
-    Returns None when the (restricted) graph has no bad triangle.  On
-    incomplete graphs only an explicitly red pair closes a triangle.  Takes
-    O(n + stored pairs) to build the twin classes on complete graphs and
-    the blue and red neighbour sets on incomplete ones.  Complete graphs
-    are then scanned by ``_scan``, which takes set differences only between
-    non-twin neighbours; incomplete ones try every blue neighbour v of u
-    and close with blue[v] & red[u].
+    Returns None when the graph has no bad triangle.  On incomplete graphs
+    only an explicitly red pair closes a triangle.  Takes O(n + stored
+    pairs) to build the twin classes on complete graphs and the blue and red
+    neighbour sets on incomplete ones.  Complete graphs are then scanned by
+    ``_scan``, which takes set differences only between non-twin neighbours;
+    incomplete ones try every blue neighbour v of u and close with
+    blue[v] & red[u].
     """
-    order = range(g.n) if within is None else _check_vertices(within, g.n)
-    alive = set(order)
     if g.complete:
-        return _scan(alive, order, 0, _twin_classes(g))[1]
+        return _scan(set(range(g.n)), 0, _twin_classes(g))[1]
     adj = g._blue_adj
     blue = list(map(set, adj))
     red: list[set[int]] = [set() for _ in range(g.n)]
@@ -106,12 +101,11 @@ def find_bad_triangle(
         if color is RED:
             red[a].add(b)
             red[b].add(a)
-    for u in order:
+    for u in range(g.n):
         for v in adj[u]:
-            if v in alive:
-                ws = [w for w in blue[v] & red[u] if w > u and w in alive]
-                if ws:
-                    return u, v, min(ws)
+            ws = [w for w in blue[v] & red[u] if w > u]
+            if ws:
+                return u, v, min(ws)
     return None
 
 
@@ -151,16 +145,13 @@ def _twin_classes(g: CorrelationGraph) -> _TwinClasses:
 
 
 def _scan(
-    alive: set[int],
-    order: Sequence[int],
-    start: int,
-    twins: _TwinClasses,
+    alive: set[int], start: int, twins: _TwinClasses
 ) -> tuple[int, tuple[int, int, int] | None]:
-    """First bad triangle on alive vertices whose u is order[i] for i >= start.
+    """First bad triangle on alive vertices whose u is at least start.
 
-    Returns that position i with the triangle, or (len(order), None).  For
-    each u the blue neighbours v are tried in ascending order, and the
-    closing w is the smallest alive w > u that is blue to v and red to u.
+    Returns that u with the triangle, or (n, None).  For each u the blue
+    neighbours v are tried in ascending order, and the closing w is the
+    smallest alive w > u that is blue to v and red to u.
 
     The graph is complete, and ``twins`` comes from ``_twin_classes`` on
     the whole graph; every set is read off the classes: since v lies in
@@ -175,8 +166,7 @@ def _scan(
     per alive neighbour in it.
     """
     label, others, closed = twins
-    for i in range(start, len(order)):
-        u = order[i]
+    for u in range(start, len(label)):
         if u not in alive:
             continue
         cu = label[u]
@@ -188,8 +178,8 @@ def _scan(
             if closing:
                 ws = [w for w in closing if w > u and w in alive]
                 if ws:
-                    return i, (u, v, min(ws))
-    return len(order), None
+                    return u, (u, v, min(ws))
+    return len(label), None
 
 
 def maximal_bad_star_forest(g: CorrelationGraph) -> BadStarForest:
@@ -234,7 +224,7 @@ def _greedy_stars(g: CorrelationGraph, twins: _TwinClasses, first: int) -> list[
     stars: list[BadStar] = []
     i = first
     while True:
-        i, triangle = _scan(unused, range(g.n), i, twins)
+        i, triangle = _scan(unused, i, twins)
         if triangle is None:
             return stars
         u, center, w = triangle

@@ -286,19 +286,15 @@ def incomplete_graph(
     return CorrelationGraph(n, edges, complete=False)
 
 
-def blue_components(
-    g: CorrelationGraph, within: Iterable[int] | None = None
-) -> list[list[int]]:
-    """Connected components of the blue subgraph, optionally restricted.
+def blue_components(g: CorrelationGraph) -> list[list[int]]:
+    """Connected components of the blue subgraph.
 
     Components are ordered by smallest member; members are sorted.
     """
-    pool = range(g.n) if within is None else _check_vertices(within, g.n)
-    pool_set = set(pool)
     adj = g._blue_adj
     seen: set[int] = set()
     components: list[list[int]] = []
-    for start in pool:
+    for start in range(g.n):
         if start in seen:
             continue
         comp = [start]
@@ -307,7 +303,7 @@ def blue_components(
         while stack:
             u = stack.pop()
             for w in adj[u]:
-                if w in pool_set and w not in seen:
+                if w not in seen:
                     seen.add(w)
                     comp.append(w)
                     stack.append(w)
@@ -316,35 +312,28 @@ def blue_components(
     return components
 
 
-def cluster_decomposition(
-    g: CorrelationGraph, within: Iterable[int] | None = None
-) -> list[frozenset[int]] | None:
+def cluster_decomposition(g: CorrelationGraph) -> list[frozenset[int]] | None:
     """Blue components as cliques, or None if some component is not a clique.
 
     A graph whose blue components are all blue cliques is a cluster graph;
     the decomposition lists the cliques ordered by smallest member.
     O(n + blue pairs).
     """
-    comps = blue_components(g, within)
-    pool = None if within is None else {v for comp in comps for v in comp}
-    if not all(_is_blue_clique(g, comp, pool) for comp in comps):
+    comps = blue_components(g)
+    if not all(_is_blue_clique(g, comp) for comp in comps):
         return None
     return [frozenset(comp) for comp in comps]
 
 
-def _is_blue_clique(
-    g: CorrelationGraph, comp: list[int], pool: set[int] | None = None
-) -> bool:
-    """Whether a blue component of the pool (default: all vertices) is a clique.
+def _is_blue_clique(g: CorrelationGraph, comp: list[int]) -> bool:
+    """Whether a blue component is a clique.
 
-    Every blue neighbour of a member inside the pool lies in the component,
-    so it is a clique iff each member has ``len(comp) - 1`` of them.
+    Every blue neighbour of a member lies in the component, so it is a
+    clique iff each member has ``len(comp) - 1`` of them.
     """
     want = len(comp) - 1
     adj = g._blue_adj
-    if pool is None:
-        return all(len(adj[v]) == want for v in comp)
-    return all(len(pool.intersection(adj[v])) == want for v in comp)
+    return all(len(adj[v]) == want for v in comp)
 
 
 def _read_document(

@@ -247,6 +247,26 @@ def brute_min_multicut_cost(inst: MulticutInstance, cap: int) -> int | None:
     return best
 
 
+def on_induced_subgraph(fn, g: CorrelationGraph, within):
+    """``fn(G[within])`` with the vertex ids in its result mapped back to g's.
+
+    ``within=None`` runs ``fn(g)``.  The ids of G[within] keep their order,
+    so a sorted or lexicographically least result maps to the same on g.
+    """
+    if within is None:
+        return fn(g)
+    sub, ids = g.induced_subgraph(within)
+
+    def back(x):
+        if x is None:
+            return None
+        if isinstance(x, int):
+            return ids[x]
+        return type(x)(map(back, x))
+
+    return back(fn(sub))
+
+
 def first_bad_triangle(
     g: CorrelationGraph, within=None
 ) -> tuple[int, int, int] | None:

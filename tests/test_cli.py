@@ -286,6 +286,13 @@ def test_usage_and_format_errors(tmp_path, triangle_file):
     assert code == 2  # lower bound needs a complete graph
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]])
+def test_help_goes_to_the_given_stdout(argv):
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: splitclust", *argv[:-1], "[-h]"]))
+
+
 def test_identical_invocations_are_byte_identical(triangle_file):
     for argv in (
         ["stats", triangle_file],
@@ -322,3 +329,458 @@ def test_one_process_runs_match_separate_processes(tmp_path, triangle_file):
     together = [invoke(argv)[:2] for argv in runs]
     assert together == separate
     assert [code for code, _ in together] == [2, 1, 0]
+
+
+# Every subcommand in both modes with each outcome it has, pinned to the byte.
+# A case is an argv line; " <name" feeds that file on stdin.  Runs start in a
+# directory holding GOLDEN_FILES, so paths in the output stay short and fixed.
+GOLDEN_FILES = {
+    "t.ccg": BAD_TRIANGLE_CCG,
+    "m.ccg": MARKING_CCG,
+    "s.ccg": "ccg 5 complete\ne 0 1 b\ne 1 2 b\ne 0 3 b\ne 0 4 b\n",
+    "inc.ccg": "ccg 3 incomplete\ne 0 1 b\ne 1 2 r\n",
+    "bad.ccg": "ccg nope\n",
+    "big.ccg": "ccg 100000 complete\n",
+    "ok.clu": "clustering 2\nc 0 1\nc 1 2\n",
+    "one.clu": "clustering 1\nc 0 1 2\n",
+    "bad.clu": "clustering x\n",
+    "k.clu": "clustering 2\nc 0 1 2\nc 1 3 4 5 6\n",
+    "kbad.clu": "clustering 3\nc 0 1 2 3 4\nc 5\nc 6\n",
+    "m.ktx": "S 0 1 2 3\ncl 4 5 6 7 8 9 | 4 5 6 | 7 8 9\n",
+    "bad.ktx": "Q\n",
+    "t.mcvs": "mcvs 3 2 1 1\ne 0 1\ne 1 2\nt 0 2\n",
+    "bad.mcvs": "mcvs 3\n",
+    "t.mcsol": "mcsol 3\ns 1 : 0 | 2\n",
+    "four.mcsol": "mcsol 4\n",
+    "part.mcsol": "mcsol 3\ns 1 : 0\n",
+}
+
+GOLDEN = [
+    (
+        "stats t.ccg", 0,
+        "n 3\nkind complete\nblue 2\nred 1\nblue-components 1\ncluster-graph no\n"
+        "lower-bound 1\n",
+        "",
+    ),
+    (
+        "stats --json t.ccg", 0,
+        '{"command": "stats", "input": "t.ccg", "result": {"n": 3, "complete": true, '
+        '"blue": 2, "red": 1, "blue_components": 1, "cluster_graph": false}, "bound": '
+        "1}\n",
+        "",
+    ),
+    (
+        "stats inc.ccg", 0,
+        "n 3\nkind incomplete\nblue 1\nred 1\nblue-components 2\ncluster-graph yes\n",
+        "",
+    ),
+    (
+        "stats --json inc.ccg", 0,
+        '{"command": "stats", "input": "inc.ccg", "result": {"n": 3, "complete": '
+        'false, "blue": 1, "red": 1, "blue_components": 2, "cluster_graph": true}}\n',
+        "",
+    ),
+    (
+        "stats - <s.ccg", 0,
+        "n 5\nkind complete\nblue 4\nred 6\nblue-components 1\ncluster-graph no\n"
+        "lower-bound 1\n",
+        "",
+    ),
+    (
+        "stats bad.ccg", 2, "",
+        "splitclust: line 1: expected 'ccg <n> complete|incomplete'\n",
+    ),
+    (
+        "stats --json missing.ccg", 2, "",
+        "splitclust: [Errno 2] No such file or directory: 'missing.ccg'\n",
+    ),
+    ("stats", 2, "", "splitclust: the following arguments are required: graph\n"),
+    ("lb t.ccg", 0, "1\n", ""),
+    (
+        "lb --json t.ccg", 0,
+        '{"command": "lb", "input": "t.ccg", "result": 1, "bound": 1}\n',
+        "",
+    ),
+    (
+        "lb --json - <t.ccg", 0,
+        '{"command": "lb", "input": "-", "result": 1, "bound": 1}\n',
+        "",
+    ),
+    (
+        "lb inc.ccg", 2, "",
+        "splitclust: bad star forests are defined on complete graphs\n",
+    ),
+    (
+        "lb --json inc.ccg", 2, "",
+        "splitclust: bad star forests are defined on complete graphs\n",
+    ),
+    (
+        "lb --json bad.ccg", 2, "",
+        "splitclust: line 1: expected 'ccg <n> complete|incomplete'\n",
+    ),
+    ("decide t.ccg --budget 1", 0, "yes\n", ""),
+    (
+        "decide --json t.ccg --budget 1", 0,
+        '{"command": "decide", "input": "t.ccg", "result": true}\n',
+        "",
+    ),
+    ("decide t.ccg --budget 0", 1, "no\n", ""),
+    (
+        "decide --json t.ccg --budget 0", 1,
+        '{"command": "decide", "input": "t.ccg", "result": false}\n',
+        "",
+    ),
+    (
+        "decide m.ccg --budget 3 --node-limit 1", 3, "",
+        "splitclust: search aborted after 2 nodes at cost level 2\n",
+    ),
+    (
+        "decide --json m.ccg --budget 3 --node-limit 1", 3, "",
+        "splitclust: search aborted after 2 nodes at cost level 2\n",
+    ),
+    (
+        "decide t.ccg", 2, "",
+        "splitclust: the following arguments are required: --budget\n",
+    ),
+    (
+        "decide t.ccg --budget x", 2, "",
+        "splitclust: argument --budget: invalid int value: 'x'\n",
+    ),
+    (
+        "decide t.ccg --budget -1", 2, "",
+        "splitclust: budget must be a non-negative integer, got -1\n",
+    ),
+    (
+        "decide --json bad.ccg --budget 1", 2, "",
+        "splitclust: line 1: expected 'ccg <n> complete|incomplete'\n",
+    ),
+    ("exact t.ccg", 0, "clustering 2\nc 0 1 2\nc 2\n", ""),
+    (
+        "exact --json t.ccg", 0,
+        '{"command": "exact", "input": "t.ccg", "result": [[0, 1, 2], [2]], "cost": '
+        "1}\n",
+        "",
+    ),
+    ("exact s.ccg --budget 2", 0, "clustering 3\nc 0 1 3 4\nc 1 2\nc 4\n", ""),
+    ("exact t.ccg --budget 0", 1, "", "splitclust: no clustering within the budget\n"),
+    (
+        "exact --json t.ccg --budget 0", 1,
+        '{"command": "exact", "input": "t.ccg", "result": null}\n',
+        "",
+    ),
+    (
+        "exact m.ccg --node-limit 1", 3, "",
+        "splitclust: search aborted after 2 nodes at cost level 2\n",
+    ),
+    (
+        "exact --json m.ccg --node-limit 1", 3, "",
+        "splitclust: search aborted after 2 nodes at cost level 2\n",
+    ),
+    ("exact inc.ccg", 0, "clustering 2\nc 0 1\nc 2\n", ""),
+    (
+        "exact --json inc.ccg --budget 0", 0,
+        '{"command": "exact", "input": "inc.ccg", "result": [[0, 1], [2]], "cost": '
+        "0}\n",
+        "",
+    ),
+    (
+        "exact t.ccg --budget -1", 2, "",
+        "splitclust: max_cost must be a non-negative integer, got -1\n",
+    ),
+    (
+        "exact --json missing.ccg", 2, "",
+        "splitclust: [Errno 2] No such file or directory: 'missing.ccg'\n",
+    ),
+    ("approx t.ccg", 0, "clustering 4\nc 0 1 2\nc 0\nc 1\nc 2\n", ""),
+    (
+        "approx --json t.ccg", 0,
+        '{"command": "approx", "input": "t.ccg", "result": [[0, 1, 2], [0], [1], '
+        '[2]], "cost": 3}\n',
+        "",
+    ),
+    (
+        "approx s.ccg --guess-all", 0,
+        "guess 3 cost 4\nclustering 5\nc 0 1 2 3\nc 0 4\nc 0\nc 1\nc 2\n"
+        "guess 4 cost 4\nclustering 5\nc 0 1 2 4\nc 0 3\nc 0\nc 1\nc 2\n"
+        "guess - cost 5\nclustering 6\nc 0 1 2\nc 0 3\nc 0 4\nc 0\nc 1\nc 2\n",
+        "",
+    ),
+    (
+        "approx --json s.ccg --guess-all", 0,
+        '{"command": "approx", "input": "s.ccg", "result": [{"guess": [3], "cost": 4, '
+        '"clusters": [[0, 1, 2, 3], [0, 4], [0], [1], [2]]}, {"guess": [4], "cost": '
+        '4, "clusters": [[0, 1, 2, 4], [0, 3], [0], [1], [2]]}, {"guess": null, '
+        '"cost": 5, "clusters": [[0, 1, 2], [0, 3], [0, 4], [0], [1], [2]]}]}\n',
+        "",
+    ),
+    (
+        "approx inc.ccg", 2, "",
+        "splitclust: approximation is defined on complete graphs\n",
+    ),
+    (
+        "approx --json inc.ccg --guess-all", 2, "",
+        "splitclust: approximation is defined on complete graphs\n",
+    ),
+    (
+        "kernel m.ccg --budget 2", 0,
+        "ccg 7 complete\ne 0 1 b\ne 1 2 b\ne 1 3 b\ne 1 4 b\ne 1 5 b\ne 1 6 b\n"
+        "e 3 4 b\ne 3 5 b\ne 3 6 b\ne 4 5 b\ne 4 6 b\ne 5 6 b\n",
+        "",
+    ),
+    (
+        "kernel --json m.ccg --budget 2 --transcript out.ktx", 0,
+        '{"command": "kernel", "input": "m.ccg", "result": {"kind": "kernel", "n": '
+        "7}}\n",
+        "",
+    ),
+    ("kernel t.ccg --budget 0", 1, "no-instance weight 1\n", ""),
+    (
+        "kernel --json t.ccg --budget 0", 1,
+        '{"command": "kernel", "input": "t.ccg", "result": {"kind": "no-instance", '
+        '"weight": 1}}\n',
+        "",
+    ),
+    (
+        "kernel inc.ccg --budget 1", 2, "",
+        "splitclust: kernelization is defined on complete graphs\n",
+    ),
+    (
+        "kernel --json t.ccg --budget -1", 2, "",
+        "splitclust: budget must be a non-negative integer, got -1\n",
+    ),
+    (
+        "kernel t.ccg", 2, "",
+        "splitclust: the following arguments are required: --budget\n",
+    ),
+    (
+        "lift k.clu --transcript m.ktx", 0,
+        "clustering 2\nc 0 1 2\nc 1 3 4 5 6 7 8 9\n",
+        "",
+    ),
+    (
+        "lift --json k.clu --transcript m.ktx", 0,
+        '{"command": "lift", "input": ["k.clu", "m.ktx"], "result": [[0, 1, 2], [1, '
+        '3, 4, 5, 6, 7, 8, 9]], "cost": 1}\n',
+        "",
+    ),
+    (
+        "lift - --transcript m.ktx <k.clu", 0,
+        "clustering 2\nc 0 1 2\nc 1 3 4 5 6 7 8 9\n",
+        "",
+    ),
+    (
+        "lift kbad.clu --transcript m.ktx", 1, "",
+        "splitclust: no cluster contains a marked clique part; the solution does not "
+        "respect the kernel structure\n",
+    ),
+    (
+        "lift --json kbad.clu --transcript m.ktx", 1, "",
+        "splitclust: no cluster contains a marked clique part; the solution does not "
+        "respect the kernel structure\n",
+    ),
+    (
+        "lift k.clu --transcript bad.ktx", 2, "",
+        "splitclust: line 1: expected 'S <ids...>'\n",
+    ),
+    (
+        "lift --json bad.clu --transcript m.ktx", 2, "",
+        "splitclust: line 1: expected integer cluster count\n",
+    ),
+    (
+        "lift k.clu", 2, "",
+        "splitclust: the following arguments are required: --transcript\n",
+    ),
+    ("verify t.ccg ok.clu", 0, "", ""),
+    (
+        "verify --json t.ccg ok.clu", 0,
+        '{"command": "verify", "input": ["t.ccg", "ok.clu"], "result": '
+        '{"uncovered_vertices": [], "uncovered_blue": [], "unresolved_red": []}, '
+        '"valid": true}\n',
+        "",
+    ),
+    ("verify t.ccg one.clu", 1, "invalid\nunresolved-red 0 2\n", ""),
+    (
+        "verify --json t.ccg one.clu", 1,
+        '{"command": "verify", "input": ["t.ccg", "one.clu"], "result": '
+        '{"uncovered_vertices": [], "uncovered_blue": [], "unresolved_red": [[0, '
+        '2]]}, "valid": false}\n',
+        "",
+    ),
+    (
+        "verify s.ccg ok.clu", 1,
+        "invalid\nuncovered-vertex 3\nuncovered-vertex 4\nuncovered-blue 0 3\n"
+        "uncovered-blue 0 4\nunresolved-red 1 3\nunresolved-red 1 4\n"
+        "unresolved-red 2 3\nunresolved-red 2 4\nunresolved-red 3 4\n",
+        "",
+    ),
+    (
+        "verify --json s.ccg ok.clu", 1,
+        '{"command": "verify", "input": ["s.ccg", "ok.clu"], "result": '
+        '{"uncovered_vertices": [3, 4], "uncovered_blue": [[0, 3], [0, 4]], '
+        '"unresolved_red": [[1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]}, "valid": '
+        "false}\n",
+        "",
+    ),
+    (
+        "verify t.ccg bad.clu", 2, "",
+        "splitclust: line 1: expected integer cluster count\n",
+    ),
+    (
+        "verify --json t.ccg missing.clu", 2, "",
+        "splitclust: [Errno 2] No such file or directory: 'missing.clu'\n",
+    ),
+    (
+        "verify t.ccg", 2, "",
+        "splitclust: the following arguments are required: clustering\n",
+    ),
+    (
+        "reduce ccvs-to-mcvs t.ccg --budget 1", 0,
+        "mcvs 3 2 1 1\ne 0 1\ne 1 2\nt 0 2\n",
+        "",
+    ),
+    (
+        "reduce --json ccvs-to-mcvs t.ccg --budget 1", 0,
+        '{"command": "reduce", "input": "t.ccg", "result": "mcvs 3 2 1 1\\ne 0 1\\ne '
+        '1 2\\nt 0 2\\n"}\n',
+        "",
+    ),
+    ("reduce ccvs-to-mcvs inc.ccg", 0, "mcvs 3 1 1 0\ne 0 1\nt 1 2\n", ""),
+    (
+        "reduce mcvs-to-ccvs t.mcvs", 0,
+        "# budget 1\nccg 3 incomplete\ne 0 1 b\ne 0 2 r\ne 1 2 b\n",
+        "",
+    ),
+    (
+        "reduce --json mcvs-to-ccvs t.mcvs", 0,
+        '{"command": "reduce", "input": "t.mcvs", "result": "# budget 1\\nccg 3 '
+        'incomplete\\ne 0 1 b\\ne 0 2 r\\ne 1 2 b\\n", "bound": 1}\n',
+        "",
+    ),
+    (
+        "reduce mcvs-to-ccvs - <t.mcvs", 0,
+        "# budget 1\nccg 3 incomplete\ne 0 1 b\ne 0 2 r\ne 1 2 b\n",
+        "",
+    ),
+    ("reduce clu-to-mcsol t.ccg ok.clu", 0, "mcsol 3\ns 1 : 0 | 2\n", ""),
+    (
+        "reduce --json clu-to-mcsol t.ccg ok.clu", 0,
+        '{"command": "reduce", "input": ["t.ccg", "ok.clu"], "result": "mcsol 3\\ns 1 '
+        ': 0 | 2\\n", "cost": 1}\n',
+        "",
+    ),
+    (
+        "reduce clu-to-mcsol t.ccg one.clu", 2, "",
+        "splitclust: clustering is not valid for the graph: "
+        "ValidationReport(uncovered_blue=(), unresolved_red=((0, 2),), "
+        "uncovered_vertices=())\n",
+    ),
+    ("reduce mcsol-to-clu t.mcvs t.mcsol", 0, "clustering 2\nc 0 1\nc 1 2\n", ""),
+    (
+        "reduce --json mcsol-to-clu t.mcvs t.mcsol", 0,
+        '{"command": "reduce", "input": ["t.mcvs", "t.mcsol"], "result": "clustering '
+        '2\\nc 0 1\\nc 1 2\\n", "cost": 1}\n',
+        "",
+    ),
+    (
+        "reduce mcsol-to-clu t.mcvs four.mcsol", 2, "",
+        "splitclust: solution is for 4 vertices, instance has 3\n",
+    ),
+    (
+        "reduce --json mcsol-to-clu t.mcvs part.mcsol", 2, "",
+        "splitclust: line 2: a split needs at least two parts\n",
+    ),
+    (
+        "reduce ccvs-to-mcvs t.ccg t.ccg", 2, "",
+        "splitclust: ccvs-to-mcvs takes 1 input document(s), got 2\n",
+    ),
+    (
+        "reduce --json clu-to-mcsol t.ccg", 2, "",
+        "splitclust: clu-to-mcsol takes 2 input document(s), got 1\n",
+    ),
+    (
+        "reduce ccvs-to-mcvs big.ccg", 2, "",
+        "splitclust: complete graph has 4999950000 red pairs; ccvs_to_mcvs lists at "
+        "most 1000000 terminal pairs\n",
+    ),
+    (
+        "reduce mcvs-to-ccvs bad.mcvs", 2, "",
+        "splitclust: line 1: expected 'mcvs <n> <m> <t> <k>'\n",
+    ),
+    (
+        "gen random --n 4 --p-blue 0.5 --p-red 0.5 --complete --seed 3", 0,
+        "ccg 4 complete\ne 0 1 b\ne 1 2 b\ne 1 3 b\n",
+        "",
+    ),
+    (
+        "gen random --json --n 4 --p-blue 0.5 --p-red 0.3 --incomplete", 0,
+        '{"command": "gen", "input": null, "result": "ccg 4 incomplete\\ne 0 2 b\\ne '
+        '0 3 b\\ne 1 3 b\\ne 2 3 b\\n"}\n',
+        "",
+    ),
+    (
+        "gen random --n -1 --p-blue 0.5 --p-red 0.5 --complete", 2, "",
+        "splitclust: vertex counts are non-negative integers, got -1\n",
+    ),
+    (
+        "gen random --n 3 --p-blue 0.5 --p-red 0.5", 2, "",
+        "splitclust: one of the arguments --complete --incomplete is required\n",
+    ),
+    (
+        "gen vc-gadget --n 3 --edges 0-1,1-2 --budget 1", 0,
+        "ccg 5 complete\ne 0 2 b\ne 0 3 b\ne 0 4 b\ne 1 3 b\ne 1 4 b\ne 2 3 b\n"
+        "e 2 4 b\ne 3 4 b\n",
+        "",
+    ),
+    (
+        "gen vc-gadget --json --n 2 --budget 1", 0,
+        '{"command": "gen", "input": null, "result": "ccg 4 complete\\ne 0 1 b\\ne 0 '
+        '2 b\\ne 0 3 b\\ne 1 2 b\\ne 1 3 b\\ne 2 3 b\\n"}\n',
+        "",
+    ),
+    (
+        "gen vc-gadget --n 3 --edges xy --budget 1", 2, "",
+        "splitclust: edge 'xy' must look like 0-1\n",
+    ),
+    (
+        "gen vc-gadget --json --n 3 --edges 0-5 --budget 1", 2, "",
+        "splitclust: edge (0,5) out of range for n=3\n",
+    ),
+    (
+        "gen coloring-gadget --n 3 --edges 0-1,0-2,1-2 --colors 3", 0,
+        "mcvs 4 3 3 2\ne 0 3\ne 1 3\ne 2 3\nt 0 1\nt 0 2\nt 1 2\n",
+        "",
+    ),
+    (
+        "gen coloring-gadget --json --n 2 --edges 0-1 --colors 3", 0,
+        '{"command": "gen", "input": null, "result": "mcvs 3 2 1 2\\ne 0 2\\ne 1 '
+        '2\\nt 0 1\\n"}\n',
+        "",
+    ),
+    (
+        "gen coloring-gadget --n 2 --edges 0-1 --colors 2", 2, "",
+        "splitclust: coloring gadget needs at least three colors\n",
+    ),
+    (
+        "gen coloring-gadget --n 2 --edges 0-+1 --colors 3", 2, "",
+        "splitclust: edge '0-+1' must join two integers\n",
+    ),
+    ("gen", 2, "", "splitclust: the following arguments are required: generator\n"),
+    (
+        "gen --json random", 2, "",
+        "splitclust: the following arguments are required: --n, --p-blue, --p-red\n",
+    ),
+    ("", 2, "", "splitclust: the following arguments are required: command\n"),
+    ("lb --bogus t.ccg", 2, "", "splitclust: unrecognized arguments: --bogus\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "line, code, out, err", GOLDEN, ids=[case[0] or "no-args" for case in GOLDEN]
+)
+def test_golden_output(tmp_path, monkeypatch, line, code, out, err):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    line, _, redirect = line.partition(" <")
+    stdin_text = GOLDEN_FILES[redirect] if redirect else ""
+    assert invoke(line.split(), stdin_text) == (code, out, err)

@@ -158,9 +158,9 @@ def test_split_readers_label_blue_components_once(monkeypatch):
     real = splitclust.graphs.blue_components
     real_split = splitclust.multicut._split_components
 
-    def counting(g, within=None):
+    def counting(g):
         labelled.append(("blue_components", g.n))
-        return real(g, within)
+        return real(g)
 
     def counting_split(inst, sol):
         labelled.append(("_split_components", inst.n))

@@ -1,7 +1,7 @@
-"""The Python walkthroughs in ``demos/`` run to completion.
+"""The walkthroughs in ``demos/`` run to completion.
 
-``09_cli_tour.sh`` is left out: it needs an installed ``splitclust``
-executable on the PATH.
+``09_cli_tour.sh`` calls a ``splitclust`` executable; the test puts a shim
+that runs ``splitclust.cli.main`` from ``src`` first on the PATH.
 """
 
 from __future__ import annotations
@@ -33,3 +33,27 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_tour_runs(tmp_path):
+    shim = tmp_path / "splitclust"
+    shim.write_text(
+        "#!/bin/sh\n"
+        f'exec "{sys.executable}" -c "from splitclust.cli import main; main()" "$@"\n'
+    )
+    shim.chmod(0o755)
+    env = dict(
+        os.environ,
+        PATH=f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}",
+        PYTHONPATH=str(ROOT / "src"),
+    )
+    proc = subprocess.run(
+        ["sh", str(ROOT / "demos" / "09_cli_tour.sh")],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -20,6 +20,7 @@ from splitclust import (
     solve_exact,
 )
 from splitclust.detect import _greedy_stars, _suffix_bounds, _twin_classes
+from oracles import on_induced_subgraph
 
 BAD_TRIANGLE = complete_graph(3, [(0, 1), (1, 2)])
 
@@ -56,10 +57,7 @@ def test_is_bad_star():
 def test_find_bad_triangle():
     assert find_bad_triangle(BAD_TRIANGLE) == (0, 1, 2)
     assert find_bad_triangle(complete_graph(3, [(0, 1)])) is None
-    assert find_bad_triangle(BAD_TRIANGLE, within=[0, 1]) is None
-    for bad in ([7], [0, 1.5, 2], [True], [1, True]):
-        with pytest.raises(ValueError):
-            find_bad_triangle(BAD_TRIANGLE, within=bad)
+    assert on_induced_subgraph(find_bad_triangle, BAD_TRIANGLE, [0, 1]) is None
 
 
 def test_find_bad_triangle_picks_smallest():
@@ -111,7 +109,7 @@ def test_forest_invariants_random(seed):
     for star in forest.stars:
         assert is_bad_star(g, star)
     unused = set(range(n)) - forest.vertices
-    assert find_bad_triangle(g, unused) is None
+    assert on_induced_subgraph(find_bad_triangle, g, unused) is None
 
 
 @given(st.integers(0, 120))

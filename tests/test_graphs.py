@@ -20,6 +20,7 @@ from splitclust import (
     parse_graph,
     write_graph,
 )
+from oracles import on_induced_subgraph
 
 BAD_TRIANGLE = complete_graph(3, [(0, 1), (1, 2)])
 
@@ -159,12 +160,7 @@ def test_round_trip_random(seed, complete):
 def test_blue_components():
     g = complete_graph(6, [(0, 1), (1, 2), (4, 5)])
     assert blue_components(g) == [[0, 1, 2], [3], [4, 5]]
-    assert blue_components(g, within=[0, 2, 3]) == [[0], [2], [3]]
-    for bad in ([9], [0, 1.5], [True], [1, True]):
-        with pytest.raises(ValueError):
-            blue_components(g, within=bad)
-        with pytest.raises(ValueError):
-            cluster_decomposition(g, within=bad)
+    assert on_induced_subgraph(blue_components, g, [0, 2, 3]) == [[0], [2], [3]]
 
 
 def test_cluster_decomposition():
@@ -176,7 +172,7 @@ def test_cluster_decomposition():
     ]
     assert cluster_decomposition(BAD_TRIANGLE) is None
     # restricting can make the rest a cluster graph
-    assert cluster_decomposition(BAD_TRIANGLE, within=[0, 2]) == [
+    assert on_induced_subgraph(cluster_decomposition, BAD_TRIANGLE, [0, 2]) == [
         frozenset({0}),
         frozenset({2}),
     ]
@@ -195,7 +191,7 @@ def test_induced_subgraph():
     assert id_map == (1, 2, 4)
     assert sub == complete_graph(3, [(0, 1)])
     assert sub.label(0, 2) is RED
-    for bad in ([5], [-1, 0], [0, 1.5], [True], [1, True]):
+    for bad in ([5], [9], [-1, 0], [0, 1.5], [0, 1.5, 2], [True], [1, True]):
         with pytest.raises(ValueError):
             g.induced_subgraph(bad)
 
