@@ -267,9 +267,7 @@ def _cmd_verify(args, stdin):
     g = parse_graph(_read(args.graph, stdin))
     report = verify_clustering(g, parse_clustering(_read(args.clustering, stdin)))
     text = "" if report.ok else "invalid\n"
-    text += "".join(f"uncovered-vertex {v}\n" for v in report.uncovered_vertices)
-    text += "".join(f"uncovered-blue {u} {v}\n" for u, v in report.uncovered_blue)
-    text += "".join(f"unresolved-red {u} {v}\n" for u, v in report.unresolved_red)
+    text += "".join(f"{line}\n" for line in report._lines())
     return (0 if report.ok else 1), text, lambda: {
         "result": {
             "uncovered_vertices": list(report.uncovered_vertices),
@@ -299,7 +297,12 @@ def _cmd_reduce(args, stdin):
     elif direction == "clu-to-mcsol":
         g = parse_graph(_read(args.inputs[0], stdin))
         f = parse_clustering(_read(args.inputs[1], stdin))
-        sol = clustering_to_multicut_solution(g, f)
+        try:
+            sol = clustering_to_multicut_solution(g, f)
+        except ValueError as exc:
+            if any(v >= g.n for c in f for v in c):
+                raise  # an id out of range: the documents do not match
+            raise _Negative(str(exc)) from None  # an invalid clustering
         document = write_multicut_solution(g.n, sol)
         fields = {"cost": sol.cost}
     else:

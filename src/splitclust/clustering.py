@@ -111,18 +111,31 @@ class ValidationReport:
     def ok(self) -> bool:
         return not (self.uncovered_blue or self.unresolved_red or self.uncovered_vertices)
 
+    def _lines(self) -> list[str]:
+        """The violations as ``splitclust verify`` prints them, one per line."""
+        return [
+            *(f"uncovered-vertex {v}" for v in self.uncovered_vertices),
+            *(f"uncovered-blue {u} {v}" for u, v in self.uncovered_blue),
+            *(f"unresolved-red {u} {v}" for u, v in self.unresolved_red),
+        ]
+
+    def __str__(self) -> str:
+        """``valid``, or the violations in ``verify``'s words, comma-separated."""
+        return ", ".join(self._lines()) if not self.ok else "valid"
+
 
 def verify_clustering(g: CorrelationGraph, f: Clustering) -> ValidationReport:
     """Check the three validity conditions and report every violation.
 
     O(n + memberships + stored pairs + v log v) for v violations: one
-    unsorted pass over the stored pairs (see ``_violations``), and no sort
-    but of the violations.  The red pairs of a complete graph are not
-    stored; only those inside one single-cluster group, or touching an
-    uncovered vertex, can be unresolved.  The pass counts the blue pairs
-    inside each group, so a group that is a blue clique is skipped
-    without a look at its pairs, and only the other groups' pairs and the
-    uncovered vertices' pairs are listed.
+    pass over the stored pairs (see ``_violations``), a complete graph's
+    rows or an incomplete graph's dict, and no sort but of the violations.
+    The red pairs of a complete graph are not stored; only those inside
+    one single-cluster group, or touching an uncovered vertex, can be
+    unresolved.  The pass counts the blue pairs inside each group, so a
+    group that is a blue clique is skipped without a look at its pairs,
+    and only the other groups' pairs and the uncovered vertices' pairs
+    are listed.
     """
     return _violations(g, f.membership(g.n))
 
@@ -140,18 +153,27 @@ def _violations(g: CorrelationGraph, where: list[list[int]]) -> ValidationReport
     sole = [w[0] if len(w) == 1 else -1 if w else -2 for w in where]
     uncovered_blue = []
     if g.complete:
-        # only blue pairs are stored; count those inside each sole group
+        # only blue pairs are stored, as sorted rows; each pair (v, u) is
+        # read off the row of its larger end u, whose walk stops at the
+        # first neighbour above u.  Count those inside each sole group.
         inner = [0] * (max(sole, default=-1) + 1)
-        for pair in g._labels:
-            u, v = pair
-            a, b = sole[u], sole[v]
-            if a >= 0 and b >= 0:
-                if a == b:
-                    inner[a] += 1
-                else:
-                    uncovered_blue.append(pair)
-            elif a == -2 or b == -2 or set(where[u]).isdisjoint(where[v]):
-                uncovered_blue.append(pair)
+        for u, row in enumerate(g._blue_adj):
+            a = sole[u]
+            if a >= 0:
+                for v in row:
+                    if v > u:
+                        break
+                    b = sole[v]
+                    if b == a:
+                        inner[a] += 1
+                    elif b != -1 or a not in where[v]:
+                        uncovered_blue.append((v, u))
+            else:
+                for v in row:
+                    if v > u:
+                        break
+                    if a == -2 or sole[v] == -2 or set(where[u]).isdisjoint(where[v]):
+                        uncovered_blue.append((v, u))
         unresolved = _unresolved_red_complete(g, sole, inner)
     else:
         unresolved = []
@@ -346,12 +368,13 @@ def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
     red where the ancestors were red).  The result has no erroneous cycle
     and ``split_count == cost(f, g.n)``.
 
-    f is checked as by ``verify_clustering``.  Then one unsorted pass over
-    the stored pairs labels the copies of each red pair: a single label
-    when both ancestors are unsplit, one per pair of copies in distinct
-    clusters otherwise.  O(n + memberships + stored pairs + pairs the
-    result stores), with no sort of the stored pairs; the cross pairs of a
-    complete graph are red by default and are never listed.
+    f is checked as by ``verify_clustering``.  A complete graph's result
+    is built as its blue rows, one clique per cluster; its cross pairs are
+    red by default and are never listed.  For an incomplete graph, one
+    unsorted pass over the stored pairs labels the copies of each red
+    pair: a single label when both ancestors are unsplit, one per pair of
+    copies in distinct clusters otherwise.  O(n + memberships + stored
+    pairs + pairs the result stores), with no sort of the stored pairs.
     """
     where = f.membership(g.n)
     report = _violations(g, where)
@@ -365,14 +388,23 @@ def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
         for i in w:
             members[i].append(len(ancestors))
             ancestors.append(v)
-    # descendants are numbered by vertex and then by cluster, so every pair
-    # below has d1 < d2, and no pair gets two colours: blue pairs join two
-    # ancestors in one cluster, red ones one ancestor or two clusters
-    labels = dict.fromkeys(
-        chain.from_iterable(combinations(m, 2) for m in members), BLUE
-    )
-    if not g.complete:
-        # red is the default of complete graphs, so these are stored only here
+    if g.complete:
+        # each copy lies in exactly one cluster, so the split graph is one
+        # blue clique per cluster: a copy's row is its cluster's other
+        # members, ascending, and every other pair is red by default
+        rows: list[list[int]] = [[] for _ in ancestors]
+        for m in members:
+            for j, d in enumerate(m):
+                rows[d] = m[:j] + m[j + 1 :]
+        base = CorrelationGraph._trusted(len(ancestors), rows, True)
+    else:
+        # descendants are numbered by vertex and then by cluster, so every
+        # pair below has d1 < d2, and no pair gets two colours: blue pairs
+        # join two ancestors in one cluster, red ones one ancestor or two
+        # clusters
+        labels = dict.fromkeys(
+            chain.from_iterable(combinations(m, 2) for m in members), BLUE
+        )
         plain = [d if len(w) == 1 else -1 for d, w in zip(first, where)]
         for v, w in enumerate(where):
             if len(w) > 1:
@@ -392,7 +424,7 @@ def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
                     for d2, j in enumerate(where[v], first[v])
                     if i != j
                 )
-    base = CorrelationGraph._trusted(len(ancestors), labels, g.complete)
+        base = CorrelationGraph._trusted(len(ancestors), labels, False)
     return RealizedGraph(base, ancestors, g.n)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import operator
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
@@ -85,8 +85,12 @@ def _check_vertex_count(n: int) -> None:
 class CorrelationGraph:
     """Immutable graph on vertices 0..n-1 with labeled unordered pairs.
 
-    Only non-default labels are stored: blue pairs for complete graphs,
-    blue and red pairs for incomplete ones.  Lookup of any pair is O(1).
+    Only non-default labels are stored.  A complete graph stores its blue
+    pairs once, as sorted blue adjacency rows (``_blue_adj``), and
+    ``_labels`` is None; ``label`` finds a pair by bisecting a row, in
+    O(log d) for rows of at most d.  An incomplete graph stores its blue
+    and red pairs in the ``_labels`` dict, where ``label`` finds any pair
+    in O(1), and also the sorted blue rows built from it.
 
     The public constructor checks every pair it is given: integer ids (not
     ``bool``) in range, no self-loop, a colour allowed for the kind, and no
@@ -95,10 +99,7 @@ class CorrelationGraph:
     construction (the bulk ``ccg`` and ``mcvs`` readers,
     ``induced_subgraph``, split graphs, the graphs that store multicut
     instances) builds through ``_trusted`` instead, which skips those
-    per-pair checks.  Both end in ``_build``, the one place that stores
-    the labels and the sorted blue adjacency lists; it builds the lists
-    unless the caller already holds them, as complete ``induced_subgraph``
-    does.
+    per-pair checks.
     """
 
     __slots__ = ("n", "complete", "_labels", "_blue_adj")
@@ -111,7 +112,6 @@ class CorrelationGraph:
         complete: bool,
     ):
         _check_vertex_count(n)
-        default = RED if complete else NEUTRAL
         labels: dict[tuple[int, int], EdgeColor] = {}
         for u, v, color in edges:
             _check_ids(u, v, n)
@@ -128,62 +128,68 @@ class CorrelationGraph:
             if seen is not None and seen is not color:
                 raise ValueError(f"conflicting colors for pair {key}")
             labels[key] = color
-        # normalize: drop default-colored pairs so equality is structural
-        self._build(
-            n, {k: c for k, c in labels.items() if c is not default}, complete
-        )
+        if complete:
+            self._build(n, True, _blue_rows(n, labels))
+        else:
+            # normalize: drop default-colored pairs so equality is structural
+            self._build(n, False, {k: c for k, c in labels.items() if c is not NEUTRAL})
 
     @classmethod
     def _trusted(
         cls,
         n: int,
-        labels: dict[tuple[int, int], EdgeColor],
+        pairs: list[list[int]] | dict[tuple[int, int], EdgeColor],
         complete: bool,
-        adj: list[list[int]] | None = None,
     ) -> "CorrelationGraph":
         """A graph built from pairs that are valid by construction.
 
-        ``labels`` maps pairs (u, v) with 0 <= u < v < n to a colour of the
-        graph's kind, and holds no default-coloured pair; it is stored, not
-        copied, and nothing is checked but the vertex count (split graphs
-        can outgrow the cap).  ``adj``, when given, must be the sorted blue
-        adjacency lists of ``labels`` and is stored as they are; otherwise
-        they are built.  O(n + stored pairs), with no per-pair check.
+        For a complete graph ``pairs`` holds its sorted blue adjacency
+        rows: row u lists every blue neighbour of u once, ascending, and v
+        is in row u iff u is in row v.  For an incomplete graph it maps
+        pairs (u, v) with 0 <= u < v < n to BLUE or RED, and its blue rows
+        are built from it.  ``pairs`` is stored, not copied, and nothing is
+        checked but the vertex count (split graphs can outgrow the cap):
+        O(1) for rows, O(n + stored pairs) for a dict.
         """
         _check_vertex_count(n)
         g = object.__new__(cls)
-        g._build(n, labels, complete, adj)
+        g._build(n, complete, pairs)
         return g
 
     def _build(
         self,
         n: int,
-        labels: dict[tuple[int, int], EdgeColor],
         complete: bool,
-        adj: list[list[int]] | None = None,
+        pairs: list[list[int]] | dict[tuple[int, int], EdgeColor],
     ) -> None:
+        """Store the rows of a complete graph, or the labels and rows of an incomplete one."""
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "_labels", labels)
-        if adj is None:
-            adj = [[] for _ in range(n)]
-            for (u, v), c in labels.items():
-                if c is BLUE:
-                    adj[u].append(v)
-                    adj[v].append(u)
-            for row in adj:
-                row.sort()
-        object.__setattr__(self, "_blue_adj", adj)
+        if complete:
+            object.__setattr__(self, "_labels", None)
+            object.__setattr__(self, "_blue_adj", pairs)
+        else:
+            object.__setattr__(self, "_labels", pairs)
+            object.__setattr__(self, "_blue_adj", _blue_rows(n, pairs))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CorrelationGraph is immutable")
 
     def label(self, u: int, v: int) -> EdgeColor:
-        """Color of the unordered pair (u, v)."""
-        if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
-            raise ValueError(f"not a vertex pair of this graph: ({u},{v})")
-        default = RED if self.complete else NEUTRAL
-        return self._labels.get(_pair(u, v), default)
+        """Color of the unordered pair (u, v).
+
+        O(1) on incomplete graphs; O(log d) on complete ones, a bisect in
+        u's blue row of length d.  Ids must be ints (not ``bool``).
+        """
+        if not (
+            _is_integer(u) and _is_integer(v) and 0 <= u < self.n and 0 <= v < self.n
+        ) or u == v:
+            raise ValueError(f"not a vertex pair of this graph: ({u!r},{v!r})")
+        if not self.complete:
+            return self._labels.get(_pair(u, v), NEUTRAL)
+        row = self._blue_adj[u]
+        i = bisect_left(row, v)
+        return BLUE if i < len(row) and row[i] == v else RED
 
     def blue_neighbors(self, v: int) -> list[int]:
         """Sorted blue neighbors of v."""
@@ -193,25 +199,30 @@ class CorrelationGraph:
 
     def blue_edges(self) -> list[tuple[int, int]]:
         """All blue pairs, sorted."""
-        return sorted(k for k, c in self._labels.items() if c is BLUE)
+        if not self.complete:
+            return sorted(k for k, c in self._labels.items() if c is BLUE)
+        return [
+            (u, v)
+            for u, row in enumerate(self._blue_adj)
+            for v in row[bisect_right(row, u) :]
+        ]
 
     def red_edges(self) -> list[tuple[int, int]]:
         """All red pairs, sorted.  O(n^2) for complete graphs."""
         if not self.complete:
             return sorted(k for k, c in self._labels.items() if c is RED)
-        blue = {k for k, c in self._labels.items() if c is BLUE}
-        return [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if (u, v) not in blue
-        ]
+        out = []
+        for u, row in enumerate(self._blue_adj):
+            blue = set(row)
+            out += [(u, v) for v in range(u + 1, self.n) if v not in blue]
+        return out
 
     def count_colors(self) -> tuple[int, int]:
         """(blue pair count, red pair count)."""
-        n_blue = sum(1 for c in self._labels.values() if c is BLUE)
         if self.complete:
+            n_blue = sum(map(len, self._blue_adj)) // 2
             return n_blue, self.n * (self.n - 1) // 2 - n_blue
+        n_blue = sum(1 for c in self._labels.values() if c is BLUE)
         return n_blue, sum(1 for c in self._labels.values() if c is RED)
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["CorrelationGraph", tuple[int, ...]]:
@@ -222,10 +233,9 @@ class CorrelationGraph:
         checked again, because re-indexing in sorted order keeps them valid
         and u < v.  A complete graph maps each kept vertex's sorted blue row
         through an index list; the mapped rows stay sorted because the kept
-        ids ascend, so they are stored as the subgraph's adjacency lists,
-        and the label dict is read off them, one tuple per kept pair:
-        O(n + the kept vertices' degrees).  An incomplete graph filters its
-        stored pairs: O(n + stored pairs).
+        ids ascend, so they are the subgraph's rows: O(n + the kept
+        vertices' degrees).  An incomplete graph filters its stored pairs:
+        O(n + stored pairs).
         """
         keep = _check_vertices(vertices, self.n)
         if self.complete:
@@ -237,37 +247,45 @@ class CorrelationGraph:
                 [x for x in map(new_id.__getitem__, adj[old]) if x is not None]
                 for old in keep
             ]
-            labels = dict.fromkeys(
-                [(u, x) for u, row in enumerate(rows) for x in row[bisect_right(row, u) :]],
-                BLUE,
-            )
-            return CorrelationGraph._trusted(len(keep), labels, True, rows), tuple(keep)
+            return CorrelationGraph._trusted(len(keep), rows, True), tuple(keep)
         index = {old: new for new, old in enumerate(keep)}
         labels = {
             (index[u], index[v]): c
             for (u, v), c in self._labels.items()
             if u in index and v in index
         }
-        return (
-            CorrelationGraph._trusted(len(keep), labels, self.complete),
-            tuple(keep),
-        )
+        return CorrelationGraph._trusted(len(keep), labels, False), tuple(keep)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CorrelationGraph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.complete == other.complete
-            and self._labels == other._labels
-        )
+        if self.n != other.n or self.complete != other.complete:
+            return False
+        if self.complete:
+            return self._blue_adj == other._blue_adj
+        return self._labels == other._labels
 
     def __hash__(self) -> int:
-        return hash((self.n, self.complete, frozenset(self._labels.items())))
+        if self.complete:
+            return hash((self.n, True, tuple(map(tuple, self._blue_adj))))
+        return hash((self.n, False, frozenset(self._labels.items())))
 
     def __repr__(self) -> str:
         kind = "complete" if self.complete else "incomplete"
-        return f"CorrelationGraph(n={self.n}, {kind}, {len(self._labels)} stored pairs)"
+        stored = self.count_colors()[0] if self.complete else len(self._labels)
+        return f"CorrelationGraph(n={self.n}, {kind}, {stored} stored pairs)"
+
+
+def _blue_rows(n: int, labels: dict[tuple[int, int], EdgeColor]) -> list[list[int]]:
+    """The sorted blue adjacency rows of a label dict.  O(n + pairs + p log d)."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for (u, v), c in labels.items():
+        if c is BLUE:
+            adj[u].append(v)
+            adj[v].append(u)
+    for row in adj:
+        row.sort()
+    return adj
 
 
 def complete_graph(n: int, blue: Iterable[tuple[int, int]]) -> CorrelationGraph:
@@ -486,11 +504,12 @@ def _bulk_graph(data: bytes | str) -> CorrelationGraph | None:
     """The graph of a document exactly as ``write_graph`` emits it, else None.
 
     A block of ASCII comment lines may lead.  ``_pair_columns`` checks and
-    splits the body, whose columns give the label dict in one call.
-    Anything else, such as other comments or whitespace, a red pair of a
-    complete graph or a pair listed twice, gives None and is left to
-    ``_parse_graph_lines``, which names its faults.  Never raises.
-    O(n + document length).
+    splits the body.  A complete graph's columns give its blue rows in one
+    pass (``_ascending_rows``); an incomplete graph's give its label dict
+    in one call.  Anything else, such as other comments or whitespace, a
+    red pair of a complete graph, a complete graph's pairs out of order, or
+    a pair listed twice, gives None and is left to ``_parse_graph_lines``,
+    which names its faults.  Never raises.  O(n + document length).
     """
     if not isinstance(data, bytes):
         return None
@@ -505,19 +524,43 @@ def _bulk_graph(data: bytes | str) -> CorrelationGraph | None:
     if columns is None:
         return None
     us, vs, colors = columns
-    complete = match[2] == b"complete"
-    if complete:
+    if match[2] == b"complete":
         if colors.count(b"b") != len(colors):  # a red pair, or ``b0``
             return None
-        labels = dict.fromkeys(zip(us, vs), BLUE)
-    else:
-        try:
-            labels = dict(zip(zip(us, vs), map(_BYTE_COLORS.__getitem__, colors)))
-        except KeyError:  # a digit glued to a colour (``b0``)
-            return None
+        rows = _ascending_rows(n, us, vs)
+        return None if rows is None else CorrelationGraph._trusted(n, rows, True)
+    try:
+        labels = dict(zip(zip(us, vs), map(_BYTE_COLORS.__getitem__, colors)))
+    except KeyError:  # a digit glued to a colour (``b0``)
+        return None
     if len(labels) != len(us):
         return None
-    return CorrelationGraph._trusted(n, labels, complete)
+    return CorrelationGraph._trusted(n, labels, False)
+
+
+def _ascending_rows(n: int, us: list[int], vs: list[int]) -> list[list[int]] | None:
+    """The sorted adjacency rows of pairs listed in ascending order, else None.
+
+    Pairs (us[i], vs[i]) with u < v, listed in strictly ascending (u, v)
+    order as ``write_graph`` lists them, append to every row in ascending
+    order: a vertex's smaller neighbours come first, from the pairs of
+    smaller u, then its larger ones.  So no row is sorted, and a pair
+    listed twice or out of order shows as a pair not above the one before
+    it, which gives None.  One pass over the pairs, no call per row:
+    O(n + pairs).
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    last_u = last_v = -1
+    for u, v in zip(us, vs):
+        if u == last_u:
+            if v <= last_v:
+                return None
+        elif u < last_u:
+            return None
+        last_u, last_v = u, v
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
 def parse_graph(data: bytes | str) -> CorrelationGraph:

@@ -176,9 +176,12 @@ def lift_clustering(f: Clustering, transcript: KernelTranscript) -> Clustering:
     Removed clique vertices rejoin the cluster that absorbed their marked
     clique-mates (any budget-respecting solution keeps each marked part
     whole); removed isolated cliques come back as standalone clusters.
+    Raises ``ValueError`` when a kernel vertex is out of range or in no
+    cluster.
     """
     id_map = transcript.id_map
     clusters: list[set[int]] = []
+    covered: set[int] = set()
     for cluster in f:
         mapped = set()
         for v in cluster:
@@ -186,6 +189,10 @@ def lift_clustering(f: Clustering, transcript: KernelTranscript) -> Clustering:
                 raise ValueError(f"kernel vertex {v} out of range")
             mapped.add(id_map[v])
         clusters.append(mapped)
+        covered |= cluster
+    if len(covered) != len(id_map):
+        missing = min(set(range(len(id_map))) - covered)
+        raise ValueError(f"kernel vertex {missing} is in no cluster")
     for clique, marked, removed in transcript.clusters:
         if not removed:
             continue

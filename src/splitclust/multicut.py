@@ -319,7 +319,7 @@ def ccvs_to_mcvs(g: CorrelationGraph, k: int) -> MulticutInstance:
                 f"complete graph has {red_count} red pairs; ccvs_to_mcvs lists "
                 f"at most {_MAX_LISTED_RED_PAIRS} terminal pairs"
             )
-        labels = dict(g._labels)
+        labels = dict.fromkeys(g.blue_edges(), BLUE)
         labels.update(zip(g.red_edges(), repeat(RED)))
         g = CorrelationGraph._trusted(g.n, labels, False)
     return MulticutInstance._of(g, k)

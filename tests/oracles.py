@@ -610,9 +610,12 @@ def checked_induced_subgraph(
     """``g.induced_subgraph`` with every kept pair re-checked by the constructor."""
     keep = sorted(set(vertices))
     index = {old: new for new, old in enumerate(keep)}
+    pairs = [(u, v, BLUE) for u, v in g.blue_edges()]
+    if not g.complete:  # a complete graph's red pairs are its default
+        pairs += [(u, v, RED) for u, v in g.red_edges()]
     edges = [
         (index[u], index[v], c)
-        for (u, v), c in g._labels.items()
+        for u, v, c in pairs
         if u in index and v in index
     ]
     return CorrelationGraph(len(keep), edges, complete=g.complete), tuple(keep)

@@ -346,6 +346,11 @@ GOLDEN_FILES = {
     "bad.clu": "clustering x\n",
     "k.clu": "clustering 2\nc 0 1 2\nc 1 3 4 5 6\n",
     "kbad.clu": "clustering 3\nc 0 1 2 3 4\nc 5\nc 6\n",
+    # a solution of the kernel of gen_random(4, .5, .5, complete=True, seed=1)
+    # at budget 1 that leaves kernel vertex 2 in no cluster
+    "r1.clu": "clustering 1\nc 0 1\n",
+    "g1.ktx": "S 1 2 3\nrc 0\n",
+    "far.clu": "clustering 2\nc 0 1\nc 1 2 3\n",
     "m.ktx": "S 0 1 2 3\ncl 4 5 6 7 8 9 | 4 5 6 | 7 8 9\n",
     "bad.ktx": "Q\n",
     "t.mcvs": "mcvs 3 2 1 1\ne 0 1\ne 1 2\nt 0 2\n",
@@ -579,6 +584,14 @@ GOLDEN = [
         "respect the kernel structure\n",
     ),
     (
+        "lift r1.clu --transcript g1.ktx", 1, "",
+        "splitclust: kernel vertex 2 is in no cluster\n",
+    ),
+    (
+        "lift --json r1.clu --transcript g1.ktx", 1, "",
+        "splitclust: kernel vertex 2 is in no cluster\n",
+    ),
+    (
         "lift k.clu --transcript bad.ktx", 2, "",
         "splitclust: line 1: expected 'S <ids...>'\n",
     ),
@@ -669,10 +682,16 @@ GOLDEN = [
         "",
     ),
     (
-        "reduce clu-to-mcsol t.ccg one.clu", 2, "",
-        "splitclust: clustering is not valid for the graph: "
-        "ValidationReport(uncovered_blue=(), unresolved_red=((0, 2),), "
-        "uncovered_vertices=())\n",
+        "reduce clu-to-mcsol t.ccg one.clu", 1, "",
+        "splitclust: clustering is not valid for the graph: unresolved-red 0 2\n",
+    ),
+    (
+        "reduce --json clu-to-mcsol t.ccg one.clu", 1, "",
+        "splitclust: clustering is not valid for the graph: unresolved-red 0 2\n",
+    ),
+    (
+        "reduce clu-to-mcsol t.ccg far.clu", 2, "",
+        "splitclust: cluster vertex 3 out of range for n=3\n",
     ),
     ("reduce mcsol-to-clu t.mcvs t.mcsol", 0, "clustering 2\nc 0 1\nc 1 2\n", ""),
     (

@@ -72,6 +72,7 @@ def test_verify_valid():
     assert report.uncovered_blue == ()
     assert report.unresolved_red == ()
     assert report.uncovered_vertices == ()
+    assert str(report) == "valid"
 
 
 def test_verify_unresolved_red():
@@ -87,6 +88,11 @@ def test_verify_uncovered():
     assert report.uncovered_blue == ((0, 1), (1, 2))
     # red (0, 2): distinct clusters, resolved
     assert report.unresolved_red == ()
+    # the words of ``splitclust verify``, also in the library's errors
+    text = "uncovered-vertex 1, uncovered-blue 0 1, uncovered-blue 1 2"
+    assert str(report) == text
+    with pytest.raises(ValueError, match=f"^clustering is not valid for the graph: {text}$"):
+        clustering_to_splits(BAD_TRIANGLE, Clustering([{0}, {2}]))
 
 
 def test_verify_duplicate_clusters_resolve_red():

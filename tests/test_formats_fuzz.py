@@ -704,6 +704,41 @@ def test_bulk_readers_match_references_on_corrupted_lines():
             assert _outcome(FORMATS[name][0], data) == expected, data
 
 
+# Complete documents in the writer's shape, each read in bulk or left to the
+# fallback reader; either way they give the fallback reader's graph.
+COMPLETE_SHAPED = [
+    b"ccg 0 complete\n",
+    b"ccg 1 complete\n",
+    b"ccg 4 complete\n",
+    b"ccg 4 complete\ne 0 1 b\ne 0 3 b\ne 1 2 b\ne 2 3 b\n",
+    b"ccg 4 complete\ne 0 1 b\ne 0 1 b\ne 1 2 b\n",  # a pair listed twice
+    b"ccg 4 complete\ne 0 1 b\ne 1 2 b\ne 0 1 b\n",  # twice, apart
+    b"ccg 4 complete\ne 1 2 b\ne 0 3 b\n",  # u out of order
+    b"ccg 4 complete\ne 0 3 b\ne 0 1 b\n",  # v out of order
+    b"ccg 4 complete\ne 1 2 b\ne 0 2 b\n",  # a row would get 1 before 0
+    b"ccg 4 complete\ne 0 1 b0\ne 1 2 b\n",  # a digit glued to the colour
+    b"ccg 4 complete\ne 0 1 b\ne 1 2 r\n",  # an explicit red pair
+]
+
+
+def test_complete_rows_match_the_fallback_reader():
+    for data in COMPLETE_SHAPED:
+        expected = _outcome(_parse_graph_lines, data)
+        assert _outcome(parse_graph, data) == expected, data
+        if isinstance(expected[0], CorrelationGraph):
+            g, ref = parse_graph(data), expected[0]
+            assert hash(g) == hash(ref) and g._labels is None is ref._labels
+    rng = random.Random(5)
+    for seed in range(100):
+        g = gen_random(rng.randint(0, 12), 0.5, 0.5, complete=True, seed=seed)
+        lines = write_graph(g).split(b"\n")
+        body = lines[1:-1]
+        rng.shuffle(body)
+        for data in (write_graph(g), b"\n".join([lines[0], *body, b""])):
+            read = parse_graph(data)
+            assert (read, read._blue_adj, hash(read)) == (g, g._blue_adj, hash(g))
+
+
 
 def _refuse(data):
     raise AssertionError("a writer's document reached the line loop")

@@ -9,10 +9,12 @@ from splitclust import (
     BLUE,
     NEUTRAL,
     RED,
+    Clustering,
     CorrelationGraph,
     FormatError,
     blue_components,
     cluster_decomposition,
+    clustering_to_splits,
     complete_graph,
     find_bad_triangle,
     gen_random,
@@ -34,6 +36,10 @@ def test_default_labels():
     assert h.label(0, 1) is BLUE
     assert h.label(1, 2) is RED
     assert h.label(0, 2) is NEUTRAL
+    for graph in (g, h):
+        for u, v in ((0, 0), (0, 3), (-1, 0), (0, 1.0), (0.5, 1), (True, 2)):
+            with pytest.raises(ValueError, match="not a vertex pair"):
+                graph.label(u, v)
 
 
 def test_constructor_rejects_bad_edges():
@@ -194,6 +200,37 @@ def test_induced_subgraph():
     for bad in ([5], [9], [-1, 0], [0, 1.5], [0, 1.5, 2], [True], [1, True]):
         with pytest.raises(ValueError):
             g.induced_subgraph(bad)
+
+
+def test_complete_graph_built_four_ways_has_one_hash():
+    """The constructor, the bulk reader, ``induced_subgraph`` and a split graph."""
+    g = complete_graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    read = parse_graph(write_graph(g))
+    larger = complete_graph(
+        7, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 4), (3, 5), (5, 6)]
+    )
+    sub, _ = larger.induced_subgraph([1, 2, 4, 5, 6])
+    # vertex 2 lies in both clusters: copies 2 and 3, one per cluster
+    h = complete_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    base = clustering_to_splits(h, Clustering([{0, 1, 2}, {2, 3}])).base
+    for other in (read, sub, base):
+        assert other == g and hash(other) == hash(g)
+        assert other._blue_adj == g._blue_adj and other._labels is None
+    assert incomplete_graph(5, blue=g.blue_edges()) != g
+
+
+@given(st.integers(0, 14), st.integers(0, 10_000))
+def test_complete_label_agrees_with_blue_edges(n, seed):
+    g = gen_random(n, 0.5, 0.5, complete=True, seed=seed)
+    blue = set(g.blue_edges())
+    red = set(g.red_edges())
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                pair = (min(u, v), max(u, v))
+                assert g.label(u, v) is (BLUE if pair in blue else RED)
+                assert (pair in blue) != (pair in red)
+    assert g.count_colors() == (len(blue), len(red))
 
 
 def test_count_colors():

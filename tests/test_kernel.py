@@ -185,6 +185,8 @@ def test_lift_rejects_misshapen_solutions():
         lift_clustering(
             Clustering([{0, 1, 2, 3, 4}, {5}, {6}]), MARKING_TRANSCRIPT
         )
+    with pytest.raises(ValueError, match="kernel vertex 6 is in no cluster"):
+        lift_clustering(Clustering([{0, 1, 2}, {1, 3, 4, 5}]), MARKING_TRANSCRIPT)
 
 
 def test_transcript_round_trip():

@@ -738,8 +738,12 @@ def test_complete_graph_pipeline_makes_no_label_calls(monkeypatch):
 
 
 def graph_fields(g: CorrelationGraph):
-    """Everything a graph stores; ``==`` compares only the labels."""
-    return g.n, g.complete, g._labels, g._blue_adj
+    """Everything a graph stores: its blue rows, and for an incomplete graph its labels.
+
+    ``==`` compares only the rows of complete graphs and only the labels of
+    incomplete ones.
+    """
+    return g.n, g.complete, g._blue_adj, None if g.complete else g._labels
 
 
 def instance_fields(inst):
