@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Container, Iterable, Sequence
-from itertools import chain, combinations
+from bisect import bisect_left, bisect_right
+from itertools import chain
 
 from .graphs import (
-    BLUE,
-    RED,
     CorrelationGraph,
     FormatError,
     _is_blue_clique,
+    _check_vertex,
     _is_integer,
     _pair,
     _read_counts,
@@ -128,14 +128,13 @@ def verify_clustering(g: CorrelationGraph, f: Clustering) -> ValidationReport:
     """Check the three validity conditions and report every violation.
 
     O(n + memberships + stored pairs + v log v) for v violations: one
-    pass over the stored pairs (see ``_violations``), a complete graph's
-    rows or an incomplete graph's dict, and no sort but of the violations.
-    The red pairs of a complete graph are not stored; only those inside
-    one single-cluster group, or touching an uncovered vertex, can be
-    unresolved.  The pass counts the blue pairs inside each group, so a
-    group that is a blue clique is skipped without a look at its pairs,
-    and only the other groups' pairs and the uncovered vertices' pairs
-    are listed.
+    pass over the stored rows (see ``_violations``) and no sort but of the
+    violations.  The red pairs of a complete graph are not stored; only
+    those inside one single-cluster group, or touching an uncovered
+    vertex, can be unresolved.  The pass counts the blue pairs inside each
+    group, so a group that is a blue clique is skipped without a look at
+    its pairs, and only the other groups' pairs and the uncovered
+    vertices' pairs are listed.
     """
     return _violations(g, f.membership(g.n))
 
@@ -144,52 +143,47 @@ def _violations(g: CorrelationGraph, where: list[list[int]]) -> ValidationReport
     """The report of the clustering whose membership lists are ``where``.
 
     ``sole[v]`` is the index of v's only cluster, -1 if v lies in several
-    and -2 if in none.  A stored red pair is unresolved iff an endpoint has
-    no cluster or both have the same sole one.  A blue pair between two
-    sole clusters is covered iff they are equal; only blue pairs touching a
-    vertex in several clusters need their lists intersected.  Only the
+    and -2 if in none.  A blue pair between two sole clusters is covered
+    iff they are equal; only blue pairs touching a vertex in several
+    clusters need their lists intersected.  A red pair is unresolved iff
+    an endpoint has no cluster or both have the same sole one.  Each pair
+    (v, u) is read off the row of its larger end u, whose walk stops at
+    the first neighbour above u, so no call is made per row.  Only the
     violations are sorted, into the order of ``blue_edges``/``red_edges``.
     """
     sole = [w[0] if len(w) == 1 else -1 if w else -2 for w in where]
     uncovered_blue = []
-    if g.complete:
-        # only blue pairs are stored, as sorted rows; each pair (v, u) is
-        # read off the row of its larger end u, whose walk stops at the
-        # first neighbour above u.  Count those inside each sole group.
-        inner = [0] * (max(sole, default=-1) + 1)
-        for u, row in enumerate(g._blue_adj):
-            a = sole[u]
-            if a >= 0:
-                for v in row:
-                    if v > u:
-                        break
-                    b = sole[v]
-                    if b == a:
-                        inner[a] += 1
-                    elif b != -1 or a not in where[v]:
-                        uncovered_blue.append((v, u))
-            else:
-                for v in row:
-                    if v > u:
-                        break
-                    if a == -2 or sole[v] == -2 or set(where[u]).isdisjoint(where[v]):
-                        uncovered_blue.append((v, u))
+    # blue pairs inside each sole group are counted for the complete case
+    inner = [0] * (max(sole, default=-1) + 1)
+    for u, row in enumerate(g._blue_adj):
+        a = sole[u]
+        if a >= 0:
+            for v in row:
+                if v > u:
+                    break
+                b = sole[v]
+                if b == a:
+                    inner[a] += 1
+                elif b != -1 or a not in where[v]:
+                    uncovered_blue.append((v, u))
+        else:
+            for v in row:
+                if v > u:
+                    break
+                if a == -2 or sole[v] == -2 or set(where[u]).isdisjoint(where[v]):
+                    uncovered_blue.append((v, u))
+    if g._red_adj is None:
         unresolved = _unresolved_red_complete(g, sole, inner)
     else:
         unresolved = []
-        for pair, color in g._labels.items():
-            u, v = pair
-            a, b = sole[u], sole[v]
-            if a == -2 or b == -2:
-                (unresolved if color is RED else uncovered_blue).append(pair)
-            elif color is RED:
-                if a == b >= 0:
-                    unresolved.append(pair)
-            elif a >= 0 and b >= 0:
-                if a != b:
-                    uncovered_blue.append(pair)
-            elif set(where[u]).isdisjoint(where[v]):
-                uncovered_blue.append(pair)
+        for u, row in enumerate(g._red_adj):
+            a = sole[u]
+            for v in row:
+                if v > u:
+                    break
+                b = sole[v]
+                if a == -2 or b == -2 or a == b >= 0:
+                    unresolved.append((v, u))
         unresolved.sort()
     uncovered_blue.sort()
     uncovered_vertices = tuple(v for v, s in enumerate(sole) if s == -2)
@@ -300,8 +294,7 @@ class RealizedGraph:
 
     def descendants(self, v: int) -> list[int]:
         """Sorted descendant ids of original vertex v."""
-        if not 0 <= v < self.original_n:
-            raise ValueError(f"vertex {v} out of range")
+        _check_vertex(v, self.original_n)
         return [d for d, a in enumerate(self.ancestors) if a == v]
 
     def __eq__(self, other: object) -> bool:
@@ -350,11 +343,10 @@ def _consistent_components(g: CorrelationGraph) -> list[list[int]] | None:
     for i, comp in enumerate(components):
         for v in comp:
             component[v] = i
-    if any(
-        color is RED and component[u] == component[v]
-        for (u, v), color in g._labels.items()
-    ):
-        return None
+    for u, row in enumerate(g._red_adj):
+        c = component[u]
+        if any(component[v] == c for v in row):
+            return None
     return components
 
 
@@ -368,63 +360,54 @@ def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
     red where the ancestors were red).  The result has no erroneous cycle
     and ``split_count == cost(f, g.n)``.
 
-    f is checked as by ``verify_clustering``.  A complete graph's result
-    is built as its blue rows, one clique per cluster; its cross pairs are
-    red by default and are never listed.  For an incomplete graph, one
-    unsorted pass over the stored pairs labels the copies of each red
-    pair: a single label when both ancestors are unsplit, one per pair of
-    copies in distinct clusters otherwise.  O(n + memberships + stored
-    pairs + pairs the result stores), with no sort of the stored pairs.
+    f is checked as by ``verify_clustering``.  The result's blue rows are
+    one clique per cluster.  A complete graph's cross pairs are red by
+    default and are never listed.  An incomplete graph's red rows are its
+    own mapped to the partners' copies, and no row is sorted.  O(n +
+    memberships + stored pairs + pairs the result stores).
     """
     where = f.membership(g.n)
     report = _violations(g, where)
     if not report.ok:
         raise ValueError(f"clustering is not valid for the graph: {report}")
     ancestors: list[int] = []
+    cluster: list[int] = []  # each copy's cluster
     members: list[list[int]] = [[] for _ in f.clusters]  # descendants per cluster
-    first: list[int] = []  # v's copies are first[v], first[v] + 1, ... by cluster
+    copies: list[range] = []  # v's copies, one per cluster of v, in order
     for v, w in enumerate(where):
-        first.append(len(ancestors))
+        copies.append(range(len(ancestors), len(ancestors) + len(w)))
         for i in w:
             members[i].append(len(ancestors))
             ancestors.append(v)
-    if g.complete:
-        # each copy lies in exactly one cluster, so the split graph is one
-        # blue clique per cluster: a copy's row is its cluster's other
-        # members, ascending, and every other pair is red by default
-        rows: list[list[int]] = [[] for _ in ancestors]
-        for m in members:
-            for j, d in enumerate(m):
-                rows[d] = m[:j] + m[j + 1 :]
-        base = CorrelationGraph._trusted(len(ancestors), rows, True)
-    else:
-        # descendants are numbered by vertex and then by cluster, so every
-        # pair below has d1 < d2, and no pair gets two colours: blue pairs
-        # join two ancestors in one cluster, red ones one ancestor or two
-        # clusters
-        labels = dict.fromkeys(
-            chain.from_iterable(combinations(m, 2) for m in members), BLUE
-        )
-        plain = [d if len(w) == 1 else -1 for d, w in zip(first, where)]
-        for v, w in enumerate(where):
-            if len(w) > 1:
-                copies = range(first[v], first[v] + len(w))
-                labels.update(dict.fromkeys(combinations(copies, 2), RED))
-        for (u, v), color in g._labels.items():
-            if color is not RED:
+            cluster.append(i)
+    # each copy lies in exactly one cluster, so its blue row is its
+    # cluster's other members, ascending
+    blue: list[list[int]] = [[] for _ in ancestors]
+    for m in members:
+        for j, d in enumerate(m):
+            blue[d] = m[:j] + m[j + 1 :]
+    red = None
+    if g._red_adj is not None:
+        # descendants are numbered by vertex and then by cluster, so the
+        # copies of a sorted red row's partners come out sorted
+        red = []
+        for u, row in enumerate(g._red_adj):
+            partners = list(chain.from_iterable(map(copies.__getitem__, row)))
+            cu = copies[u]
+            if len(cu) == 1 and len(partners) == len(row):
+                # f is valid, so two unsplit ends of a red pair lie in
+                # distinct clusters
+                red.append(partners)
                 continue
-            d1, d2 = plain[u], plain[v]
-            if d1 >= 0 and d2 >= 0:
-                # f is valid, so the two sole clusters differ
-                labels[d1, d2] = RED
-            else:
-                labels.update(
-                    ((d1, d2), RED)
-                    for d1, i in enumerate(where[u], first[u])
-                    for d2, j in enumerate(where[v], first[v])
-                    if i != j
-                )
-        base = CorrelationGraph._trusted(len(ancestors), labels, False)
+            # a copy is red to the partners' copies in other clusters and
+            # to its own siblings, which sit between the partners below u
+            # and those above it
+            for d, i in zip(cu, where[u]):
+                out = [e for e in partners if cluster[e] != i]
+                k = bisect_left(out, cu.start)
+                out[k:k] = [e for e in cu if e != d]
+                red.append(out)
+    base = CorrelationGraph._trusted(len(ancestors), blue, red)
     return RealizedGraph(base, ancestors, g.n)
 
 
@@ -486,15 +469,12 @@ def splits_to_clustering(r: RealizedGraph) -> Clustering:
                     continue  # every descendant pair is blue
                 pairs.add(_pair(s, b))
     else:
-        for (x, y), color in base._labels.items():
-            a, b = ancestors[x], ancestors[y]
-            if (
-                color is RED
-                and a != b
-                and home[a] == home[b] != -1
-                and (a in split or b in split)
-            ):
-                pairs.add(_pair(a, b))
+        for x, row in enumerate(base._red_adj):
+            a = ancestors[x]
+            for y in row[bisect_right(row, x) :]:
+                b = ancestors[y]
+                if a != b and home[a] == home[b] != -1 and (a in split or b in split):
+                    pairs.add(_pair(a, b))
     return _add_singletons(clusters, r.original_n, sorted(pairs), split)
 
 

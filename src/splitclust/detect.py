@@ -87,20 +87,16 @@ def find_bad_triangle(g: CorrelationGraph) -> tuple[int, int, int] | None:
     Returns None when the graph has no bad triangle.  On incomplete graphs
     only an explicitly red pair closes a triangle.  Takes O(n + stored
     pairs) to build the twin classes on complete graphs and the blue and red
-    neighbour sets on incomplete ones.  Complete graphs are then scanned by
-    ``_scan``, which takes set differences only between non-twin neighbours;
-    incomplete ones try every blue neighbour v of u and close with
-    blue[v] & red[u].
+    neighbour sets, one per row, on incomplete ones.  Complete graphs are
+    then scanned by ``_scan``, which takes set differences only between
+    non-twin neighbours; incomplete ones try every blue neighbour v of u
+    and close with blue[v] & red[u].
     """
     if g.complete:
         return _scan(set(range(g.n)), 0, _twin_classes(g))[1]
     adj = g._blue_adj
     blue = list(map(set, adj))
-    red: list[set[int]] = [set() for _ in range(g.n)]
-    for (a, b), color in g._labels.items():
-        if color is RED:
-            red[a].add(b)
-            red[b].add(a)
+    red = list(map(set, g._red_adj))
     for u in range(g.n):
         for v in adj[u]:
             ws = [w for w in blue[v] & red[u] if w > u]

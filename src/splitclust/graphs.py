@@ -19,7 +19,7 @@ import operator
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from itertools import islice, repeat
 
 MAX_VERTICES = 100_000
 
@@ -61,6 +61,12 @@ def _check_ids(u: int, v: int, n: int, what: str = "edge") -> None:
         raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})")
 
 
+def _check_vertex(v: int, n: int) -> None:
+    """A vertex id: an int (not ``bool``) in 0..n-1."""
+    if not (_is_integer(v) and 0 <= v < n):
+        raise ValueError(f"not a vertex id in 0..{n - 1}: {v!r}")
+
+
 def _check_vertices(vertices: Iterable[int], n: int) -> list[int]:
     """The distinct ids in ascending order, each an int (not ``bool``) in 0..n-1."""
     ids = list(vertices)
@@ -85,24 +91,23 @@ def _check_vertex_count(n: int) -> None:
 class CorrelationGraph:
     """Immutable graph on vertices 0..n-1 with labeled unordered pairs.
 
-    Only non-default labels are stored.  A complete graph stores its blue
-    pairs once, as sorted blue adjacency rows (``_blue_adj``), and
-    ``_labels`` is None; ``label`` finds a pair by bisecting a row, in
-    O(log d) for rows of at most d.  An incomplete graph stores its blue
-    and red pairs in the ``_labels`` dict, where ``label`` finds any pair
-    in O(1), and also the sorted blue rows built from it.
+    Only non-default labels are stored, as sorted adjacency rows: row u of
+    ``_blue_adj`` lists every blue neighbour of u once, ascending, and
+    ``_red_adj`` does the same for red ones.  A complete graph's red pairs
+    are implied, and its ``_red_adj`` is None.  ``label`` finds a pair by
+    bisecting rows, in O(log d) for rows of at most d.
 
     The public constructor checks every pair it is given: integer ids (not
     ``bool``) in range, no self-loop, a colour allowed for the kind, and no
-    two colours for one pair; then it normalises the pairs to u < v and
-    drops default-coloured ones.  Code whose pairs are valid by
+    two colours for one pair; then it drops default-coloured pairs and
+    builds the rows with ``_label_rows``.  Code whose rows are valid by
     construction (the bulk ``ccg`` and ``mcvs`` readers,
     ``induced_subgraph``, split graphs, the graphs that store multicut
     instances) builds through ``_trusted`` instead, which skips those
     per-pair checks.
     """
 
-    __slots__ = ("n", "complete", "_labels", "_blue_adj")
+    __slots__ = ("n", "complete", "_blue_adj", "_red_adj")
 
     def __init__(
         self,
@@ -128,49 +133,34 @@ class CorrelationGraph:
             if seen is not None and seen is not color:
                 raise ValueError(f"conflicting colors for pair {key}")
             labels[key] = color
-        if complete:
-            self._build(n, True, _blue_rows(n, labels))
-        else:
-            # normalize: drop default-colored pairs so equality is structural
-            self._build(n, False, {k: c for k, c in labels.items() if c is not NEUTRAL})
+        red = None if complete else _label_rows(n, labels, RED)
+        self._build(n, _label_rows(n, labels, BLUE), red)
 
     @classmethod
     def _trusted(
-        cls,
-        n: int,
-        pairs: list[list[int]] | dict[tuple[int, int], EdgeColor],
-        complete: bool,
+        cls, n: int, blue_rows: list[list[int]], red_rows: list[list[int]] | None
     ) -> "CorrelationGraph":
-        """A graph built from pairs that are valid by construction.
+        """A graph built from rows that are valid by construction.
 
-        For a complete graph ``pairs`` holds its sorted blue adjacency
-        rows: row u lists every blue neighbour of u once, ascending, and v
-        is in row u iff u is in row v.  For an incomplete graph it maps
-        pairs (u, v) with 0 <= u < v < n to BLUE or RED, and its blue rows
-        are built from it.  ``pairs`` is stored, not copied, and nothing is
+        Each row list holds n sorted adjacency rows: row u lists every
+        neighbour of u once, ascending, and v is in row u iff u is in row
+        v.  ``red_rows`` is None for a complete graph; otherwise no pair is
+        in both lists.  The rows are stored, not copied, and nothing is
         checked but the vertex count (split graphs can outgrow the cap):
-        O(1) for rows, O(n + stored pairs) for a dict.
+        O(1).
         """
         _check_vertex_count(n)
         g = object.__new__(cls)
-        g._build(n, complete, pairs)
+        g._build(n, blue_rows, red_rows)
         return g
 
     def _build(
-        self,
-        n: int,
-        complete: bool,
-        pairs: list[list[int]] | dict[tuple[int, int], EdgeColor],
+        self, n: int, blue_rows: list[list[int]], red_rows: list[list[int]] | None
     ) -> None:
-        """Store the rows of a complete graph, or the labels and rows of an incomplete one."""
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "complete", complete)
-        if complete:
-            object.__setattr__(self, "_labels", None)
-            object.__setattr__(self, "_blue_adj", pairs)
-        else:
-            object.__setattr__(self, "_labels", pairs)
-            object.__setattr__(self, "_blue_adj", _blue_rows(n, pairs))
+        object.__setattr__(self, "complete", red_rows is None)
+        object.__setattr__(self, "_blue_adj", blue_rows)
+        object.__setattr__(self, "_red_adj", red_rows)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CorrelationGraph is immutable")
@@ -178,39 +168,32 @@ class CorrelationGraph:
     def label(self, u: int, v: int) -> EdgeColor:
         """Color of the unordered pair (u, v).
 
-        O(1) on incomplete graphs; O(log d) on complete ones, a bisect in
-        u's blue row of length d.  Ids must be ints (not ``bool``).
+        O(log d): a bisect in u's blue row of length d, and on incomplete
+        graphs in its red row.  Ids must be ints (not ``bool``).
         """
         if not (
             _is_integer(u) and _is_integer(v) and 0 <= u < self.n and 0 <= v < self.n
         ) or u == v:
             raise ValueError(f"not a vertex pair of this graph: ({u!r},{v!r})")
-        if not self.complete:
-            return self._labels.get(_pair(u, v), NEUTRAL)
-        row = self._blue_adj[u]
-        i = bisect_left(row, v)
-        return BLUE if i < len(row) and row[i] == v else RED
+        if _in_row(self._blue_adj[u], v):
+            return BLUE
+        if self._red_adj is None or _in_row(self._red_adj[u], v):
+            return RED
+        return NEUTRAL
 
     def blue_neighbors(self, v: int) -> list[int]:
         """Sorted blue neighbors of v."""
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
+        _check_vertex(v, self.n)
         return list(self._blue_adj[v])
 
     def blue_edges(self) -> list[tuple[int, int]]:
         """All blue pairs, sorted."""
-        if not self.complete:
-            return sorted(k for k, c in self._labels.items() if c is BLUE)
-        return [
-            (u, v)
-            for u, row in enumerate(self._blue_adj)
-            for v in row[bisect_right(row, u) :]
-        ]
+        return _upper_pairs(self._blue_adj)
 
     def red_edges(self) -> list[tuple[int, int]]:
         """All red pairs, sorted.  O(n^2) for complete graphs."""
         if not self.complete:
-            return sorted(k for k, c in self._labels.items() if c is RED)
+            return _upper_pairs(self._red_adj)
         out = []
         for u, row in enumerate(self._blue_adj):
             blue = set(row)
@@ -219,73 +202,86 @@ class CorrelationGraph:
 
     def count_colors(self) -> tuple[int, int]:
         """(blue pair count, red pair count)."""
+        n_blue = sum(map(len, self._blue_adj)) // 2
         if self.complete:
-            n_blue = sum(map(len, self._blue_adj)) // 2
             return n_blue, self.n * (self.n - 1) // 2 - n_blue
-        n_blue = sum(1 for c in self._labels.values() if c is BLUE)
-        return n_blue, sum(1 for c in self._labels.values() if c is RED)
+        return n_blue, sum(map(len, self._red_adj)) // 2
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["CorrelationGraph", tuple[int, ...]]:
         """Subgraph induced on the given vertices, re-indexed to 0..m-1.
 
         Returns the subgraph and the sorted tuple mapping new ids to old.
         The vertices must be integer ids in range; the kept pairs are not
-        checked again, because re-indexing in sorted order keeps them valid
-        and u < v.  A complete graph maps each kept vertex's sorted blue row
-        through an index list; the mapped rows stay sorted because the kept
-        ids ascend, so they are the subgraph's rows: O(n + the kept
-        vertices' degrees).  An incomplete graph filters its stored pairs:
-        O(n + stored pairs).
+        checked again, because re-indexing in sorted order keeps them valid.
+        Each kept vertex's sorted rows are mapped through an index list;
+        the mapped rows stay sorted because the kept ids ascend, so they are
+        the subgraph's rows: O(n + the kept vertices' degrees).
         """
         keep = _check_vertices(vertices, self.n)
-        if self.complete:
-            new_id: list[int | None] = [None] * self.n
-            for new, old in enumerate(keep):
-                new_id[old] = new
-            adj = self._blue_adj
-            rows = [
+        new_id: list[int | None] = [None] * self.n
+        for new, old in enumerate(keep):
+            new_id[old] = new
+
+        def mapped(adj: list[list[int]]) -> list[list[int]]:
+            return [
                 [x for x in map(new_id.__getitem__, adj[old]) if x is not None]
                 for old in keep
             ]
-            return CorrelationGraph._trusted(len(keep), rows, True), tuple(keep)
-        index = {old: new for new, old in enumerate(keep)}
-        labels = {
-            (index[u], index[v]): c
-            for (u, v), c in self._labels.items()
-            if u in index and v in index
-        }
-        return CorrelationGraph._trusted(len(keep), labels, False), tuple(keep)
+
+        red = None if self._red_adj is None else mapped(self._red_adj)
+        sub = CorrelationGraph._trusted(len(keep), mapped(self._blue_adj), red)
+        return sub, tuple(keep)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CorrelationGraph):
             return NotImplemented
-        if self.n != other.n or self.complete != other.complete:
-            return False
-        if self.complete:
-            return self._blue_adj == other._blue_adj
-        return self._labels == other._labels
+        return (
+            self.n == other.n
+            and self._blue_adj == other._blue_adj
+            and self._red_adj == other._red_adj
+        )
 
     def __hash__(self) -> int:
-        if self.complete:
-            return hash((self.n, True, tuple(map(tuple, self._blue_adj))))
-        return hash((self.n, False, frozenset(self._labels.items())))
+        red = self._red_adj
+        return hash((
+            self.n,
+            tuple(map(tuple, self._blue_adj)),
+            None if red is None else tuple(map(tuple, red)),
+        ))
 
     def __repr__(self) -> str:
         kind = "complete" if self.complete else "incomplete"
-        stored = self.count_colors()[0] if self.complete else len(self._labels)
+        n_blue, n_red = self.count_colors()
+        stored = n_blue if self.complete else n_blue + n_red
         return f"CorrelationGraph(n={self.n}, {kind}, {stored} stored pairs)"
 
 
-def _blue_rows(n: int, labels: dict[tuple[int, int], EdgeColor]) -> list[list[int]]:
-    """The sorted blue adjacency rows of a label dict.  O(n + pairs + p log d)."""
+def _label_rows(
+    n: int, labels: dict[tuple[int, int], EdgeColor], color: EdgeColor
+) -> list[list[int]]:
+    """The sorted adjacency rows of a label dict's pairs of one colour.
+
+    O(n + pairs + p log d) for p pairs of that colour, rows of at most d.
+    """
     adj: list[list[int]] = [[] for _ in range(n)]
     for (u, v), c in labels.items():
-        if c is BLUE:
+        if c is color:
             adj[u].append(v)
             adj[v].append(u)
     for row in adj:
         row.sort()
     return adj
+
+
+def _in_row(row: list[int], v: int) -> bool:
+    """Whether v is in a sorted row."""
+    i = bisect_left(row, v)
+    return i < len(row) and row[i] == v
+
+
+def _upper_pairs(adj: list[list[int]]) -> list[tuple[int, int]]:
+    """The pairs (u, v), u < v, of sorted symmetric rows, sorted."""
+    return [(u, v) for u, row in enumerate(adj) for v in row[bisect_right(row, u) :]]
 
 
 def complete_graph(n: int, blue: Iterable[tuple[int, int]]) -> CorrelationGraph:
@@ -497,19 +493,18 @@ def _pair_columns(
 _CCG_HEADER = re.compile(
     rb"(?:#[\t -~]*\n)*ccg (0|[1-9][0-9]{0,5}) (complete|incomplete)\n"
 )
-_BYTE_COLORS = {b"b": BLUE, b"r": RED}
 
 
 def _bulk_graph(data: bytes | str) -> CorrelationGraph | None:
     """The graph of a document exactly as ``write_graph`` emits it, else None.
 
     A block of ASCII comment lines may lead.  ``_pair_columns`` checks and
-    splits the body.  A complete graph's columns give its blue rows in one
-    pass (``_ascending_rows``); an incomplete graph's give its label dict
-    in one call.  Anything else, such as other comments or whitespace, a
-    red pair of a complete graph, a complete graph's pairs out of order, or
-    a pair listed twice, gives None and is left to ``_parse_graph_lines``,
-    which names its faults.  Never raises.  O(n + document length).
+    splits the body, and its columns give the graph's rows in one pass
+    (``_ascending_rows``).  Anything else, such as other comments or
+    whitespace, a red pair of a complete graph, pairs out of order, or a
+    pair listed twice or in both colours, gives None and is left to
+    ``_parse_graph_lines``, which names its faults.  Never raises.
+    O(n + document length).
     """
     if not isinstance(data, bytes):
         return None
@@ -524,43 +519,47 @@ def _bulk_graph(data: bytes | str) -> CorrelationGraph | None:
     if columns is None:
         return None
     us, vs, colors = columns
+    blue: list[list[int]] = [[] for _ in range(n)]
     if match[2] == b"complete":
         if colors.count(b"b") != len(colors):  # a red pair, or ``b0``
             return None
-        rows = _ascending_rows(n, us, vs)
-        return None if rows is None else CorrelationGraph._trusted(n, rows, True)
+        red = None
+        targets: Iterable[list[list[int]]] = repeat(blue)
+    else:
+        red = [[] for _ in range(n)]
+        targets = map({b"b": blue, b"r": red}.__getitem__, colors)
     try:
-        labels = dict(zip(zip(us, vs), map(_BYTE_COLORS.__getitem__, colors)))
+        if not _ascending_rows(us, vs, targets):
+            return None
     except KeyError:  # a digit glued to a colour (``b0``)
         return None
-    if len(labels) != len(us):
-        return None
-    return CorrelationGraph._trusted(n, labels, False)
+    return CorrelationGraph._trusted(n, blue, red)
 
 
-def _ascending_rows(n: int, us: list[int], vs: list[int]) -> list[list[int]] | None:
-    """The sorted adjacency rows of pairs listed in ascending order, else None.
+def _ascending_rows(
+    us: list[int], vs: list[int], targets: Iterable[list[list[int]]]
+) -> bool:
+    """Fill the sorted adjacency rows of pairs listed in ascending order.
 
-    Pairs (us[i], vs[i]) with u < v, listed in strictly ascending (u, v)
-    order as ``write_graph`` lists them, append to every row in ascending
-    order: a vertex's smaller neighbours come first, from the pairs of
-    smaller u, then its larger ones.  So no row is sorted, and a pair
-    listed twice or out of order shows as a pair not above the one before
-    it, which gives None.  One pass over the pairs, no call per row:
-    O(n + pairs).
+    Pair (us[i], vs[i]), with u < v, goes into the row list ``targets[i]``.
+    Pairs listed in strictly ascending (u, v) order, as the writers list
+    them, append to every row in ascending order: a vertex's smaller
+    neighbours come first, from the pairs of smaller u, then its larger
+    ones.  So no row is sorted, and a pair listed twice or out of order
+    shows as a pair not above the one before it, which returns False.  One
+    pass over the pairs, no call per row: O(pairs).
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
     last_u = last_v = -1
-    for u, v in zip(us, vs):
+    for u, v, adj in zip(us, vs, targets):
         if u == last_u:
             if v <= last_v:
-                return None
+                return False
         elif u < last_u:
-            return None
+            return False
         last_u, last_v = u, v
         adj[u].append(v)
         adj[v].append(u)
-    return adj
+    return True
 
 
 def parse_graph(data: bytes | str) -> CorrelationGraph:
@@ -619,10 +618,11 @@ def _pair_lines(
 def write_graph(g: CorrelationGraph) -> bytes:
     """Serialize to the canonical ``ccg`` form: sorted edges, u < v.
 
-    Complete graphs list only blue pairs, read off the sorted blue
-    adjacency lists; incomplete ones list blue and red pairs off sorted
-    rows of ints ``2*v + (colour is RED)``, one per smaller id u.  No tuple
-    is sorted: O(n + p log d) for p stored pairs, rows of at most d.
+    Complete graphs list only blue pairs, read off the sorted blue rows;
+    incomplete ones list blue and red pairs off rows of ints
+    ``2*v + (colour is RED)``, one per smaller id u, each the merge of the
+    parts of u's two sorted rows above u.  No tuple is sorted:
+    O(n + p log d) for p stored pairs, rows of at most d.
     ``parse_graph(write_graph(g)) == g``.
     """
     kind = "complete" if g.complete else "incomplete"
@@ -631,10 +631,11 @@ def write_graph(g: CorrelationGraph) -> bytes:
     if g.complete:
         out += _pair_lines(g._blue_adj, names, "e", [f"{s} b" for s in names])
     else:
-        rows: list[list[int]] = [[] for _ in range(g.n)]
-        for (u, v), c in g._labels.items():
-            rows[u].append(2 * v + (c is RED))
-        for row in rows:
+        rows = []
+        for u, (blue, red) in enumerate(zip(g._blue_adj, g._red_adj)):
+            row = [2 * v for v in blue[bisect_right(blue, u) :]]
+            row += [2 * v + 1 for v in red[bisect_right(red, u) :]]
             row.sort()
+            rows.append(row)
         out += _pair_lines(rows, names, "e", [f"{s} {c}" for s in names for c in "br"])
     return "".join(out).encode()

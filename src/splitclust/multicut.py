@@ -10,8 +10,10 @@ disconnected.  Its cost is the number of extra copies.
 Blue edges map to edges and red pairs to terminal pairs: a correlation
 graph has a clustering of cost k exactly when the derived multicut
 instance has a solution of cost k.  An instance is stored as that
-incomplete correlation graph and its budget, so ``ccvs_to_mcvs`` of an
-incomplete graph and ``mcvs_to_ccvs`` share the graph and copy no pair.
+incomplete correlation graph, whose blue rows are the edges and whose red
+rows are the terminal pairs, and its budget.  So ``ccvs_to_mcvs`` of an
+incomplete graph and ``mcvs_to_ccvs`` share the graph and copy no pair,
+and ``ccvs_to_mcvs`` of a complete graph shares its blue rows.
 The translations below convert solutions in both directions without
 raising the cost.
 
@@ -32,7 +34,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Collection, Iterable, Mapping
-from itertools import islice, repeat
+from bisect import bisect_right
+from itertools import repeat
 
 from .clustering import (
     Clustering,
@@ -48,8 +51,10 @@ from .graphs import (
     EdgeColor,
     FormatError,
     _check_ids,
+    _ascending_rows,
     _check_vertex_count,
     _is_integer,
+    _label_rows,
     _pair,
     _pair_columns,
     _pair_lines,
@@ -72,7 +77,7 @@ class MulticutInstance:
     """Graph, terminal pairs, and split budget.  Immutable.
 
     Stored as the incomplete correlation graph of its reduction,
-    ``_graph``, whose blue pairs are the edges and whose red pairs are the
+    ``_graph``, whose blue rows are the edges and whose red rows are the
     terminal pairs, and the budget ``k``.  ``edges`` and ``terminals``
     list those pairs afresh on each access, in O(pairs).
 
@@ -107,7 +112,10 @@ class MulticutInstance:
             overlap |= labels.setdefault(_pair(u, v), RED) is BLUE
         if overlap:
             raise ValueError("terminal pairs must not be edges")
-        object.__setattr__(self, "_graph", CorrelationGraph._trusted(n, labels, False))
+        g = CorrelationGraph._trusted(
+            n, _label_rows(n, labels, BLUE), _label_rows(n, labels, RED)
+        )
+        object.__setattr__(self, "_graph", g)
         object.__setattr__(self, "k", k)
 
     @classmethod
@@ -128,11 +136,11 @@ class MulticutInstance:
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(p for p, c in self._graph._labels.items() if c is BLUE)
+        return frozenset(self._graph.blue_edges())
 
     @property
     def terminals(self) -> frozenset[tuple[int, int]]:
-        return frozenset(p for p, c in self._graph._labels.items() if c is RED)
+        return frozenset(self._graph.red_edges())
 
     def neighbors(self, v: int) -> list[int]:
         return self._graph.blue_neighbors(v)
@@ -280,14 +288,14 @@ def _split_components(
         comp.sort()
         components.append(comp)
     pairs = []
-    for (u, v), c in g._labels.items():
-        if c is RED:
-            a, b = plain[u], plain[v]
+    for u, row in enumerate(g._red_adj):
+        a = plain[u]
+        for v in row[bisect_right(row, u) :]:
+            b = plain[v]
             if a < 0 or b < 0:
                 pairs.append((u, v))
             elif component[a] == component[b]:
                 return ancestors, components, None
-    pairs.sort()
     return ancestors, components, pairs
 
 
@@ -307,8 +315,8 @@ def ccvs_to_mcvs(g: CorrelationGraph, k: int) -> MulticutInstance:
     """Blue pairs become edges, red pairs become terminal pairs.
 
     Only the budget and vertex count are checked.  An incomplete graph is
-    the instance's own graph, shared in O(1).  A complete graph's red pairs
-    are listed into one incomplete graph, in O(n + n^2); one with more than
+    the instance's own graph, shared in O(1).  A complete graph's blue rows
+    are shared, and its red rows are listed, in O(n^2); one with more than
     ``_MAX_LISTED_RED_PAIRS`` red pairs raises ``ValueError`` before any
     pair is listed.
     """
@@ -319,9 +327,11 @@ def ccvs_to_mcvs(g: CorrelationGraph, k: int) -> MulticutInstance:
                 f"complete graph has {red_count} red pairs; ccvs_to_mcvs lists "
                 f"at most {_MAX_LISTED_RED_PAIRS} terminal pairs"
             )
-        labels = dict.fromkeys(g.blue_edges(), BLUE)
-        labels.update(zip(g.red_edges(), repeat(RED)))
-        g = CorrelationGraph._trusted(g.n, labels, False)
+        red = []
+        for u, row in enumerate(g._blue_adj):
+            blue = set(row)
+            red.append([v for v in range(g.n) if v != u and v not in blue])
+        g = CorrelationGraph._trusted(g.n, g._blue_adj, red)
     return MulticutInstance._of(g, k)
 
 
@@ -391,12 +401,13 @@ def _bulk_instance(data: bytes | str) -> MulticutInstance | None:
     """The instance of a document exactly as ``write_multicut_instance`` emits it.
 
     The body must be m e lines, then t t lines, as the header counts them;
-    ``_pair_columns`` checks and splits them, and one label dict takes the
-    edges blue and then the terminal pairs red.  Anything else, such as
-    comments, a t line before an e line, a pair listed twice, a pair that
-    is both an edge and a terminal pair or counts that differ from the
-    header, gives None and is left to ``_parse_instance_lines``, which
-    names its faults.  Never raises.  O(n + document length).
+    ``_pair_columns`` checks and splits them, and ``_ascending_rows`` fills
+    the edge rows from the e lines and the terminal rows from the t lines.
+    Anything else, such as comments, a t line before an e line, pairs out
+    of order or listed twice, a pair that is both an edge and a terminal
+    pair, or counts that differ from the header, gives None and is left to
+    ``_parse_instance_lines``, which names its faults.  Never raises.
+    O(n + document length).
     """
     if not isinstance(data, bytes):
         return None
@@ -411,12 +422,16 @@ def _bulk_instance(data: bytes | str) -> MulticutInstance | None:
     columns = _pair_columns(body, n, b"e  \n" * m + b"t  \n" * t, 3)
     if columns is None:
         return None
-    pairs = zip(columns[0], columns[1])
-    labels = dict.fromkeys(islice(pairs, m), BLUE)
-    labels.update(dict.fromkeys(pairs, RED))
-    if len(labels) != m + t:  # a pair listed twice, as edge or terminal pair
+    us, vs, _ = columns
+    blue: list[list[int]] = [[] for _ in range(n)]
+    red: list[list[int]] = [[] for _ in range(n)]
+    if not (
+        _ascending_rows(us[:m], vs[:m], repeat(blue))
+        and _ascending_rows(us[m:], vs[m:], repeat(red))
+        and all(map(set.isdisjoint, map(set, red), blue))
+    ):
         return None
-    return MulticutInstance._of(CorrelationGraph._trusted(n, labels, False), k)
+    return MulticutInstance._of(CorrelationGraph._trusted(n, blue, red), k)
 
 
 def parse_multicut_instance(data: bytes | str) -> MulticutInstance:
@@ -457,23 +472,16 @@ def _parse_instance_lines(data: bytes | str) -> MulticutInstance:
 def write_multicut_instance(inst: MulticutInstance) -> bytes:
     """Canonical ``mcvs`` form: sorted e lines, then sorted t lines.
 
-    Edges are read off the graph's sorted blue adjacency lists, terminal
-    pairs off sorted rows of ints, one per smaller id, so no tuple is
-    sorted: O(n + m + t log d) for m edges, t terminal pairs, rows of at
-    most d.
+    Edges are read off the graph's sorted blue rows and terminal pairs off
+    its sorted red rows, so nothing is sorted: O(n + m + t) for m edges
+    and t terminal pairs.
     """
     g = inst._graph
     names = list(map(str, range(g.n)))
-    rows: list[list[int]] = [[] for _ in range(g.n)]
-    for (u, v), c in g._labels.items():
-        if c is RED:
-            rows[u].append(v)
-    for row in rows:
-        row.sort()
-    t = sum(map(len, rows))
-    out = [f"mcvs {g.n} {len(g._labels) - t} {t} {inst.k}\n"]
+    m, t = g.count_colors()
+    out = [f"mcvs {g.n} {m} {t} {inst.k}\n"]
     out += _pair_lines(g._blue_adj, names, "e", names)
-    out += _pair_lines(rows, names, "t", names)
+    out += _pair_lines(g._red_adj, names, "t", names)
     return "".join(out).encode()
 
 

@@ -675,10 +675,9 @@ def sorting_write_graph(g: CorrelationGraph) -> bytes:
     """The canonical ``ccg`` form, one sorted line per listed pair."""
     kind = "complete" if g.complete else "incomplete"
     out = [f"ccg {g.n} {kind}"]
-    if g.complete:
-        listed = [(u, v, BLUE) for u, v in g.blue_edges()]
-    else:
-        listed = sorted((u, v, c) for (u, v), c in g._labels.items())
+    listed = [(u, v, BLUE) for u, v in g.blue_edges()]
+    if not g.complete:
+        listed = sorted(listed + [(u, v, RED) for u, v in g.red_edges()])
     out.extend(f"e {u} {v} {c.value}" for u, v, c in listed)
     return ("\n".join(out) + "\n").encode("utf-8")
 

@@ -26,7 +26,7 @@ then the constructor's first fault, then the header counts, each with its
 line number.  A guard makes the fallback readers raise to check that writer
 output, and the ``ccg`` that ``reduce mcvs-to-ccvs`` prints after a comment
 line, never reach them.  The writers must emit the same bytes as the
-sorting writers in ``oracles``, also on pairs stored in hash order.
+sorting writers in ``oracles``, also on pairs given in hash order.
 """
 
 from __future__ import annotations
@@ -375,8 +375,9 @@ SEVERAL_FAULTS = {
 
 
 def _adjacency(parsed):
-    # ``==`` compares what the writers emit; the adjacency lists are built apart
-    return (parsed if isinstance(parsed, CorrelationGraph) else parsed._graph)._blue_adj
+    """The blue and red rows of a graph or of an instance's graph."""
+    g = parsed if isinstance(parsed, CorrelationGraph) else parsed._graph
+    return g._blue_adj, g._red_adj
 
 
 def _outcome(parse, data):
@@ -704,40 +705,67 @@ def test_bulk_readers_match_references_on_corrupted_lines():
             assert _outcome(FORMATS[name][0], data) == expected, data
 
 
-# Complete documents in the writer's shape, each read in bulk or left to the
-# fallback reader; either way they give the fallback reader's graph.
-COMPLETE_SHAPED = [
-    b"ccg 0 complete\n",
-    b"ccg 1 complete\n",
-    b"ccg 4 complete\n",
-    b"ccg 4 complete\ne 0 1 b\ne 0 3 b\ne 1 2 b\ne 2 3 b\n",
-    b"ccg 4 complete\ne 0 1 b\ne 0 1 b\ne 1 2 b\n",  # a pair listed twice
-    b"ccg 4 complete\ne 0 1 b\ne 1 2 b\ne 0 1 b\n",  # twice, apart
-    b"ccg 4 complete\ne 1 2 b\ne 0 3 b\n",  # u out of order
-    b"ccg 4 complete\ne 0 3 b\ne 0 1 b\n",  # v out of order
-    b"ccg 4 complete\ne 1 2 b\ne 0 2 b\n",  # a row would get 1 before 0
-    b"ccg 4 complete\ne 0 1 b0\ne 1 2 b\n",  # a digit glued to the colour
-    b"ccg 4 complete\ne 0 1 b\ne 1 2 r\n",  # an explicit red pair
+# Documents in the writers' shape, each read in bulk or left to the fallback
+# reader; either way they give the fallback reader's object or its error.
+WRITER_SHAPED = [
+    ("ccg", b"ccg 0 complete\n"),
+    ("ccg", b"ccg 1 complete\n"),
+    ("ccg", b"ccg 4 complete\n"),
+    ("ccg", b"ccg 4 complete\ne 0 1 b\ne 0 3 b\ne 1 2 b\ne 2 3 b\n"),
+    ("ccg", b"ccg 4 complete\ne 0 1 b\ne 0 1 b\ne 1 2 b\n"),  # a pair listed twice
+    ("ccg", b"ccg 4 complete\ne 0 1 b\ne 1 2 b\ne 0 1 b\n"),  # twice, apart
+    ("ccg", b"ccg 4 complete\ne 1 2 b\ne 0 3 b\n"),  # u out of order
+    ("ccg", b"ccg 4 complete\ne 0 3 b\ne 0 1 b\n"),  # v out of order
+    ("ccg", b"ccg 4 complete\ne 1 2 b\ne 0 2 b\n"),  # a row would get 1 before 0
+    ("ccg", b"ccg 4 complete\ne 0 1 b0\ne 1 2 b\n"),  # a digit glued to the colour
+    ("ccg", b"ccg 4 complete\ne 0 1 b\ne 1 2 r\n"),  # an explicit red pair
+    ("ccg", b"ccg 0 incomplete\n"),
+    ("ccg", b"ccg 1 incomplete\n"),
+    ("ccg", b"ccg 4 incomplete\n"),
+    ("ccg", b"ccg 4 incomplete\ne 0 1 b\ne 0 2 r\ne 1 3 r\ne 2 3 b\n"),
+    ("ccg", b"ccg 4 incomplete\ne 0 1 b\ne 0 1 r\ne 2 3 b\n"),  # both colours
+    ("ccg", b"ccg 4 incomplete\ne 0 1 r\ne 0 1 b\ne 2 3 b\n"),  # both, r first
+    ("ccg", b"ccg 4 incomplete\ne 0 1 r\ne 0 1 r\ne 2 3 b\n"),  # a pair listed twice
+    ("ccg", b"ccg 4 incomplete\ne 0 2 r\ne 0 1 b\n"),  # v out of order
+    ("ccg", b"ccg 4 incomplete\ne 1 2 b\ne 0 3 r\n"),  # u out of order
+    ("ccg", b"ccg 4 incomplete\ne 1 2 r\ne 0 2 r\n"),  # a row would get 1 before 0
+    ("ccg", b"ccg 4 incomplete\ne 0 1 b0\ne 1 2 r\n"),  # a digit glued to ``b``
+    ("ccg", b"ccg 4 incomplete\ne 0 1 b\ne 1 2 r0\n"),  # a digit glued to ``r``
+    ("mcvs", b"mcvs 4 2 2 1\ne 0 1\ne 2 3\nt 0 2\nt 1 3\n"),
+    ("mcvs", b"mcvs 4 1 1 0\ne 0 1\nt 0 1\n"),  # a pair as both e and t
+    ("mcvs", b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 1 2\n"),  # both, in another row
+    ("mcvs", b"mcvs 4 1 2 0\ne 0 1\nt 1 3\nt 0 2\n"),  # t lines out of order
+    ("mcvs", b"mcvs 4 1 2 0\ne 0 1\nt 0 3\nt 0 2\n"),  # t's v out of order
+    ("mcvs", b"mcvs 4 2 1 0\ne 0 1\ne 0 1\nt 2 3\n"),  # an edge listed twice
+    ("mcvs", b"mcvs 4 1 2 0\ne 0 1\nt 2 3\nt 2 3\n"),  # a terminal pair twice
+    ("mcvs", b"mcvs 4 2 0 0\ne 1 2\ne 0 3\n"),  # e lines out of order
 ]
 
 
-def test_complete_rows_match_the_fallback_reader():
-    for data in COMPLETE_SHAPED:
-        expected = _outcome(_parse_graph_lines, data)
-        assert _outcome(parse_graph, data) == expected, data
-        if isinstance(expected[0], CorrelationGraph):
-            g, ref = parse_graph(data), expected[0]
-            assert hash(g) == hash(ref) and g._labels is None is ref._labels
+def test_writer_shaped_rows_match_the_fallback_reader():
+    for name, data in WRITER_SHAPED:
+        expected = _outcome(REFERENCES[name], data)
+        assert _outcome(FORMATS[name][0], data) == expected, data
+        if not isinstance(expected[0], type):
+            assert hash(FORMATS[name][0](data)) == hash(expected[0]), data
     rng = random.Random(5)
-    for seed in range(100):
-        g = gen_random(rng.randint(0, 12), 0.5, 0.5, complete=True, seed=seed)
-        lines = write_graph(g).split(b"\n")
-        body = lines[1:-1]
-        rng.shuffle(body)
-        for data in (write_graph(g), b"\n".join([lines[0], *body, b""])):
-            read = parse_graph(data)
-            assert (read, read._blue_adj, hash(read)) == (g, g._blue_adj, hash(g))
-
+    for seed in range(200):
+        complete = seed % 2 == 0
+        p_red = 0.5 if complete else 0.3
+        g = gen_random(rng.randint(0, 12), 0.5, p_red, complete=complete, seed=seed)
+        for obj, write, parse in (
+            (g, write_graph, parse_graph),
+            (ccvs_to_mcvs(g, 2), write_multicut_instance, parse_multicut_instance),
+        ):
+            doc = write(obj)
+            lines = doc.split(b"\n")
+            body = lines[1:-1]
+            rng.shuffle(body)
+            for data in (doc, b"\n".join([lines[0], *body, b""])):
+                read = parse(data)
+                assert (read, _adjacency(read), hash(read)) == (
+                    obj, _adjacency(obj), hash(obj)
+                ), data
 
 
 def _refuse(data):
@@ -768,10 +796,10 @@ def test_writer_output_is_read_in_bulk(monkeypatch):
     monkeypatch.setattr(splitclust.graphs, "_parse_graph_lines", _refuse)
     monkeypatch.setattr(splitclust.multicut, "_parse_instance_lines", _refuse)
     for g in graphs:
-        assert _outcome(parse_graph, write_graph(g)) == (g, g._blue_adj)
+        assert _outcome(parse_graph, write_graph(g)) == (g, _adjacency(g))
     for inst in instances:
         data = write_multicut_instance(inst)
-        assert _outcome(parse_multicut_instance, data) == (inst, inst._graph._blue_adj)
+        assert _outcome(parse_multicut_instance, data) == (inst, _adjacency(inst))
     with pytest.raises(AssertionError):
         parse_graph(b"ccg 3 complete\ne 1 0 b\n")
 
@@ -791,7 +819,7 @@ def test_reduced_documents_are_read_in_bulk(monkeypatch, tmp_path):
         assert run(["reduce", "mcvs-to-ccvs", str(path)], None, out, io.StringIO()) == 0
         assert out.getvalue().startswith(f"# budget {inst.k}\n")
         g = mcvs_to_ccvs(inst)[0]
-        assert _outcome(parse_graph, out.getvalue().encode()) == (g, g._blue_adj)
+        assert _outcome(parse_graph, out.getvalue().encode()) == (g, _adjacency(g))
 
 
 def _pair_list(rng: random.Random, ids: list[int], count: int) -> list[tuple[int, int]]:
@@ -817,8 +845,8 @@ def test_writers_match_sorting_writers():
         assert write_multicut_instance(inst) == sorting_write_multicut_instance(inst)
         assert parse_multicut_instance(write_multicut_instance(inst)) == inst
         cases += bool(pairs)
-    # pairs stored in hash order, where the sorting writers sort tuples: the
-    # constructor stores them in the order of the frozensets it is given
+    # pairs given in hash order, which the constructor sorts into rows and
+    # the sorting writers sort as tuples
     for g, f in (planted(200, 7, 6, 0, seed=2), planted_incomplete(50, 4, seed=2)):
         inst = ccvs_to_mcvs(g, 4)
         read = parse_multicut_instance(write_multicut_instance(inst))

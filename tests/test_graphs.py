@@ -12,6 +12,7 @@ from splitclust import (
     Clustering,
     CorrelationGraph,
     FormatError,
+    MulticutInstance,
     blue_components,
     cluster_decomposition,
     clustering_to_splits,
@@ -215,22 +216,37 @@ def test_complete_graph_built_four_ways_has_one_hash():
     base = clustering_to_splits(h, Clustering([{0, 1, 2}, {2, 3}])).base
     for other in (read, sub, base):
         assert other == g and hash(other) == hash(g)
-        assert other._blue_adj == g._blue_adj and other._labels is None
+        assert other._blue_adj == g._blue_adj and other._red_adj is None
     assert incomplete_graph(5, blue=g.blue_edges()) != g
 
 
-@given(st.integers(0, 14), st.integers(0, 10_000))
-def test_complete_label_agrees_with_blue_edges(n, seed):
-    g = gen_random(n, 0.5, 0.5, complete=True, seed=seed)
+@given(st.integers(0, 14), st.integers(0, 10_000), st.booleans())
+def test_complete_label_agrees_with_blue_edges(n, seed, complete):
+    """Both kinds bisect rows; a pair on neither row reads NEUTRAL."""
+    g = gen_random(n, 0.5, 0.5 if complete else 0.3, complete=complete, seed=seed)
     blue = set(g.blue_edges())
     red = set(g.red_edges())
+    assert blue.isdisjoint(red)
     for u in range(n):
         for v in range(n):
             if u != v:
                 pair = (min(u, v), max(u, v))
-                assert g.label(u, v) is (BLUE if pair in blue else RED)
-                assert (pair in blue) != (pair in red)
+                want = BLUE if pair in blue else RED if pair in red else NEUTRAL
+                assert g.label(u, v) is want
+                assert want is not NEUTRAL or not complete
     assert g.count_colors() == (len(blue), len(red))
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, False, -1, 3, "1", None])
+def test_vertex_accessors_refuse_what_is_not_a_vertex_id(bad):
+    """``bool`` ids would read as vertex 0 or 1, and floats as list indices."""
+    path = [(0, 1), (1, 2)]
+    g = incomplete_graph(3, blue=path)
+    inst = MulticutInstance(3, path, [(0, 2)], 0)
+    r = clustering_to_splits(complete_graph(3, path), Clustering([{0, 1}, {1, 2}]))
+    for accessor in (g.blue_neighbors, inst.neighbors, r.descendants):
+        with pytest.raises(ValueError):
+            accessor(bad)
 
 
 def test_count_colors():

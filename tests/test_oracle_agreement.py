@@ -738,12 +738,8 @@ def test_complete_graph_pipeline_makes_no_label_calls(monkeypatch):
 
 
 def graph_fields(g: CorrelationGraph):
-    """Everything a graph stores: its blue rows, and for an incomplete graph its labels.
-
-    ``==`` compares only the rows of complete graphs and only the labels of
-    incomplete ones.
-    """
-    return g.n, g.complete, g._blue_adj, None if g.complete else g._labels
+    """Everything a graph stores: its blue rows, and its red rows (None if complete)."""
+    return g.n, g.complete, g._blue_adj, g._red_adj
 
 
 def instance_fields(inst):
