@@ -40,9 +40,10 @@ lower bounds pruned it: every level is explored without a bound, and
 deepening starts at ``lower_bound``.  The pruned search must return the
 same clustering in no more nodes.  ``blocks_solve_exact`` is the pruned
 search, on the package's ``_suffix_bounds``, as it was before it ran on
-membership bitmasks alone, with blocks kept as member lists.  The bitmask
-search must return the same clustering in the same number of nodes, and
-trip the node limit at the same count and level.
+membership bitmasks alone and before it counted stuck vertices, with
+blocks kept as member lists.  The bitmask search keeps its node order and
+prunes only subtrees without a solution, so it must return the same
+clustering in no more nodes.
 
 ``first_cheapest_candidate`` is ``approximate`` as it was before it
 ranked the candidates by cost and assembled only the winner: it takes
@@ -61,7 +62,6 @@ from splitclust import (
     MulticutInstance,
     PlainGraph,
     RealizedGraph,
-    SearchLimitReached,
     blue_components,
     candidate_solutions,
     has_erroneous_cycle,
@@ -775,17 +775,13 @@ def unpruned_solve_exact(
     return None, nodes
 
 
-def blocks_solve_exact(
-    g: CorrelationGraph, max_cost: int, node_limit: int | None = None
-) -> tuple[Clustering | None, int]:
+def blocks_solve_exact(g: CorrelationGraph, max_cost: int) -> tuple[Clustering | None, int]:
     """(first minimum clustering of cost <= max_cost or None, nodes searched).
 
     The suffix-bound search as it was before it ran on membership bitmasks
     alone: each block is a list of its members, every node builds the
     masks of its blue and red predecessors, and every multi-membership try
-    rebuilds its block subsets with ``combinations``.  Raises
-    ``SearchLimitReached`` as ``solve_exact`` does once more than
-    ``node_limit`` nodes are searched.
+    rebuilds its block subsets with ``combinations``.
     """
     if g.n == 0:
         return Clustering(()), 0
@@ -808,8 +804,6 @@ def blocks_solve_exact(
                 result = [list(b) for b in blocks]
                 return True
             nodes += 1
-            if node_limit is not None and nodes > node_limit:
-                raise SearchLimitReached(nodes, extra)
             budget_left = extra - used - suffix[v + 1]
             if budget_left < 0:
                 return False

@@ -105,9 +105,9 @@ def test_exact_node_limit_names_level(tmp_path):
     # deepening starts at level 3 on this graph and trips the limit at 4
     path = tmp_path / "random10.ccg"
     path.write_bytes(write_graph(gen_random(10, 0.5, 0.5, complete=True, seed=0)))
-    code, out, err = invoke(["exact", str(path), "--node-limit", "100"])
+    code, out, err = invoke(["exact", str(path), "--node-limit", "20"])
     assert (code, out) == (3, "")
-    assert err == "splitclust: search aborted after 101 nodes at cost level 4\n"
+    assert err == "splitclust: search aborted after 21 nodes at cost level 4\n"
 
 
 def test_approx(triangle_file):
