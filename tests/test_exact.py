@@ -151,15 +151,9 @@ def test_stuck_vertex_node_count_regression(n, seed):
     assert f == reference and cost(f, n) == 7
 
 
-def _nodes_searched(g, max_cost: int) -> int:
-    """The fewest nodes ``solve_exact`` needs: the smallest limit it passes."""
-    lo, hi = 1, 1
-    while True:
-        try:
-            solve_exact(g, SearchBudget(max_cost, hi), vertex_cap=g.n)
-            break
-        except SearchLimitReached:
-            lo, hi = hi + 1, 2 * hi
+def _nodes_searched(g, max_cost: int, most: int) -> int:
+    """The smallest node limit up to ``most`` that ``solve_exact`` passes."""
+    lo, hi = 1, most
     while lo < hi:
         mid = (lo + hi) // 2
         try:
@@ -179,10 +173,8 @@ def test_stuck_vertices_prune_incomplete_graphs():
         n = 8 + seed % 3
         g = gen_random(n, 0.4, 0.35, complete=False, seed=seed)
         reference, reference_nodes = blocks_solve_exact(g, n)
-        nodes = _nodes_searched(g, n)
-        assert nodes <= reference_nodes
-        assert solve_exact(g, SearchBudget(n, nodes), vertex_cap=n) == reference
-        total += nodes
+        assert solve_exact(g, SearchBudget(n, reference_nodes), vertex_cap=n) == reference
+        total += _nodes_searched(g, n, reference_nodes)
         total_reference += reference_nodes
     assert 10 * total < total_reference
 
