@@ -156,6 +156,10 @@ class _Shared(NamedTuple):
 def _shared_parts(g: CorrelationGraph) -> _Shared | SimpleSolutionParts:
     """S, the cliques outside it and each clique's cover towards S.
 
+    A clique's bipartite graph has on its left only the S vertices with an
+    edge into the clique: the others would be isolated, and an isolated
+    vertex is never in Koenig's cover.  So the graphs take O(n + blue
+    pairs) in all, not O(|S|) per clique, and the covers stay the same.
     Degenerate inputs (no bad structure, or at most one clique outside S)
     have a single candidate, which is returned instead.
     """
@@ -175,7 +179,11 @@ def _shared_parts(g: CorrelationGraph) -> _Shared | SimpleSolutionParts:
         )
     covers = [
         bipartite_min_vertex_cover(
-            BipartiteGraph(s_sorted, tuple(sorted(clique)), tuple(to_s))
+            BipartiteGraph(
+                tuple(dict.fromkeys(s for s, _ in to_s)),
+                tuple(sorted(clique)),
+                tuple(to_s),
+            )
         )
         for clique, to_s in zip(cliques, edges)
     ]

@@ -36,10 +36,12 @@ from .graphs import (
 )
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Clustering:
-    """Ordered list of nonempty vertex sets.  Order matters for resolution."""
+    """Ordered list of nonempty vertex sets.  Order matters for resolution.
 
-    __slots__ = ("clusters",)
+    A frozen dataclass: equal by value, hashable, and it pickles and deep-copies.
+    """
 
     clusters: tuple[frozenset[int], ...]
 
@@ -55,9 +57,6 @@ class Clustering:
             clean.append(fs)
         object.__setattr__(self, "clusters", tuple(clean))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Clustering is immutable")
-
     def __len__(self) -> int:
         return len(self.clusters)
 
@@ -66,14 +65,6 @@ class Clustering:
 
     def __getitem__(self, i: int) -> frozenset[int]:
         return self.clusters[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Clustering):
-            return NotImplemented
-        return self.clusters == other.clusters
-
-    def __hash__(self) -> int:
-        return hash(self.clusters)
 
     def __repr__(self) -> str:
         body = ", ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in self.clusters)
@@ -252,18 +243,25 @@ def write_clustering(f: Clustering) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
+@dataclass(frozen=True, repr=False)
 class RealizedGraph:
     """Result of splitting vertices of a base graph.
 
     Descendant vertex d of the realized graph descends from original vertex
     ``ancestors[d]``.  Every original vertex keeps at least one descendant.
+    A frozen dataclass: equal by value, hashable, and it pickles and
+    deep-copies.
     """
 
-    __slots__ = ("base", "ancestors", "original_n")
+    base: CorrelationGraph
+    ancestors: tuple[int, ...]
+    original_n: int
 
-    def __init__(self, base: CorrelationGraph, ancestors: Iterable[int], original_n: int):
-        ancestors = tuple(ancestors)
-        if len(ancestors) != base.n:
+    def __post_init__(self):
+        # the constructor takes any iterable of ancestors and keeps a tuple
+        object.__setattr__(self, "ancestors", tuple(self.ancestors))
+        ancestors, original_n = self.ancestors, self.original_n
+        if len(ancestors) != self.base.n:
             raise ValueError("one ancestor per descendant vertex required")
         if not _is_integer(original_n):
             raise ValueError(
@@ -280,12 +278,6 @@ class RealizedGraph:
             seen.add(a)
         if len(seen) != original_n:
             raise ValueError("every original vertex needs at least one descendant")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "ancestors", ancestors)
-        object.__setattr__(self, "original_n", original_n)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RealizedGraph is immutable")
 
     @property
     def split_count(self) -> int:
@@ -296,18 +288,6 @@ class RealizedGraph:
         """Sorted descendant ids of original vertex v."""
         _check_vertex(v, self.original_n)
         return [d for d, a in enumerate(self.ancestors) if a == v]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RealizedGraph):
-            return NotImplemented
-        return (
-            self.base == other.base
-            and self.ancestors == other.ancestors
-            and self.original_n == other.original_n
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.ancestors, self.original_n))
 
     def __repr__(self) -> str:
         return (

@@ -32,6 +32,10 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
+    def __reduce__(self):
+        # a copy continues the stream, at every pickle protocol
+        return type(self), (self._state,)
+
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
         z = self._state
@@ -68,8 +72,9 @@ def gen_random(
 ) -> CorrelationGraph:
     """Seeded random graph; pairs are drawn in ascending (u, v) order.
 
-    For complete graphs the probabilities must sum to 1; for incomplete
-    ones the remainder is the neutral probability.
+    For complete graphs the probabilities must sum to 1, and only the blue
+    pairs are listed (the rest are red by default); for incomplete ones the
+    remainder is the neutral probability.  Every pair takes one draw.
     """
     _check_vertex_count(n)
     if not (0.0 <= p_blue <= 1.0 and 0.0 <= p_red <= 1.0):
@@ -85,7 +90,7 @@ def gen_random(
             x = rng.next_float()
             if x < p_blue:
                 edges.append((u, v, BLUE))
-            elif complete or x < p_blue + p_red:
+            elif not complete and x < p_blue + p_red:
                 edges.append((u, v, RED))
     return CorrelationGraph(n, edges, complete=complete)
 

@@ -19,6 +19,7 @@ import operator
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from itertools import islice, repeat
 
 MAX_VERTICES = 100_000
@@ -88,6 +89,7 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class CorrelationGraph:
     """Immutable graph on vertices 0..n-1 with labeled unordered pairs.
 
@@ -104,10 +106,15 @@ class CorrelationGraph:
     construction (the bulk ``ccg`` and ``mcvs`` readers,
     ``induced_subgraph``, split graphs, the graphs that store multicut
     instances) builds through ``_trusted`` instead, which skips those
-    per-pair checks.
+    per-pair checks.  A frozen dataclass: equal by value (same kind and
+    rows), and it pickles and deep-copies; the rows are lists, so
+    ``__hash__`` is written out.
     """
 
-    __slots__ = ("n", "complete", "_blue_adj", "_red_adj")
+    n: int
+    complete: bool
+    _blue_adj: list[list[int]]
+    _red_adj: list[list[int]] | None
 
     def __init__(
         self,
@@ -161,9 +168,6 @@ class CorrelationGraph:
         object.__setattr__(self, "complete", red_rows is None)
         object.__setattr__(self, "_blue_adj", blue_rows)
         object.__setattr__(self, "_red_adj", red_rows)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CorrelationGraph is immutable")
 
     def label(self, u: int, v: int) -> EdgeColor:
         """Color of the unordered pair (u, v).
@@ -231,15 +235,6 @@ class CorrelationGraph:
         red = None if self._red_adj is None else mapped(self._red_adj)
         sub = CorrelationGraph._trusted(len(keep), mapped(self._blue_adj), red)
         return sub, tuple(keep)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CorrelationGraph):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self._blue_adj == other._blue_adj
-            and self._red_adj == other._red_adj
-        )
 
     def __hash__(self) -> int:
         red = self._red_adj

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Collection, Iterable, Mapping
+from dataclasses import dataclass
 from bisect import bisect_right
 from itertools import repeat
 
@@ -73,6 +74,7 @@ def _check_counts(n: int, k: int) -> None:
         raise ValueError(f"split budgets are non-negative integers, got {k!r}")
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class MulticutInstance:
     """Graph, terminal pairs, and split budget.  Immutable.
 
@@ -86,9 +88,12 @@ class MulticutInstance:
     an edge and a terminal pair.  ``ccvs_to_mcvs`` and the bulk ``mcvs``
     reader, whose pairs are valid by construction, build through ``_of``,
     which checks only the two counts and shares the graph it is given.
+    A frozen dataclass: equal by value, hashable, and it pickles and
+    deep-copies.
     """
 
-    __slots__ = ("_graph", "k")
+    _graph: CorrelationGraph
+    k: int
 
     def __init__(
         self,
@@ -127,9 +132,6 @@ class MulticutInstance:
         object.__setattr__(inst, "k", k)
         return inst
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MulticutInstance is immutable")
-
     @property
     def n(self) -> int:
         return self._graph.n
@@ -145,27 +147,19 @@ class MulticutInstance:
     def neighbors(self, v: int) -> list[int]:
         return self._graph.blue_neighbors(v)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MulticutInstance):
-            return NotImplemented
-        return self._graph == other._graph and self.k == other.k
-
-    def __hash__(self) -> int:
-        return hash((self._graph, self.k))
-
     def __repr__(self) -> str:
         m, t = self._graph.count_colors()
         return f"MulticutInstance(n={self.n}, {m} edges, {t} terminals, k={self.k})"
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class MulticutSolution:
     """Per-vertex neighborhood partitions; cost = extra copies created.
 
     Parts are normalized: nonempty parts first ordered by smallest member,
-    empty parts last.  Every split has at least two parts.
+    empty parts last.  Every split has at least two parts.  A frozen
+    dataclass: equal by value, hashable, and it pickles and deep-copies.
     """
-
-    __slots__ = ("splits",)
 
     splits: tuple[tuple[int, tuple[frozenset[int], ...]], ...]
 
@@ -194,9 +188,6 @@ class MulticutSolution:
             normalized.append((v, tuple(parts)))
         object.__setattr__(self, "splits", tuple(normalized))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MulticutSolution is immutable")
-
     @property
     def cost(self) -> int:
         return sum(len(parts) - 1 for _, parts in self.splits)
@@ -210,14 +201,6 @@ class MulticutSolution:
             if u == v:
                 return parts
         return None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MulticutSolution):
-            return NotImplemented
-        return self.splits == other.splits
-
-    def __hash__(self) -> int:
-        return hash(self.splits)
 
     def __repr__(self) -> str:
         return f"MulticutSolution({len(self.splits)} splits, cost {self.cost})"

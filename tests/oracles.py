@@ -47,7 +47,11 @@ clustering in no more nodes.
 
 ``first_cheapest_candidate`` is ``approximate`` as it was before it
 ranked the candidates by cost and assembled only the winner: it takes
-the first cheapest of all assembled candidates.
+the first cheapest of all assembled candidates.  ``full_left_covers`` are
+the approximation's per-clique covers as they were before each clique's
+bipartite graph kept on its left only the forest vertices with an edge
+into the clique: every forest vertex is on the left.  The covers must be
+the same.
 """
 
 from __future__ import annotations
@@ -57,17 +61,19 @@ from itertools import combinations, product
 from splitclust import (
     BLUE,
     RED,
+    BipartiteGraph,
     Clustering,
     CorrelationGraph,
     MulticutInstance,
     PlainGraph,
     RealizedGraph,
+    bipartite_min_vertex_cover,
     blue_components,
     candidate_solutions,
     has_erroneous_cycle,
     lower_bound,
 )
-from splitclust.detect import _suffix_bounds
+from splitclust.detect import _decompose, _suffix_bounds
 
 
 def _family_is_valid(g: CorrelationGraph, family: tuple[frozenset[int], ...]) -> bool:
@@ -865,3 +871,15 @@ def blocks_solve_exact(g: CorrelationGraph, max_cost: int) -> tuple[Clustering |
 def first_cheapest_candidate(g: CorrelationGraph) -> Clustering:
     """The clustering of the first cheapest of all assembled candidates."""
     return min(candidate_solutions(g), key=lambda c: c.cost).assembled
+
+
+def full_left_covers(g: CorrelationGraph) -> list[frozenset]:
+    """Each clique's cover towards the forest vertices, all of them on the left."""
+    forest, cliques, edges = _decompose(g)
+    s_sorted = tuple(sorted(forest.vertices))
+    return [
+        bipartite_min_vertex_cover(
+            BipartiteGraph(s_sorted, tuple(sorted(clique)), tuple(to_s))
+        )
+        for clique, to_s in zip(cliques, edges)
+    ]

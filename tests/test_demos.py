@@ -1,7 +1,9 @@
 """The walkthroughs in ``demos/`` run to completion.
 
 ``09_cli_tour.sh`` calls a ``splitclust`` executable; the test puts a shim
-that runs ``splitclust.cli.main`` from ``src`` first on the PATH.
+that runs ``splitclust.cli.main`` from ``src`` first on the PATH.  The
+subprocesses do not inherit pytest's warning filter, so they run with
+``PYTHONWARNINGS=error``, as tier-1 does.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=ROOT,
@@ -46,6 +48,7 @@ def test_cli_tour_runs(tmp_path):
         os.environ,
         PATH=f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}",
         PYTHONPATH=str(ROOT / "src"),
+        PYTHONWARNINGS="error",
     )
     proc = subprocess.run(
         ["sh", str(ROOT / "demos" / "09_cli_tour.sh")],

@@ -22,7 +22,10 @@ as the checked references that pass every pair through those
 constructors; on complete graphs that includes
 the kernel graphs of planted graphs of the benchmark's sizes.  The
 Hopcroft-Karp vertex cover must equal the covers of the recursive and the
-stack-based augmenting-path matchings.
+stack-based augmenting-path matchings, and isolated left vertices must not
+change it; the approximation's per-clique covers, whose left sides hold
+only the forest vertices with an edge into the clique, must equal those
+with every forest vertex on the left.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from splitclust import (
     MulticutSolution,
     NoInstance,
     RealizedGraph,
+    SimpleSolutionParts,
     ValidationReport,
     approximate,
     bipartite_min_vertex_cover,
@@ -68,6 +72,7 @@ from splitclust import (
     write_graph,
     write_multicut_instance,
 )
+from splitclust.approx import _shared_parts
 from splitclust.detect import _twin_classes
 from splitclust.graphs import _parse_graph_lines
 from splitclust.multicut import _bulk_instance, _parse_instance_lines, _split_components
@@ -82,6 +87,7 @@ from oracles import (
     checked_realize,
     first_bad_triangle,
     first_cheapest_candidate,
+    full_left_covers,
     greedy_bad_star_forest,
     on_induced_subgraph,
     pairwise_cluster_decomposition,
@@ -267,6 +273,47 @@ def test_twin_class_rows_match_adjacency(blown_up, seed, data):
 def test_approximate_is_first_cheapest_candidate_on_twin_rich(blown_up, seed, data):
     g = twin_rich(blown_up, seed, data)
     assert approximate(g) == first_cheapest_candidate(g)
+
+
+def test_covers_match_full_left_covers():
+    """Each clique's cover equals the one with every forest vertex on the left.
+
+    Planted graphs of up to the benchmark's smaller size, a few with pairs
+    flipped, and random complete graphs.
+    """
+    graphs = [
+        planted(n, n // 10, n // 10, flips, seed)[0]
+        for n in (40, 200)
+        for flips in (0, 3)
+        for seed in range(5)
+    ]
+    graphs += [
+        gen_random(n, 0.5, 0.5, complete=True, seed=seed)
+        for n in (8, 12, 30, 60)
+        for seed in range(25)
+    ]
+    compared = 0
+    for g in graphs:
+        parts = _shared_parts(g)
+        if not isinstance(parts, SimpleSolutionParts):
+            assert parts.covers == full_left_covers(g)
+            compared += len(parts.covers)
+    assert compared >= 300, compared
+
+
+def test_isolated_left_vertices_leave_the_cover_alone():
+    """Adding left vertices with no edge changes no minimum vertex cover."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        left = list(range(rng.randint(0, 20)))
+        right = [-1 - i for i in range(rng.randint(0, 20))]
+        p = rng.choice([0.05, 0.1, 0.3, 0.7])
+        edges = tuple((l, r) for l in left for r in right if rng.random() < p)
+        padded = left + [100 + i for i in range(rng.randint(1, 20))]
+        rng.shuffle(padded)
+        assert bipartite_min_vertex_cover(
+            BipartiteGraph(tuple(left), tuple(right), edges)
+        ) == bipartite_min_vertex_cover(BipartiteGraph(tuple(padded), tuple(right), edges))
 
 
 def with_pendants(core: CorrelationGraph, count: int, seed: int) -> CorrelationGraph:
