@@ -200,29 +200,16 @@ def maximal_bad_star_forest(g: CorrelationGraph) -> BadStarForest:
     """
     if not g.complete:
         raise ValueError("bad star forests are defined on complete graphs")
-    return BadStarForest(tuple(_greedy_stars(g, _twin_classes(g), 0)))
-
-
-def _greedy_stars(g: CorrelationGraph, twins: _TwinClasses, first: int) -> list[BadStar]:
-    """The greedy forest's stars on G[{first..n-1}], from whole-graph twin classes.
-
-    ``twins`` comes from ``_twin_classes`` on all of g, so one call serves
-    every ``first``: ``_scan`` gives on any alive subset the triangle that
-    the scan of that induced subgraph gives, and star growth only takes
-    unused vertices.  The stars are those of
-    ``maximal_bad_star_forest(G[{first..n-1}])`` in g's ids.  One resumed
-    scan reads each vertex's class row once, O(n - first + the rows' total
-    length) plus the set differences, and star growth O(n + blue pairs).
-    """
-    adj = g._blue_adj
+    twins = _twin_classes(g)
     label, _, closed = twins
-    unused = set(range(first, g.n))
+    adj = g._blue_adj
+    unused = set(range(g.n))
     stars: list[BadStar] = []
-    i = first
+    i = 0
     while True:
         i, triangle = _scan(unused, i, twins)
         if triangle is None:
-            return stars
+            return BadStarForest(tuple(stars))
         u, center, w = triangle
         leaves = [u, w]
         # blue neighbours of a leaf cannot join: they are not red to it.  So
@@ -245,16 +232,71 @@ def _suffix_bounds(g: CorrelationGraph) -> list[int]:
     Entry v is the greedy forest weight of that induced subgraph, raised to
     entry v + 1 where that is larger: an induced subgraph's optimum never
     exceeds the graph's, because restricting a valid clustering keeps it
-    valid.  Entry n is 0.  Incomplete graphs get all zeros.  One
-    ``_twin_classes`` serves all n forests.
+    valid.  Entry n is 0.  Incomplete graphs get all zeros.
+
+    The n forests are those ``maximal_bad_star_forest`` finds on each
+    suffix, but only their weights are kept, and every vertex set is an int
+    bitmask.  ``closed[v]`` is N[v], and twin classes, the vertices with the
+    same N[v], are found by keying a dict on that int.  Each vertex's
+    candidate centres ``outside[v]`` are its blue neighbours outside its
+    class: a centre in the class has the same N[v] and closes nothing, the
+    skip ``_scan`` makes.  A suffix's scan walks u upward over the unused
+    vertices, tries the centres v in ``outside[u] & unused`` lowest first
+    and closes with the lowest unused w > u in N[v] - N[u].  The star then
+    takes, lowest first, the unused blue neighbours of v that no leaf's N[x]
+    blocks.  A suffix takes one step per unused vertex and one per centre
+    tried, each a few operations on n-bit ints of O(n / 64) words.
+
+    The rows take O(n^2 / 64) words, small under the exact search's depth
+    cap of 500 vertices.  ``maximal_bad_star_forest`` stays on sets and
+    class rows, which take O(n + blue pairs) up to ``MAX_VERTICES``.
     """
-    bounds = [0] * (g.n + 1)
+    n = g.n
+    bounds = [0] * (n + 1)
     if not g.complete:
         return bounds
-    twins = _twin_classes(g)
-    for v in range(g.n - 1, -1, -1):
-        weight = sum(s.weight for s in _greedy_stars(g, twins, v))
-        bounds[v] = max(weight, bounds[v + 1])
+    closed = [sum(1 << w for w in row) | 1 << v for v, row in enumerate(g._blue_adj)]
+    members: dict[int, int] = {}
+    for v, nv in enumerate(closed):
+        members[nv] = members.get(nv, 0) | 1 << v
+    outside = [nv & ~members[nv] for nv in closed]
+    # vertices with a neighbour outside their class: only they start a triangle
+    starts = sum(1 << v for v, row in enumerate(outside) if row)
+    for first in range(n - 1, -1, -1):
+        unused = (1 << n) - (1 << first)
+        todo = starts & unused
+        weight = 0
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            u = low.bit_length() - 1
+            centres = outside[u] & unused
+            if not centres:
+                continue
+            not_red = closed[u]
+            later = unused & -(low << 1)  # unused vertices above u
+            while centres:
+                bit = centres & -centres
+                centres ^= bit
+                v = bit.bit_length() - 1
+                closing = closed[v] & ~not_red & later
+                if closing:
+                    w = (closing & -closing).bit_length() - 1
+                    # a leaf's blue neighbours are not red to it, so they
+                    # are blocked; v lies in N[u] and is blocked too
+                    blocked = not_red | closed[w]
+                    star = bit | low | 1 << w
+                    grow = closed[v] & unused & ~blocked
+                    while grow:
+                        leaf = grow & -grow
+                        star |= leaf
+                        weight += 1
+                        grow &= ~closed[leaf.bit_length() - 1]
+                    weight += 1
+                    unused &= ~star
+                    todo &= unused
+                    break
+        bounds[first] = max(weight, bounds[first + 1])
     return bounds
 
 

@@ -15,7 +15,10 @@ prunes nothing.
 - **Suffix bounds** (complete graphs).  The vertices are placed in the
   order 0..n-1, so the unplaced vertices are always a suffix {v..n-1},
   and ``detect._suffix_bounds`` gives a lower bound on the optimum of each
-  G[{v..n-1}] from its greedy bad-star forest.  Restricting a valid
+  G[{v..n-1}] from its greedy bad-star forest.  One call weighs all n
+  forests on vertex bitmasks, one closed-neighbourhood int per vertex, and
+  skips centres that are true twins of u as the bad-triangle scan does;
+  no star or forest object is built.  Restricting a valid
   clustering to an induced subgraph keeps it valid and keeps each
   vertex's memberships, so a clustering that extends the placed part
   costs at least the placed cost plus the bound on the suffix.  The

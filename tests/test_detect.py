@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import random
+import sys
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from splitclust import (
     BadStar,
     BadStarForest,
+    Kernelized,
     SearchBudget,
     complete_graph,
     cost,
@@ -15,12 +21,16 @@ from splitclust import (
     gen_random,
     incomplete_graph,
     is_bad_star,
+    kernelize,
     lower_bound,
     maximal_bad_star_forest,
+    parse_graph,
     solve_exact,
 )
-from splitclust.detect import _greedy_stars, _suffix_bounds, _twin_classes
-from oracles import on_induced_subgraph
+from splitclust.detect import _suffix_bounds
+from oracles import on_induced_subgraph, unpruned_solve_exact
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 BAD_TRIANGLE = complete_graph(3, [(0, 1), (1, 2)])
 
@@ -121,23 +131,75 @@ def test_lower_bound_at_most_optimum(seed):
     assert lower_bound(g) <= cost(f, n)
 
 
+def _induced_suffix_bounds(g):
+    """Running max of ``lower_bound`` over the induced suffixes G[{v..n-1}]."""
+    expected = [0] * (g.n + 1)
+    for v in range(g.n - 1, -1, -1):
+        sub, _ = g.induced_subgraph(range(v, g.n))
+        expected[v] = max(lower_bound(sub), expected[v + 1])
+    return expected
+
+
 @given(st.integers(1, 24), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10_000))
 def test_suffix_forests_match_induced_subgraphs(n, p_blue, seed):
-    # the stars found from whole-graph twin classes are those of each induced suffix
+    # the bitmask forests weigh what the public forest weighs on each suffix
     g = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed)
-    twins = _twin_classes(g)
-    expected = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        sub, ids = g.induced_subgraph(range(v, n))
-        stars = [
-            (ids[s.center], tuple(ids[x] for x in s.leaves))
-            for s in maximal_bad_star_forest(sub).stars
-        ]
-        got = _greedy_stars(g, twins, v)
-        assert [(s.center, s.leaves) for s in got] == stars
-        expected[v] = max(lower_bound(sub), expected[v + 1])
-    assert _suffix_bounds(g) == expected
+    assert _suffix_bounds(g) == _induced_suffix_bounds(g)
     assert _suffix_bounds(g)[0] >= lower_bound(g)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+@pytest.mark.parametrize("p_blue", [0.2, 0.5, 0.8])
+def test_suffix_bounds_beyond_one_machine_word(n, p_blue):
+    g = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=n)
+    assert _suffix_bounds(g) == _induced_suffix_bounds(g)
+
+
+def _perfbench_planted_complete():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from instances import planted_complete
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return planted_complete
+
+
+def test_suffix_bounds_on_planted_graphs_and_their_kernels():
+    # the planted graphs of the benchmark's kernel chains, and the kernels
+    # the exact search is run on
+    planted = _perfbench_planted_complete()
+    for seed in range(1, 21):
+        for n, overlaps in ((100, 1), (200, 2)):
+            doc = planted(seed, n, n // 30, overlaps)
+            g = parse_graph(doc.ccg)
+            if seed == 1:
+                assert _suffix_bounds(g) == _induced_suffix_bounds(g)
+            kernel = kernelize(g, doc.planted_cost)
+            assert isinstance(kernel, Kernelized)
+            assert _suffix_bounds(kernel.graph) == _induced_suffix_bounds(kernel.graph)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_suffix_bounds_on_twin_heavy_graphs(seed):
+    # disjoint blue cliques, one vertex joined blue to two of them, and the
+    # ids shuffled: every vertex but that one has a twin
+    rng = random.Random(seed)
+    sizes = [rng.randint(2, 9) for _ in range(8)]
+    n = sum(sizes) + 1
+    ids = list(range(n))
+    rng.shuffle(ids)
+    cliques, start = [], 0
+    for size in sizes:
+        cliques.append(ids[start : start + size])
+        start += size
+    hub = ids[-1]
+    blue = [(u, v) for c in cliques for u, v in combinations(sorted(c), 2)]
+    blue += [tuple(sorted((hub, v))) for v in cliques[0] + cliques[1]]
+    g = complete_graph(n, blue)
+    bounds = _suffix_bounds(g)
+    assert bounds == _induced_suffix_bounds(g)
+    # one bad star, the hub with a leaf in each of its two cliques
+    assert bounds[0] == lower_bound(g) == 1
 
 
 @given(st.integers(1, 24), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10_000))
@@ -153,3 +215,19 @@ def test_suffix_bounds_zero_on_incomplete_graphs():
     g = incomplete_graph(3, blue=[(0, 1), (1, 2)], red=[(0, 2)])
     assert _suffix_bounds(g) == [0, 0, 0, 0]
     assert _suffix_bounds(complete_graph(0, [])) == [0]
+
+
+@given(st.integers(1, 7), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 10_000))
+def test_suffix_bounds_at_most_suffix_optima(n, p_blue, seed):
+    # admissibility, which the exact search's pruning rests on; the optimum
+    # comes from the unpruned search, which reads no suffix bound
+    g = gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed)
+    bounds = _suffix_bounds(g)
+    for v in range(n):
+        sub, _ = g.induced_subgraph(range(v, n))
+        reference, _ = unpruned_solve_exact(sub, sub.n * sub.n)
+        assert reference is not None
+        optimum = cost(reference, sub.n)
+        f = solve_exact(sub, SearchBudget(max_cost=optimum), vertex_cap=sub.n)
+        assert f is not None and cost(f, sub.n) == optimum
+        assert bounds[v] <= optimum

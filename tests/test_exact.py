@@ -164,6 +164,26 @@ def _nodes_searched(g, max_cost: int, most: int) -> int:
     return lo
 
 
+# nodes that solve_exact searches on gen_random(n, .5, .5, complete=True,
+# seed), recorded before the suffix bounds moved onto vertex bitmasks: the
+# bounds, and so the search, must stay as they were
+_N8_NODES = [
+    36, 23, 66, 19, 70, 18, 25, 9, 8, 105, 62, 13, 13, 76, 47, 54, 18, 8, 17, 15,
+    79, 20, 162, 8, 171, 109, 13, 51, 9, 68, 34, 56, 89, 105, 15, 30, 8, 33, 18, 64,
+    8, 21, 13, 16, 37, 13, 16, 10, 45, 35,
+]  # seeds 0 to 49
+_LARGER_NODES = {(12, 0): 3612, (12, 2): 916, (13, 0): 540}
+
+
+def test_node_counts_pinned():
+    cases = [(8, seed) for seed in range(len(_N8_NODES))] + list(_LARGER_NODES)
+    got = [
+        _nodes_searched(gen_random(n, 0.5, 0.5, complete=True, seed=seed), n, 5_000)
+        for n, seed in cases
+    ]
+    assert got == _N8_NODES + list(_LARGER_NODES.values())
+
+
 def test_stuck_vertices_prune_incomplete_graphs():
     # incomplete graphs get zero suffix bounds, so the stuck count is their
     # only pruning: the same clustering in no more nodes on every graph,
