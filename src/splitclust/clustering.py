@@ -18,13 +18,15 @@ directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Container, Iterable, Sequence
+from collections import Counter
+from collections.abc import Container, Iterable
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import chain, combinations
 
 from .graphs import (
     CorrelationGraph,
     FormatError,
+    _blue_labels,
     _is_blue_clique,
     _check_vertex,
     _is_integer,
@@ -32,7 +34,6 @@ from .graphs import (
     _read_counts,
     _read_document,
     _read_ids,
-    blue_components,
 )
 
 
@@ -314,18 +315,14 @@ def _consistent_components(g: CorrelationGraph) -> list[list[int]] | None:
     The components are labelled once, for the test and for the callers
     that read clusters off them.
     """
-    components = blue_components(g)
+    label, components = _blue_labels(g)
     if g.complete:
         if all(_is_blue_clique(g, comp) for comp in components):
             return components
         return None
-    component = [0] * g.n
-    for i, comp in enumerate(components):
-        for v in comp:
-            component[v] = i
     for u, row in enumerate(g._red_adj):
-        c = component[u]
-        if any(component[v] == c for v in row):
+        c = label[u]
+        if any(label[v] == c for v in row):
             return None
     return components
 
@@ -391,107 +388,79 @@ def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
     return RealizedGraph(base, ancestors, g.n)
 
 
-def _resolved(membership: list[set[int]], u: int, v: int) -> bool:
-    iu, iv = membership[u], membership[v]
-    if not iu or not iv:
-        return False
-    return not (iu == iv and len(iu) == 1)
-
-
 def splits_to_clustering(r: RealizedGraph) -> Clustering:
     """Read a clustering of the original graph off a split result.
 
     Requires the realized base graph to have no erroneous cycle.  Each blue
     component maps to the set of its members' ancestors; duplicate sets are
     merged.  Red ancestor pairs left unresolved by the merge gain a
-    singleton cluster on the smaller split endpoint.  The cost never
+    singleton cluster on the smaller split endpoint (see ``_read_off``,
+    which ``multicut_solution_to_clustering`` shares).  The cost never
     exceeds ``r.split_count``.
 
     A pair can be unresolved only when both endpoints lie in exactly one
-    merged cluster, the same one, and one of them is split; a pair that is
-    resolved at the start stays resolved as singletons are added.  So only
-    such pairs are listed: in O(N + blue pairs) for N descendants on
-    complete graphs, without listing the red pairs, and in O(N + stored
-    pairs) on incomplete ones.
+    merged cluster, the same one, and one of them is split; ``_read_off``
+    drops the other listed pairs.  On a complete graph the components are
+    blue cliques, and a vertex whose only cluster is C has copies in every
+    component merged into C.  So its descendant pairs with another such
+    vertex are all blue unless two or more components merged into C, which
+    splits every member of C: only the pairs inside such clusters are
+    listed, in O(N + blue pairs + listed pairs) for N descendants, and no
+    red pair.  An incomplete graph lists the ancestor pairs of its red
+    pairs with a split end, in O(N + stored pairs).
     """
     base = r.base
     components = _consistent_components(base)
     if components is None:
         raise ValueError("realized graph has an erroneous cycle")
     ancestors = r.ancestors
-    clusters = _component_clusters(ancestors, components)
+    sets = [frozenset(map(ancestors.__getitem__, comp)) for comp in components]
     counts = [0] * r.original_n
     for a in ancestors:
         counts[a] += 1
     split = {v for v, c in enumerate(counts) if c >= 2}
-    # home[a]: index of a's merged cluster when a lies in exactly one, else -1
-    home = [None] * r.original_n
-    for i, cluster in enumerate(clusters):
-        for a in cluster:
-            home[a] = i if home[a] is None else -1
     pairs: set[tuple[int, int]] = set()
     if base.complete:
-        # blue components are cliques and every pair across them is red, so
-        # two ancestors have a red descendant pair unless all their
-        # descendants lie in one component
-        spans: list[set[int]] = [set() for _ in range(r.original_n)]
-        for i, comp in enumerate(components):
-            for d in comp:
-                spans[ancestors[d]].add(i)
-        for s in split:
-            i = home[s]
-            if i == -1:
-                continue
-            for b in clusters[i]:
-                if b == s or home[b] != i:
-                    continue
-                if len(spans[s]) == 1 and spans[s] == spans[b]:
-                    continue  # every descendant pair is blue
-                pairs.add(_pair(s, b))
+        for cluster, merged in Counter(sets).items():
+            if merged >= 2:
+                pairs.update(combinations(sorted(cluster), 2))
     else:
         for x, row in enumerate(base._red_adj):
             a = ancestors[x]
             for y in row[bisect_right(row, x) :]:
                 b = ancestors[y]
-                if a != b and home[a] == home[b] != -1 and (a in split or b in split):
+                if a != b and (a in split or b in split):
                     pairs.add(_pair(a, b))
-    return _add_singletons(clusters, r.original_n, sorted(pairs), split)
+    return _read_off(sets, r.original_n, sorted(pairs), split)
 
 
-def _component_clusters(
-    ancestors: Sequence[int], components: list[list[int]]
-) -> list[frozenset[int]]:
-    """Ancestor sets of a split graph's blue components, duplicates merged, in order."""
-    return list(
-        dict.fromkeys(frozenset(ancestors[d] for d in comp) for comp in components)
-    )
-
-
-def _add_singletons(
-    clusters: Iterable[frozenset[int]],
+def _read_off(
+    sets: Iterable[frozenset[int]],
     n: int,
     pairs: Iterable[tuple[int, int]],
     split: Container[int],
 ) -> Clustering:
-    """Resolve each pair the clusters leave unresolved with a singleton.
+    """The clustering read off a split graph's component ancestor sets.
 
-    Clusters read off a split graph leave a pair (u, v) unresolved only
-    when both endpoints' copies merged into one cluster, which needs a
-    split endpoint; the smaller one gains a singleton cluster.  Pairs are
-    taken in order, and each singleton counts for the pairs after it.
+    The clusters are the distinct sets, in order.  ``home[v]`` is the
+    index of v's only cluster, -1 when v lies in several and -2 in none.
+    A pair (u, v), u < v, is unresolved when u and v share a home; that
+    needs a split end, since their copies were merged, and the smaller
+    split end gains a singleton.  Pairs are taken in order, and a vertex
+    with a singleton lies in two clusters, so its home turns -1.
+    O(n + memberships + pairs).
     """
-    clusters = list(clusters)
-    membership: list[set[int]] = [set() for _ in range(n)]
+    clusters = list(dict.fromkeys(sets))
+    home = [-2] * n
     for i, cluster in enumerate(clusters):
         for v in cluster:
-            membership[v].add(i)
+            home[v] = i if home[v] == -2 else -1
     for u, v in pairs:
-        if _resolved(membership, u, v):
+        if home[u] != home[v] or home[u] < 0:
             continue
-        split_endpoints = [w for w in (u, v) if w in split]
-        if not split_endpoints:
+        w = u if u in split else v
+        if w not in split:
             raise AssertionError("unresolved pair with no split endpoint")
-        w = min(split_endpoints)
-        membership[w].add(len(clusters))
+        home[w] = -1
         clusters.append(frozenset((w,)))
     return Clustering(clusters)

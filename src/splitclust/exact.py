@@ -133,13 +133,12 @@ def _search(g: CorrelationGraph, max_cost: int, limit: int) -> list[list[int]] |
     suffix = _suffix_bounds(g)
     blue_pred: list[list[int]] = []
     blue_succ: list[list[int]] = []
-    for v, row in enumerate(g._blue_adj):
+    red_succ: list[list[int]] = []
+    for v, (row, red) in enumerate(zip(g._blue_adj, g._red_rows())):
         i = bisect_left(row, v)
         blue_pred.append(row[:i])
         blue_succ.append(row[i:])
-    red_succ: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.red_edges():
-        red_succ[u].append(v)
+        red_succ.append(red[bisect_left(red, v) :])
     # block subset masks by (block count, subset size), shared by all levels
     subsets: dict[tuple[int, int], list[int]] = {}
     vmask = [0] * n
@@ -246,8 +245,6 @@ def solve_exact(
             f"graph has {g.n} vertices, exact search recurses once per vertex "
             f"and takes at most {_MAX_DEPTH}"
         )
-    if g.n == 0:
-        return Clustering(())
     found = _search(g, budget.max_cost, budget.node_limit)
     return None if found is None else Clustering(found)
 

@@ -18,6 +18,7 @@ from .graphs import (
     _check_vertex_count,
     _is_integer,
     _pair,
+    complete_graph,
 )
 from .multicut import MulticutInstance
 
@@ -108,12 +109,13 @@ def gen_vertex_cover_gadget(g: PlainGraph, k: int) -> CorrelationGraph:
         raise ValueError(f"cover budgets are non-negative integers, got {k!r}")
     total = g.n + k + 1
     _check_vertex_count(total)
-    labeled = [
-        (u, v, RED if (u, v) in g.edges else BLUE)
+    blue = [
+        (u, v)
         for u in range(total)
         for v in range(u + 1, total)
+        if (u, v) not in g.edges
     ]
-    return CorrelationGraph(total, labeled, complete=True)
+    return complete_graph(total, blue)
 
 
 def gen_coloring_gadget(g: PlainGraph, colors: int) -> MulticutInstance:
@@ -125,6 +127,8 @@ def gen_coloring_gadget(g: PlainGraph, colors: int) -> MulticutInstance:
     iff g is properly colorable with the given number of colors (at least
     3).
     """
+    if not _is_integer(colors):
+        raise ValueError(f"color counts are integers, got {colors!r}")
     if colors < 3:
         raise ValueError("coloring gadget needs at least three colors")
     apex = g.n

@@ -196,13 +196,16 @@ class CorrelationGraph:
 
     def red_edges(self) -> list[tuple[int, int]]:
         """All red pairs, sorted.  O(n^2) for complete graphs."""
-        if not self.complete:
-            return _upper_pairs(self._red_adj)
-        out = []
-        for u, row in enumerate(self._blue_adj):
-            blue = set(row)
-            out += [(u, v) for v in range(u + 1, self.n) if v not in blue]
-        return out
+        return _upper_pairs(self._red_rows())
+
+    def _red_rows(self) -> list[list[int]]:
+        """Sorted red rows: the stored ones, or a complete graph's, O(n^2)."""
+        if self._red_adj is not None:
+            return self._red_adj
+        every = set(range(self.n))
+        return [
+            sorted(every.difference(row, (u,))) for u, row in enumerate(self._blue_adj)
+        ]
 
     def count_colors(self) -> tuple[int, int]:
         """(blue pair count, red pair count)."""
@@ -300,25 +303,31 @@ def blue_components(g: CorrelationGraph) -> list[list[int]]:
 
     Components are ordered by smallest member; members are sorted.
     """
+    return _blue_labels(g)[1]
+
+
+def _blue_labels(g: CorrelationGraph) -> tuple[list[int], list[list[int]]]:
+    """Each vertex's blue component index, and ``blue_components(g)``.
+
+    O(n + blue pairs), and a sort per component.
+    """
     adj = g._blue_adj
-    seen: set[int] = set()
+    label = [-1] * g.n
     components: list[list[int]] = []
     for start in range(g.n):
-        if start in seen:
+        if label[start] >= 0:
             continue
+        i = len(components)
+        label[start] = i
         comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
+        for u in comp:  # comp grows as it is walked
             for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
+                if label[w] < 0:
+                    label[w] = i
                     comp.append(w)
-                    stack.append(w)
         comp.sort()
         components.append(comp)
-    return components
+    return label, components
 
 
 def cluster_decomposition(g: CorrelationGraph) -> list[frozenset[int]] | None:

@@ -27,7 +27,9 @@ the ancestor sets of its blue components are the clusters read off the
 solution.  So ``verify_multicut_solution`` and
 ``multicut_solution_to_clustering`` need only those components: they
 label them straight from the instance's adjacency lists and the parts,
-and never build the split graph.
+and never build the split graph.  The clusters and their singleton
+repair are then read off as ``splits_to_clustering`` reads them, by the
+one ``clustering._read_off``.
 """
 
 from __future__ import annotations
@@ -38,12 +40,7 @@ from dataclasses import dataclass
 from bisect import bisect_right
 from itertools import repeat
 
-from .clustering import (
-    Clustering,
-    _add_singletons,
-    _component_clusters,
-    _violations,
-)
+from .clustering import Clustering, _read_off, _violations
 from .graphs import (
     BLUE,
     MAX_VERTICES,
@@ -310,11 +307,7 @@ def ccvs_to_mcvs(g: CorrelationGraph, k: int) -> MulticutInstance:
                 f"complete graph has {red_count} red pairs; ccvs_to_mcvs lists "
                 f"at most {_MAX_LISTED_RED_PAIRS} terminal pairs"
             )
-        red = []
-        for u, row in enumerate(g._blue_adj):
-            blue = set(row)
-            red.append([v for v in range(g.n) if v != u and v not in blue])
-        g = CorrelationGraph._trusted(g.n, g._blue_adj, red)
+        g = CorrelationGraph._trusted(g.n, g._blue_adj, g._red_rows())
     return MulticutInstance._of(g, k)
 
 
@@ -370,8 +363,8 @@ def multicut_solution_to_clustering(
         raise ValueError("solution does not separate all terminal pairs")
     # a terminal pair of two unsplit vertices joins two distinct components,
     # so the clusters resolve it; only pairs touching a split vertex are passed
-    clusters = _component_clusters(ancestors, components)
-    return _add_singletons(clusters, inst.n, pairs, sol.split_vertices)
+    sets = (frozenset(map(ancestors.__getitem__, comp)) for comp in components)
+    return _read_off(sets, inst.n, pairs, sol.split_vertices)
 
 
 _COUNT = rb"(0|[1-9][0-9]{0,17})"

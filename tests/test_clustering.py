@@ -157,15 +157,15 @@ def test_has_erroneous_cycle():
 
 def test_split_readers_label_blue_components_once(monkeypatch):
     # the erroneous-cycle test and the clusters share one labelling:
-    # splits_to_clustering labels the split graph with blue_components, and
+    # splits_to_clustering labels the split graph with _blue_labels, and
     # multicut_solution_to_clustering labels the copies with _split_components
     # and never builds the split graph
     labelled = []
-    real = splitclust.graphs.blue_components
+    real = splitclust.graphs._blue_labels
     real_split = splitclust.multicut._split_components
 
     def counting(g):
-        labelled.append(("blue_components", g.n))
+        labelled.append(("_blue_labels", g.n))
         return real(g)
 
     def counting_split(inst, sol):
@@ -173,7 +173,7 @@ def test_split_readers_label_blue_components_once(monkeypatch):
         return real_split(inst, sol)
 
     for module in (splitclust.graphs, splitclust.clustering):
-        monkeypatch.setattr(module, "blue_components", counting)
+        monkeypatch.setattr(module, "_blue_labels", counting)
     monkeypatch.setattr(splitclust.multicut, "_split_components", counting_split)
     incomplete = incomplete_graph(3, blue=[(0, 1), (1, 2)], red=[(0, 2)])
     for g in (BAD_TRIANGLE, incomplete):
@@ -182,7 +182,7 @@ def test_split_readers_label_blue_components_once(monkeypatch):
         sol = clustering_to_multicut_solution(g, TRIANGLE_SOLUTION)
         labelled.clear()
         assert splits_to_clustering(r) == TRIANGLE_SOLUTION
-        assert labelled == [("blue_components", 4)]
+        assert labelled == [("_blue_labels", 4)]
         labelled.clear()
         assert multicut_solution_to_clustering(inst, sol) == TRIANGLE_SOLUTION
         assert labelled == [("_split_components", 3)]
@@ -191,7 +191,7 @@ def test_split_readers_label_blue_components_once(monkeypatch):
         splits_to_clustering(RealizedGraph(BAD_TRIANGLE, [0, 1, 2], 3))
     with pytest.raises(ValueError, match="^solution does not separate all terminal pairs$"):
         multicut_solution_to_clustering(ccvs_to_mcvs(BAD_TRIANGLE, 1), MulticutSolution({}))
-    assert labelled == [("blue_components", 3), ("_split_components", 3)]
+    assert labelled == [("_blue_labels", 3), ("_split_components", 3)]
 
 
 def test_clustering_to_splits_on_triangle():
@@ -281,6 +281,26 @@ def test_splits_to_clustering_merges_duplicates_and_adds_singleton():
     assert cost(f, 2) == 1
     g = complete_graph(2, [])  # the original: lone red pair
     assert verify_clustering(g, f).ok
+
+
+def test_read_off_repairs_pairs_in_order():
+    read_off = splitclust.clustering._read_off
+    # (0, 1) and (0, 2) both lie in the one cluster {0, 1, 2}; the first
+    # gives the split end 0 a singleton, which resolves the second
+    sets = [frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({0, 1, 2})]
+    assert read_off(sets, 5, [(0, 1), (0, 2)], {0}) == Clustering(
+        [{0, 1, 2}, {3, 4}, {0}]
+    )
+    # the smaller split end gets the singleton
+    assert read_off(sets, 5, [(1, 2)], {0, 1, 2}) == Clustering(
+        [{0, 1, 2}, {3, 4}, {1}]
+    )
+    # ends with different homes, or an end in several clusters, need none
+    sets = [frozenset({0, 1}), frozenset({1, 2}), frozenset({3})]
+    pairs = [(0, 1), (0, 2), (1, 2), (2, 3)]
+    assert read_off(sets, 4, pairs, {1}) == Clustering(sets)
+    with pytest.raises(AssertionError, match="no split endpoint"):
+        read_off([frozenset({0, 1})], 2, [(0, 1)], set())
 
 
 @given(st.integers(0, 300))

@@ -7,7 +7,10 @@ from itertools import combinations
 import pytest
 
 from splitclust import (
+    BLUE,
     MAX_VERTICES,
+    RED,
+    CorrelationGraph,
     MulticutInstance,
     PlainGraph,
     SplitMix64,
@@ -123,6 +126,26 @@ def test_vertex_cover_gadget_frozen():
         gen_vertex_cover_gadget(PlainGraph(2, []), -1)
 
 
+def test_vertex_cover_gadget_matches_labelled_construction():
+    # the gadget lists only its blue pairs; the graph is the one built from
+    # every pair labelled, red on the input's edges and blue elsewhere
+    graphs = [
+        PlainGraph(0, []),
+        PlainGraph(3, [(0, 1), (1, 2)]),
+        PlainGraph(4, list(combinations(range(4), 2))),
+        PlainGraph(5, [(0, 4), (1, 3)]),
+    ]
+    for g in graphs:
+        for k in range(3):
+            total = g.n + k + 1
+            labelled = [
+                (u, v, RED if (u, v) in g.edges else BLUE)
+                for u, v in combinations(range(total), 2)
+            ]
+            expected = CorrelationGraph(total, labelled, complete=True)
+            assert gen_vertex_cover_gadget(g, k) == expected
+
+
 def test_vertex_cover_gadget_checks_budget_first():
     for bad in (-1, 1.5, 1.0, True, "1", None):
         with pytest.raises(ValueError, match="non-negative integers"):
@@ -165,6 +188,9 @@ def test_coloring_gadget_frozen():
     )
     with pytest.raises(ValueError):
         gen_coloring_gadget(triangle, 2)
+    for bad in ("5", None, 3.5):
+        with pytest.raises(ValueError, match="color counts are integers"):
+            gen_coloring_gadget(triangle, bad)
 
 
 def test_coloring_gadget_decides_coloring():

@@ -245,7 +245,7 @@ def test_ccvs_to_mcvs_caps_listed_red_pairs(monkeypatch):
         raise AssertionError("red pairs listed before the cap was checked")
 
     with monkeypatch.context() as m:
-        m.setattr(CorrelationGraph, "red_edges", refuse)
+        m.setattr(CorrelationGraph, "_red_rows", refuse)
         with pytest.raises(ValueError, match="red pairs"):
             ccvs_to_mcvs(complete_graph(MAX_VERTICES, []), 0)
     # the cap is on listed red pairs: at the cap a complete graph is reduced,

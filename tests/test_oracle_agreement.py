@@ -649,9 +649,10 @@ def test_splits_to_clustering_lists_no_red_pairs_on_complete(monkeypatch):
     assert added > 0
 
     def refuse(self):
-        raise AssertionError("red_edges() listed in splits_to_clustering")
+        raise AssertionError("red pairs listed in splits_to_clustering")
 
     monkeypatch.setattr(CorrelationGraph, "red_edges", refuse)
+    monkeypatch.setattr(CorrelationGraph, "_red_rows", refuse)
     assert splits_to_clustering(r) == expected
 
 
