@@ -11,16 +11,18 @@ The cheapest candidate costs at most 7 times the optimum; when the
 cliques number at most one, the flat solution (one cluster with
 everything plus S singletons) costs |S| <= 3 * optimum.
 
+Both public functions read S, the cliques and the covers once, through
+``_parts``, and build candidates with ``_assemble``, the flat one included.
 A candidate costs |S| plus the sizes of the covers it keeps, so
 ``approximate`` compares those sums and builds only the first cheapest
-candidate; ``candidate_solutions`` builds them all, with the same helper.
+candidate; ``candidate_solutions`` builds them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Hashable
-from typing import NamedTuple, TypeVar
+from typing import TypeVar
 
 from .clustering import Clustering
 from .detect import _decompose
@@ -144,16 +146,11 @@ class SimpleSolutionParts:
     cost: int
 
 
-class _Shared(NamedTuple):
-    """What every candidate of a non-degenerate input is assembled from."""
-
-    s_set: frozenset[int]
-    s_sorted: tuple[int, ...]
-    cliques: tuple[frozenset[int], ...]
-    covers: list[frozenset]  # one minimum vertex cover per clique
+# S ascending, the cliques outside it, and one cover per clique or None
+_Parts = tuple[tuple[int, ...], tuple[frozenset[int], ...], list[frozenset] | None]
 
 
-def _shared_parts(g: CorrelationGraph) -> _Shared | SimpleSolutionParts:
+def _parts(g: CorrelationGraph) -> _Parts:
     """S, the cliques outside it and each clique's cover towards S.
 
     A clique's bipartite graph has on its left only the S vertices with an
@@ -161,22 +158,16 @@ def _shared_parts(g: CorrelationGraph) -> _Shared | SimpleSolutionParts:
     vertex is never in Koenig's cover.  So the graphs take O(n + blue
     pairs) in all, not O(|S|) per clique, and the covers stay the same.
     Degenerate inputs (no bad structure, or at most one clique outside S)
-    have a single candidate, which is returned instead.
+    have a single candidate and no covers.
     """
     if not g.complete:
         raise ValueError("approximation is defined on complete graphs")
     if g.n == 0:
         raise ValueError("approximation needs at least one vertex")
     forest, cliques, edges = _decompose(g)
-    s_set = forest.vertices
-    s_sorted = tuple(sorted(s_set))
-    if not s_sorted:
-        return SimpleSolutionParts(s_set, cliques, None, (), Clustering(cliques), 0)
-    if len(cliques) <= 1:
-        flat = [frozenset(range(g.n))] + [frozenset((s,)) for s in s_sorted]
-        return SimpleSolutionParts(
-            s_set, cliques, None, (), Clustering(flat), len(s_sorted)
-        )
+    s_sorted = tuple(sorted(forest.vertices))
+    if not s_sorted or len(cliques) <= 1:
+        return s_sorted, cliques, None
     covers = [
         bipartite_min_vertex_cover(
             BipartiteGraph(
@@ -187,19 +178,25 @@ def _shared_parts(g: CorrelationGraph) -> _Shared | SimpleSolutionParts:
         )
         for clique, to_s in zip(cliques, edges)
     ]
-    return _Shared(s_set, s_sorted, cliques, covers)
+    return s_sorted, cliques, covers
 
 
-def _assemble(parts: _Shared, pick: int) -> SimpleSolutionParts:
-    """The candidate that merges clique ``pick`` into the hub.
+def _assemble(parts: _Parts, pick: int) -> SimpleSolutionParts:
+    """The candidate that merges clique ``pick``, or no clique at ``len(cliques)``.
 
-    ``pick == len(cliques)`` gives the candidate that merges no clique.
+    A degenerate input has only the latter: the cliques at cost 0 when S is
+    empty, else one cluster of everything plus the S singletons, at cost |S|.
     """
-    s_set, s_sorted, cliques, covers = parts
+    s_sorted, cliques, covers = parts
+    s_set = frozenset(s_sorted)
+    singles = [frozenset((s,)) for s in s_sorted]
+    if covers is None:
+        flat = [s_set.union(*cliques), *singles] if s_sorted else cliques
+        return SimpleSolutionParts(
+            s_set, cliques, None, (), Clustering(flat), len(s_sorted)
+        )
     guess = cliques[pick] if pick < len(cliques) else None
-    hub = set(s_sorted)
-    if guess is not None:
-        hub |= guess
+    hub = set(s_sorted).union(guess or ())
     clusters = []
     cover_pairs = []
     total = len(s_sorted)
@@ -210,22 +207,20 @@ def _assemble(parts: _Shared, pick: int) -> SimpleSolutionParts:
         clusters.append(clique | (cover & s_set))
         cover_pairs.append((clique, cover))
         total += len(cover)
-    assembled = Clustering(
-        [frozenset(hub), *clusters, *(frozenset((s,)) for s in s_sorted)]
-    )
+    assembled = Clustering([frozenset(hub), *clusters, *singles])
     return SimpleSolutionParts(s_set, cliques, guess, tuple(cover_pairs), assembled, total)
 
 
 def candidate_solutions(g: CorrelationGraph) -> tuple[SimpleSolutionParts, ...]:
     """All candidate solutions, one per guessed clique plus the no-guess one.
 
-    Every candidate's clustering is valid for g.  ``approximate`` returns
-    the first cheapest one's clustering.
+    A degenerate input has only the no-guess one.  Every clustering is
+    valid for g; ``approximate`` returns the first cheapest one's.
     """
-    parts = _shared_parts(g)
-    if isinstance(parts, SimpleSolutionParts):
-        return (parts,)
-    return tuple(_assemble(parts, pick) for pick in range(len(parts.cliques) + 1))
+    parts = _parts(g)
+    _, cliques, covers = parts
+    first = 0 if covers is not None else len(cliques)
+    return tuple(_assemble(parts, pick) for pick in range(first, len(cliques) + 1))
 
 
 def approximate(g: CorrelationGraph) -> Clustering:
@@ -236,10 +231,11 @@ def approximate(g: CorrelationGraph) -> Clustering:
     cover but the guessed clique's, so the costs are compared first and
     only the winner is assembled.
     """
-    parts = _shared_parts(g)
-    if isinstance(parts, SimpleSolutionParts):
-        return parts.assembled
+    parts = _parts(g)
+    _, cliques, covers = parts
+    if covers is None:
+        return _assemble(parts, len(cliques)).assembled
     # candidate costs less |S|, which they all share
-    kept = sum(map(len, parts.covers))
-    costs = [kept - len(cover) for cover in parts.covers] + [kept]
+    kept = sum(map(len, covers))
+    costs = [kept - len(cover) for cover in covers] + [kept]
     return _assemble(parts, costs.index(min(costs))).assembled

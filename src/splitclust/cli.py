@@ -30,9 +30,9 @@ from .detect import lower_bound
 from .exact import SearchBudget, SearchLimitReached, decide, solve_exact
 from .graphs import (
     FormatError,
+    _is_blue_clique,
     _read_ints,
     blue_components,
-    cluster_decomposition,
     parse_graph,
     write_graph,
 )
@@ -177,11 +177,11 @@ def _clustering_answer(f: Clustering, n: int):
 def _cmd_stats(args, stdin):
     g = parse_graph(_read(args.graph, stdin))
     n_blue, n_red = g.count_colors()
-    comps = len(blue_components(g))
-    is_cluster = cluster_decomposition(g) is not None
+    comps = blue_components(g)
+    is_cluster = all(_is_blue_clique(g, comp) for comp in comps)
     text = (
         f"n {g.n}\nkind {'complete' if g.complete else 'incomplete'}\n"
-        f"blue {n_blue}\nred {n_red}\nblue-components {comps}\n"
+        f"blue {n_blue}\nred {n_red}\nblue-components {len(comps)}\n"
         f"cluster-graph {'yes' if is_cluster else 'no'}\n"
     )
     result = {
@@ -189,7 +189,7 @@ def _cmd_stats(args, stdin):
         "complete": g.complete,
         "blue": n_blue,
         "red": n_red,
-        "blue_components": comps,
+        "blue_components": len(comps),
         "cluster_graph": is_cluster,
     }
     fields = {"result": result}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from collections import Counter
 from collections.abc import Container, Iterable
 from bisect import bisect_left, bisect_right
-from itertools import chain, combinations
+from itertools import chain
 
 from .graphs import (
     CorrelationGraph,
@@ -404,10 +404,11 @@ def splits_to_clustering(r: RealizedGraph) -> Clustering:
     blue cliques, and a vertex whose only cluster is C has copies in every
     component merged into C.  So its descendant pairs with another such
     vertex are all blue unless two or more components merged into C, which
-    splits every member of C: only the pairs inside such clusters are
-    listed, in O(N + blue pairs + listed pairs) for N descendants, and no
-    red pair.  An incomplete graph lists the ancestor pairs of its red
-    pairs with a split end, in O(N + stored pairs).
+    splits every member of C.  Taken in order, those members' pairs give
+    each of them a singleton but the largest, and so do the consecutive
+    pairs of them, which are all that is listed: O(N + blue pairs) for N
+    descendants, and no red pair.  An incomplete graph lists the ancestor
+    pairs of its red pairs with a split end, in O(N + stored pairs).
     """
     base = r.base
     components = _consistent_components(base)
@@ -421,9 +422,11 @@ def splits_to_clustering(r: RealizedGraph) -> Clustering:
     split = {v for v, c in enumerate(counts) if c >= 2}
     pairs: set[tuple[int, int]] = set()
     if base.complete:
+        inside = Counter(chain.from_iterable(dict.fromkeys(sets)))
         for cluster, merged in Counter(sets).items():
             if merged >= 2:
-                pairs.update(combinations(sorted(cluster), 2))
+                alone = [v for v in sorted(cluster) if inside[v] == 1]
+                pairs.update(zip(alone, alone[1:]))
     else:
         for x, row in enumerate(base._red_adj):
             a = ancestors[x]

@@ -11,9 +11,10 @@ optimum from below.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .graphs import BLUE, RED, CorrelationGraph
+from .graphs import BLUE, RED, CorrelationGraph, _is_integer
 
 
 @dataclass(frozen=True)
@@ -24,14 +25,15 @@ class BadStar:
     leaves: tuple[int, ...]
 
     def __post_init__(self):
+        for v in (self.center, *self.leaves):
+            if not _is_integer(v) or v < 0:
+                raise ValueError(f"not a vertex id: {v!r}")
         if len(self.leaves) < 2:
             raise ValueError("a bad star needs at least two leaves")
         if any(a >= b for a, b in zip(self.leaves, self.leaves[1:])):
             raise ValueError("leaves must be sorted and distinct")
         if self.center in self.leaves:
             raise ValueError("center cannot be a leaf")
-        if self.center < 0 or self.leaves[0] < 0:
-            raise ValueError("negative vertex id")
 
     @property
     def weight(self) -> int:
@@ -88,12 +90,12 @@ def find_bad_triangle(g: CorrelationGraph) -> tuple[int, int, int] | None:
     only an explicitly red pair closes a triangle.  Takes O(n + stored
     pairs) to build the twin classes on complete graphs and the blue and red
     neighbour sets, one per row, on incomplete ones.  Complete graphs are
-    then scanned by ``_scan``, which takes set differences only between
+    then scanned by ``_triangles``, which takes set differences only between
     non-twin neighbours; incomplete ones try every blue neighbour v of u
     and close with blue[v] & red[u].
     """
     if g.complete:
-        return _scan(set(range(g.n)), 0, _twin_classes(g))[1]
+        return next(_triangles(set(range(g.n)), _twin_classes(g)), None)
     adj = g._blue_adj
     blue = list(map(set, adj))
     red = list(map(set, g._red_adj))
@@ -140,14 +142,13 @@ def _twin_classes(g: CorrelationGraph) -> _TwinClasses:
     return label, others, list(map(set, ids))
 
 
-def _scan(
-    alive: set[int], start: int, twins: _TwinClasses
-) -> tuple[int, tuple[int, int, int] | None]:
-    """First bad triangle on alive vertices whose u is at least start.
+def _triangles(alive: set[int], twins: _TwinClasses) -> Iterator[tuple[int, int, int]]:
+    """The first bad triangle on alive vertices for each alive u, ascending.
 
-    Returns that u with the triangle, or (n, None).  For each u the blue
-    neighbours v are tried in ascending order, and the closing w is the
-    smallest alive w > u that is blue to v and red to u.
+    For each u the blue neighbours v are tried in ascending order, and the
+    closing w is the smallest alive w > u that is blue to v and red to u;
+    the first such (u, v, w) is yielded, and the stream moves on to u + 1.
+    ``alive`` is read as the caller leaves it between triangles.
 
     The graph is complete, and ``twins`` comes from ``_twin_classes`` on
     the whole graph; every set is read off the classes: since v lies in
@@ -162,20 +163,17 @@ def _scan(
     per alive neighbour in it.
     """
     label, others, closed = twins
-    for u in range(start, len(label)):
+    for u in range(len(label)):
         if u not in alive:
             continue
         cu = label[u]
         not_red = closed[cu]
         for v in others[cu]:  # empty when N[u] is an isolated blue clique
-            if v not in alive:
-                continue
-            closing = closed[label[v]] - not_red
-            if closing:
-                ws = [w for w in closing if w > u and w in alive]
+            if v in alive:
+                ws = [w for w in closed[label[v]] - not_red if w > u and w in alive]
                 if ws:
-                    return u, (u, v, min(ws))
-    return len(label), None
+                    yield u, v, min(ws)
+                    break
 
 
 def maximal_bad_star_forest(g: CorrelationGraph) -> BadStarForest:
@@ -189,11 +187,11 @@ def maximal_bad_star_forest(g: CorrelationGraph) -> BadStarForest:
     induce a cluster graph.
 
     Removing vertices creates no bad triangle, so the first vertex of the
-    smallest one only moves forward and one scan, resumed after each star,
-    finds them all.  It labels the twin classes once, in O(n + blue pairs),
-    and then each vertex walks only its class's row of blue neighbours
-    outside the class, with one set difference per alive one (see
-    ``_scan``): near-linear when most vertices have a true twin, as on
+    smallest one only moves forward and one stream of ``_triangles``, read
+    on after each star, finds them all.  It labels the twin classes once,
+    in O(n + blue pairs), and then each vertex walks only its class's row
+    of blue neighbours outside the class, with one set difference per
+    alive one: near-linear when most vertices have a true twin, as on
     graphs close to a cluster graph, and nothing at all for a vertex of an
     isolated blue clique.  Star growth walks the center's blue neighbours,
     O(n + blue pairs) in all.
@@ -205,12 +203,7 @@ def maximal_bad_star_forest(g: CorrelationGraph) -> BadStarForest:
     adj = g._blue_adj
     unused = set(range(g.n))
     stars: list[BadStar] = []
-    i = 0
-    while True:
-        i, triangle = _scan(unused, i, twins)
-        if triangle is None:
-            return BadStarForest(tuple(stars))
-        u, center, w = triangle
+    for u, center, w in _triangles(unused, twins):
         leaves = [u, w]
         # blue neighbours of a leaf cannot join: they are not red to it.  So
         # N[x] of each leaf x is blocked, x included; x is not met again,
@@ -222,8 +215,8 @@ def maximal_bad_star_forest(g: CorrelationGraph) -> BadStarForest:
                 blocked |= closed[label[x]]
         star = BadStar(center, tuple(sorted(leaves)))
         stars.append(star)
-        unused -= star.vertices
-        i += 1  # u is now a leaf; later triangles start beyond it
+        unused -= star.vertices  # u is now a leaf: the stream resumes beyond it
+    return BadStarForest(tuple(stars))
 
 
 def _suffix_bounds(g: CorrelationGraph) -> list[int]:
@@ -240,7 +233,7 @@ def _suffix_bounds(g: CorrelationGraph) -> list[int]:
     same N[v], are found by keying a dict on that int.  Each vertex's
     candidate centres ``outside[v]`` are its blue neighbours outside its
     class: a centre in the class has the same N[v] and closes nothing, the
-    skip ``_scan`` makes.  A suffix's scan walks u upward over the unused
+    skip ``_triangles`` makes.  A suffix's scan walks u upward over the unused
     vertices, tries the centres v in ``outside[u] & unused`` lowest first
     and closes with the lowest unused w > u in N[v] - N[u].  The star then
     takes, lowest first, the unused blue neighbours of v that no leaf's N[x]

@@ -68,6 +68,9 @@ class KernelTranscript:
         for group in groups:
             union |= group
             total += len(group)
+        for v in union:
+            if not _is_integer(v):
+                raise ValueError(f"not a vertex id: {v!r}")
         if len(union) != total:
             raise ValueError("transcript groups must be disjoint")
         if union != set(range(self.original_n)):

@@ -194,6 +194,8 @@ class MulticutSolution:
         return frozenset(v for v, _ in self.splits)
 
     def parts_of(self, v: int) -> tuple[frozenset[int], ...] | None:
+        if not _is_integer(v):
+            raise ValueError(f"not a vertex id: {v!r}")
         for u, parts in self.splits:
             if u == v:
                 return parts

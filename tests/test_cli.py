@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import splitclust.graphs
 from splitclust import gen_random, write_graph
 from splitclust.cli import run
 
@@ -45,6 +46,19 @@ def test_stats_text(triangle_file):
         "n 3\nkind complete\nblue 2\nred 1\n"
         "blue-components 1\ncluster-graph no\nlower-bound 1\n"
     )
+
+
+def test_stats_labels_blue_components_once(triangle_file, monkeypatch):
+    real = splitclust.graphs._blue_labels
+    labelled = []
+
+    def counting(g):
+        labelled.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(splitclust.graphs, "_blue_labels", counting)
+    assert invoke(["stats", triangle_file])[0] == 0
+    assert labelled == [3]
 
 
 def test_stats_json(triangle_file):

@@ -303,6 +303,35 @@ def test_read_off_repairs_pairs_in_order():
         read_off([frozenset({0, 1})], 2, [(0, 1)], set())
 
 
+def test_splits_to_clustering_repairs_only_single_cluster_members():
+    # 1 lies in both distinct clusters, so of the duplicated {0, 1, 2} only
+    # 0 and 2 are repaired: the pair (0, 2) must be listed, though 1 sits
+    # between them
+    g = complete_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
+    r = clustering_to_splits(g, Clustering([{0, 1, 2}, {0, 1, 2}, {1, 3}]))
+    assert splits_to_clustering(r) == Clustering([{0, 1, 2}, {1, 3}, {0}])
+
+
+def test_splits_to_clustering_lists_few_pairs_on_complete_graphs(monkeypatch):
+    # every vertex of the all-blue graph is split into two copies of one
+    # merged cluster: all but the largest need a singleton, and the read-off
+    # gets a chain of pairs, not all n(n-1)/2 of them
+    n = 1000
+    real = splitclust.clustering._read_off
+    listed = []
+
+    def counting(sets, n, pairs, split):
+        listed.append(len(pairs))
+        return real(sets, n, pairs, split)
+
+    monkeypatch.setattr(splitclust.clustering, "_read_off", counting)
+    g = complete_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    r = clustering_to_splits(g, Clustering([range(n), range(n)]))
+    f = splits_to_clustering(r)
+    assert f == Clustering([range(n), *({v} for v in range(n - 1))])
+    assert listed and listed[0] <= n
+
+
 @given(st.integers(0, 300))
 def test_split_round_trip_random(seed):
     n = 3 + seed % 5

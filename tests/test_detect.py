@@ -47,6 +47,23 @@ def test_bad_star_validation():
         BadStar(1, (1, 2))
 
 
+@pytest.mark.parametrize(
+    "center, leaves, bad",
+    [
+        (True, (0, 2), "True"),
+        (1, (0, 2.5), "2.5"),
+        (0, (False, 2), "False"),
+        ("0", (1, 2), "'0'"),
+        (-1, (0, 2), "-1"),
+        (0, (-2, 1), "-2"),
+    ],
+)
+def test_bad_star_rejects_what_is_not_a_vertex_id(center, leaves, bad):
+    # a checker reading stars from a document must not accept these
+    with pytest.raises(ValueError, match=f"^not a vertex id: {bad}$"):
+        BadStar(center, leaves)
+
+
 def test_forest_validation():
     a = BadStar(0, (1, 2))
     b = BadStar(3, (4, 5))

@@ -71,6 +71,25 @@ def test_transcript_validation():
         )
 
 
+CLIQUE = frozenset({0, True})  # a clique kept whole, holding the id True
+
+
+@pytest.mark.parametrize(
+    "transcript, bad",
+    [
+        ((frozenset({True, 0}), (), (), 2), "True"),
+        ((frozenset({0.0, 1}), (), (), 2), "0.0"),
+        ((frozenset({0}), (frozenset({1.0}),), (), 2), "1.0"),
+        ((frozenset(), (), ((CLIQUE, CLIQUE, frozenset()),), 2), "True"),
+    ],
+)
+def test_transcript_rejects_ids_that_are_not_ints(transcript, bad):
+    # accepted, these were written as ``S 0 True`` or ``S 0.0 1``, which
+    # parse_transcript refuses
+    with pytest.raises(ValueError, match=f"^not a vertex id: {bad}$"):
+        KernelTranscript(*transcript)
+
+
 def test_rule_remove_isolated_cliques():
     # Bad triangle on {0,1,2} plus an isolated blue clique {3,4}: kernelize
     # removes the clique and keeps the triangle.

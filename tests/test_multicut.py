@@ -92,6 +92,11 @@ def test_solution_normalization():
     assert sol.split_vertices == frozenset({0})
     assert sol.parts_of(0) == (frozenset({2}), frozenset({3, 4}), frozenset())
     assert sol.parts_of(9) is None
+    assert sol.parts_of(-1) is None  # a solution has no vertex count
+    # True == 1 and 0.0 == 0, but neither is a vertex id
+    for v in (True, False, 0.0, "0", None):
+        with pytest.raises(ValueError, match="^not a vertex id: "):
+            sol.parts_of(v)
     assert sol == MulticutSolution({0: [set(), {2}, {4, 3}]})
     with pytest.raises(ValueError):
         MulticutSolution({0: [{1, 2}]})
