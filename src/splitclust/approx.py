@@ -21,14 +21,10 @@ candidate; ``candidate_solutions`` builds them all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Hashable
-from typing import TypeVar
 
 from .clustering import Clustering
 from .detect import _decompose
 from .graphs import CorrelationGraph
-
-V = TypeVar("V", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ def _parts(g: CorrelationGraph) -> _Parts:
     covers = [
         bipartite_min_vertex_cover(
             BipartiteGraph(
-                tuple(dict.fromkeys(s for s, _ in to_s)),
+                tuple(dict.fromkeys([s for s, _ in to_s])),
                 tuple(sorted(clique)),
                 tuple(to_s),
             )

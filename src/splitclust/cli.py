@@ -267,7 +267,7 @@ def _cmd_verify(args, stdin):
     g = parse_graph(_read(args.graph, stdin))
     report = verify_clustering(g, parse_clustering(_read(args.clustering, stdin)))
     text = "" if report.ok else "invalid\n"
-    text += "".join(f"{line}\n" for line in report._lines())
+    text += "".join([f"{line}\n" for line in report._lines()])
     return (0 if report.ok else 1), text, lambda: {
         "result": {
             "uncovered_vertices": list(report.uncovered_vertices),

@@ -68,7 +68,9 @@ class Clustering:
         return self.clusters[i]
 
     def __repr__(self) -> str:
-        body = ", ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in self.clusters)
+        body = ", ".join(
+            ["{" + ",".join(map(str, sorted(c))) + "}" for c in self.clusters]
+        )
         return f"Clustering([{body}])"
 
     def membership(self, n: int) -> list[list[int]]:
@@ -150,14 +152,16 @@ def _violations(g: CorrelationGraph, where: list[list[int]]) -> ValidationReport
     for u, row in enumerate(g._blue_adj):
         a = sole[u]
         if a >= 0:
+            same = 0
             for v in row:
                 if v > u:
                     break
                 b = sole[v]
                 if b == a:
-                    inner[a] += 1
+                    same += 1
                 elif b != -1 or a not in where[v]:
                     uncovered_blue.append((v, u))
+            inner[a] += same
         else:
             for v in row:
                 if v > u:
@@ -178,7 +182,7 @@ def _violations(g: CorrelationGraph, where: list[list[int]]) -> ValidationReport
                     unresolved.append((v, u))
         unresolved.sort()
     uncovered_blue.sort()
-    uncovered_vertices = tuple(v for v, s in enumerate(sole) if s == -2)
+    uncovered_vertices = tuple([v for v, s in enumerate(sole) if s == -2])
     return ValidationReport(tuple(uncovered_blue), tuple(unresolved), uncovered_vertices)
 
 
@@ -240,7 +244,7 @@ def parse_clustering(data: bytes | str) -> Clustering:
 def write_clustering(f: Clustering) -> bytes:
     """Serialize to canonical ``clu`` form: cluster order kept, ids ascending."""
     out = [f"clustering {len(f.clusters)}"]
-    out.extend("c " + " ".join(map(str, sorted(c))) for c in f.clusters)
+    out += ["c " + " ".join(map(str, sorted(c))) for c in f.clusters]
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
@@ -369,7 +373,7 @@ def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
         # copies of a sorted red row's partners come out sorted
         red = []
         for u, row in enumerate(g._red_adj):
-            partners = list(chain.from_iterable(map(copies.__getitem__, row)))
+            partners = [e for x in row for e in copies[x]]
             cu = copies[u]
             if len(cu) == 1 and len(partners) == len(row):
                 # f is valid, so two unsplit ends of a red pair lie in
@@ -415,7 +419,7 @@ def splits_to_clustering(r: RealizedGraph) -> Clustering:
     if components is None:
         raise ValueError("realized graph has an erroneous cycle")
     ancestors = r.ancestors
-    sets = [frozenset(map(ancestors.__getitem__, comp)) for comp in components]
+    sets = [frozenset([ancestors[d] for d in comp]) for comp in components]
     counts = [0] * r.original_n
     for a in ancestors:
         counts[a] += 1

@@ -10,7 +10,7 @@ optimum from below.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -130,8 +130,9 @@ def _twin_classes(g: CorrelationGraph) -> _TwinClasses:
     others: list[list[int]] = []  # the first member's row until a twin shows up
     shared = set()  # classes with two or more members
     for v, row in enumerate(g._blue_adj):
-        i = bisect_left(row, v)  # N[v] as a sorted tuple; cheaper than a frozenset
-        c = ids.setdefault((*row[:i], v, *row[i:]), len(ids))
+        key = row.copy()  # N[v] as a sorted tuple; cheaper than a frozenset
+        insort(key, v)
+        c = ids.setdefault(tuple(key), len(ids))
         if c == len(others):
             others.append(row)
         else:
@@ -312,7 +313,8 @@ def _decompose(
     cliques: list[frozenset[int]] = []
     for v in range(g.n):
         if where[v] < 0 and v not in s_vertices:
-            clique = [v, *(w for w in adj[v] if w not in s_vertices)]
+            clique = [v]
+            clique += [w for w in adj[v] if w not in s_vertices]
             for w in clique:
                 where[w] = len(cliques)
             cliques.append(frozenset(clique))

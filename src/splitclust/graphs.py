@@ -15,12 +15,11 @@ default to red in complete graphs and neutral in incomplete ones.
 from __future__ import annotations
 
 import enum
-import operator
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 MAX_VERTICES = 100_000
 
@@ -231,8 +230,7 @@ class CorrelationGraph:
 
         def mapped(adj: list[list[int]]) -> list[list[int]]:
             return [
-                [x for x in map(new_id.__getitem__, adj[old]) if x is not None]
-                for old in keep
+                [y for x in adj[old] if (y := new_id[x]) is not None] for old in keep
             ]
 
         red = None if self._red_adj is None else mapped(self._red_adj)
@@ -463,9 +461,11 @@ def _pair_columns(
     spellings of 0..n-1, one lookup that converts it, checks its range and
     shares one int object per id.  None on another shape, an empty field,
     a digit glued to a tag, a missed lookup (an id out of range, with
-    leading zeros or too long), a pair not u < v, or fewer fields than n,
-    whose table would cost more than the fallback reader.  Never raises.
-    O(n + body length), in C passes but for one dict lookup per id.
+    leading zeros or too long), or fewer fields than n, whose table would
+    cost more than the fallback reader.  u < v is not checked here:
+    ``_ascending_rows``, which both bulk readers call next, checks it where
+    each u starts.  Never raises.  O(n + body length), in C passes but for
+    one dict lookup per id.
     """
     if body.translate(_R_AS_B, b"0123456789") != shape:
         return None
@@ -481,14 +481,12 @@ def _pair_columns(
         return None
     table = dict(zip(map(str.encode, map(str, range(n))), range(n)))
     try:
-        us = list(map(table.__getitem__, islice(tokens, 1, None, width)))
-        vs = list(map(table.__getitem__, islice(tokens, 2, None, width)))
+        us = list(map(table.__getitem__, tokens[1::width]))
+        vs = list(map(table.__getitem__, tokens[2::width]))
     except KeyError:
         return None
     fields = tokens[3::width] if width > 3 else []
     del tokens  # freed before the caller builds its pairs, to keep the peak low
-    if not all(map(operator.lt, us, vs)):
-        return None
     return us, vs, fields
 
 
@@ -505,9 +503,9 @@ def _bulk_graph(data: bytes | str) -> CorrelationGraph | None:
     A block of ASCII comment lines may lead.  ``_pair_columns`` checks and
     splits the body, and its columns give the graph's rows in one pass
     (``_ascending_rows``).  Anything else, such as other comments or
-    whitespace, a red pair of a complete graph, pairs out of order, or a
-    pair listed twice or in both colours, gives None and is left to
-    ``_parse_graph_lines``, which names its faults.  Never raises.
+    whitespace, a red pair of a complete graph, pairs out of order or not
+    u < v, or a pair listed twice or in both colours, gives None and is
+    left to ``_parse_graph_lines``, which names its faults.  Never raises.
     O(n + document length).
     """
     if not isinstance(data, bytes):
@@ -545,20 +543,23 @@ def _ascending_rows(
 ) -> bool:
     """Fill the sorted adjacency rows of pairs listed in ascending order.
 
-    Pair (us[i], vs[i]), with u < v, goes into the row list ``targets[i]``.
-    Pairs listed in strictly ascending (u, v) order, as the writers list
+    Pair (us[i], vs[i]) goes into the row list ``targets[i]``.  Pairs with
+    u < v listed in strictly ascending (u, v) order, as the writers list
     them, append to every row in ascending order: a vertex's smaller
     neighbours come first, from the pairs of smaller u, then its larger
     ones.  So no row is sorted, and a pair listed twice or out of order
-    shows as a pair not above the one before it, which returns False.  One
-    pass over the pairs, no call per row: O(pairs).
+    shows as a pair not above the one before it, which returns False.
+    This is also where the bulk readers check u < v: the first pair of
+    each u must have v > u, and the later ones have larger v still, so a
+    reversed pair or a self-loop returns False too.  One pass over the
+    pairs, no call per row: O(pairs).
     """
     last_u = last_v = -1
     for u, v, adj in zip(us, vs, targets):
         if u == last_u:
             if v <= last_v:
                 return False
-        elif u < last_u:
+        elif u < last_u or v <= u:
             return False
         last_u, last_v = u, v
         adj[u].append(v)
@@ -572,8 +573,11 @@ def parse_graph(data: bytes | str) -> CorrelationGraph:
     A document exactly as ``write_graph`` emits it, ASCII comment lines
     before the header allowed, is read in bulk (see ``_bulk_graph``); every
     other one goes through the fallback reader ``_parse_graph_lines``,
-    which gives the same object for it, or names its fault.  Both are
-    O(n + document length); the bulk path costs about a fifth as much.
+    which gives the same object for it, or names its fault.  The bulk path
+    checks u < v in ``_ascending_rows``, where each u starts, and leaves a
+    reversed pair or a self-loop to the fallback reader, whose constructor
+    accepts the one and refuses the other.  Both are O(n + document
+    length); the bulk path costs about a fifth as much.
     """
     g = _bulk_graph(data)
     return g if g is not None else _parse_graph_lines(data)
@@ -614,7 +618,7 @@ def _pair_lines(
         above = row[bisect_right(row, u) :]
         if above:
             head = f"{tag} {names[u]} "
-            joined = f"\n{head}".join(map(tails.__getitem__, above))
+            joined = f"\n{head}".join([tails[x] for x in above])
             out.append(f"{head}{joined}\n")
     return out
 

@@ -123,7 +123,7 @@ def kernelize(g: CorrelationGraph, k: int) -> KernelResult:
         return NoInstance(forest)
     s_vertices = forest.vertices
 
-    removed_cliques = tuple(c for c, to_s in zip(cliques, edges) if not to_s)
+    removed_cliques = tuple([c for c, to_s in zip(cliques, edges) if not to_s])
     kept = [(c, to_s) for c, to_s in zip(cliques, edges) if to_s]
 
     if len(kept) >= 4 * k + 1:
@@ -248,7 +248,7 @@ def parse_transcript(data: bytes | str) -> KernelTranscript:
 def write_transcript(t: KernelTranscript) -> bytes:
     """Serialize to canonical ``ktx`` form (ids ascending in every group)."""
     out = ["S" + _format_ids(t.forest_vertices)]
-    out.extend("rc" + _format_ids(c) for c in t.removed_cliques)
+    out += ["rc" + _format_ids(c) for c in t.removed_cliques]
     for clique, marked, removed in t.clusters:
         out.append(
             "cl"
@@ -262,4 +262,4 @@ def write_transcript(t: KernelTranscript) -> bytes:
 
 
 def _format_ids(ids: frozenset[int]) -> str:
-    return "".join(f" {v}" for v in sorted(ids))
+    return "".join([f" {v}" for v in sorted(ids)])

@@ -365,7 +365,7 @@ def multicut_solution_to_clustering(
         raise ValueError("solution does not separate all terminal pairs")
     # a terminal pair of two unsplit vertices joins two distinct components,
     # so the clusters resolve it; only pairs touching a split vertex are passed
-    sets = (frozenset(map(ancestors.__getitem__, comp)) for comp in components)
+    sets = (frozenset([ancestors[d] for d in comp]) for comp in components)
     return _read_off(sets, inst.n, pairs, sol.split_vertices)
 
 
@@ -382,10 +382,10 @@ def _bulk_instance(data: bytes | str) -> MulticutInstance | None:
     ``_pair_columns`` checks and splits them, and ``_ascending_rows`` fills
     the edge rows from the e lines and the terminal rows from the t lines.
     Anything else, such as comments, a t line before an e line, pairs out
-    of order or listed twice, a pair that is both an edge and a terminal
-    pair, or counts that differ from the header, gives None and is left to
-    ``_parse_instance_lines``, which names its faults.  Never raises.
-    O(n + document length).
+    of order, not u < v or listed twice, a pair that is both an edge and a
+    terminal pair, or counts that differ from the header, gives None and is
+    left to ``_parse_instance_lines``, which names its faults.  Never
+    raises.  O(n + document length).
     """
     if not isinstance(data, bytes):
         return None
@@ -507,6 +507,6 @@ def write_multicut_solution(n: int, sol: MulticutSolution) -> bytes:
         rows = [sorted(p) for p in parts]
         if any(row and row[-1] >= n for row in rows):
             raise ValueError(f"part member of {v} out of range for n={n}")
-        rendered = " | ".join(" ".join(map(str, row)) for row in rows)
+        rendered = " | ".join([" ".join(map(str, row)) for row in rows])
         out.append(f"s {v} : {rendered}".rstrip())
     return ("\n".join(out) + "\n").encode("utf-8")

@@ -25,8 +25,11 @@ canonical document of what it reads as, as literals: syntax errors first,
 then the constructor's first fault, then the header counts, each with its
 line number.  A guard makes the fallback readers raise to check that writer
 output, and the ``ccg`` that ``reduce mcvs-to-ccvs`` prints after a comment
-line, never reach them.  The writers must emit the same bytes as the
-sorting writers in ``oracles``, also on pairs given in hash order.
+line, never reach them.  A canonical-looking document whose one fault is
+a pair not u < v must be refused by ``_ascending_rows``, which checks that
+order for both bulk readers, and reach the fallback reader.  The writers
+must emit the same bytes as the sorting writers in ``oracles``, also on
+pairs given in hash order.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import io
 import random
 import tracemalloc
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,7 +72,7 @@ from splitclust import (
     write_transcript,
 )
 from splitclust.cli import run
-from splitclust.graphs import _parse_graph_lines
+from splitclust.graphs import _ascending_rows, _parse_graph_lines
 from splitclust.multicut import _parse_instance_lines
 from oracles import sorting_write_graph, sorting_write_multicut_instance
 from test_graphs import MALFORMED as MALFORMED_CCG
@@ -864,6 +868,44 @@ def test_pair_columns_refuse_an_empty_field():
     columns = splitclust.graphs._pair_columns
     assert columns(b"e 0 1 b\ne 2  b\n", 3, b"e   b\ne   b\n", 4) is None
     assert columns(b"e 0 1\nt 2 \n", 3, b"e  \nt  \n", 3) is None
+
+
+# Canonical-looking documents whose one fault is a pair not u < v.  Their
+# columns pass ``_pair_columns``; ``_ascending_rows`` refuses the pair where
+# its u starts, and the fallback reader reads the document.
+NOT_ASCENDING = [
+    b"ccg 3 complete\ne 0 1 b\ne 2 1 b\n",  # a reversed pair
+    b"ccg 3 complete\ne 0 2 b\ne 1 1 b\n",  # a self-loop
+    b"mcvs 3 2 1 0\ne 0 1\ne 2 1\nt 0 2\n",  # a reversed e line
+    b"mcvs 3 1 2 0\ne 0 1\nt 0 2\nt 2 1\n",  # a reversed t line
+]
+
+
+@pytest.mark.parametrize("data", NOT_ASCENDING)
+def test_pairs_not_u_below_v_go_to_the_fallback_reader(data, monkeypatch):
+    header, body = data.split(b"\n", 1)
+    fields = header.split()
+    name = fields[0].decode()
+    width = 4 if name == "ccg" else 3
+    us, vs, _ = splitclust.graphs._pair_columns(
+        body, int(fields[1]), body.translate(None, b"0123456789"), width
+    )
+    m = len(us) if name == "ccg" else int(fields[2])  # the e lines of an mcvs
+    assert not all(
+        _ascending_rows(u, v, repeat([[] for _ in range(3)]))
+        for u, v in ((us[:m], vs[:m]), (us[m:], vs[m:]))
+    )
+    reference = REFERENCES[name]
+    read = []
+
+    def spy(doc):
+        read.append(doc)
+        return reference(doc)
+
+    module = splitclust.graphs if name == "ccg" else splitclust.multicut
+    monkeypatch.setattr(module, reference.__name__, spy)
+    assert _outcome(FORMATS[name][0], data) == _outcome(reference, data)
+    assert read == [data]
 
 
 def test_sparse_bodies_are_not_tabled():

@@ -9,7 +9,8 @@ it with the pairwise report.  Forests and bad triangles are also checked
 on twin-rich graphs, where the scan skips twins, and so is ``approximate``
 against the first cheapest of all assembled candidates; each twin class's
 row of outside neighbours must be every member's blue row without the
-class.  The kernel's isolated, kept and marked cliques and its
+class, and the class ids must number the distinct closed neighbourhoods
+in order of first appearance.  The kernel's isolated, kept and marked cliques and its
 many-cliques witness must match the reference that rescans the forest
 vertices for every clique.
 Erroneous-cycle tests and multicut verification, which label blue
@@ -73,7 +74,7 @@ from splitclust import (
 )
 from splitclust.approx import _parts
 from splitclust.detect import _twin_classes
-from splitclust.graphs import _parse_graph_lines
+from splitclust.graphs import BLUE, _parse_graph_lines
 from splitclust.multicut import _bulk_instance, _parse_instance_lines, _split_components
 from oracles import (
     _separates,
@@ -254,6 +255,29 @@ def check_twin_rows(g: CorrelationGraph) -> None:
     for u in range(g.n):
         assert others[label[u]] == [v for v in adj[u] if label[v] != label[u]]
         assert closed[label[u]] == {u, *adj[u]}
+
+
+def check_twin_labels(g: CorrelationGraph) -> None:
+    """The class ids number the distinct N[v], read pair by pair, as they first appear."""
+    ids: dict[frozenset[int], int] = {}
+    naive = []
+    for v in range(g.n):
+        blue = [u for u in range(g.n) if u != v and g.label(u, v) is BLUE]
+        naive.append(ids.setdefault(frozenset([v, *blue]), len(ids)))
+    label, others, closed = _twin_classes(g)
+    assert label == naive
+    assert len(others) == len(closed) == len(ids)
+
+
+@given(st.booleans(), st.integers(0, 10_000), st.data())
+@settings(max_examples=100, deadline=None)
+def test_twin_class_labels_number_closed_neighbourhoods(blown_up, seed, data):
+    check_twin_labels(twin_rich(blown_up, seed, data))
+    n = data.draw(st.integers(1, 30))
+    p_blue = data.draw(P_BLUE)
+    check_twin_labels(gen_random(n, p_blue, 1 - p_blue, complete=True, seed=seed))
+    n = data.draw(st.integers(10, 80))
+    check_twin_labels(planted(n, data.draw(st.integers(1, 6)), n // 8, 0, seed)[0])
 
 
 @given(st.booleans(), st.integers(0, 10_000), st.data())
