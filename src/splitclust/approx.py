@@ -158,8 +158,6 @@ def _parts(g: CorrelationGraph) -> _Parts:
     """
     if not g.complete:
         raise ValueError("approximation is defined on complete graphs")
-    if g.n == 0:
-        raise ValueError("approximation needs at least one vertex")
     forest, cliques, edges = _decompose(g)
     s_sorted = tuple(sorted(forest.vertices))
     if not s_sorted or len(cliques) <= 1:

@@ -27,9 +27,9 @@ from .graphs import (
     CorrelationGraph,
     FormatError,
     _blue_labels,
-    _is_blue_clique,
+    _check_non_negative,
     _check_vertex,
-    _is_integer,
+    _clique_components,
     _pair,
     _read_counts,
     _read_document,
@@ -47,16 +47,11 @@ class Clustering:
     clusters: tuple[frozenset[int], ...]
 
     def __init__(self, clusters: Iterable[Iterable[int]]):
-        clean = []
-        for cluster in clusters:
-            fs = frozenset(cluster)
-            if not fs:
-                raise ValueError("clusters must be nonempty")
-            for v in fs:
-                if not _is_integer(v) or v < 0:
-                    raise ValueError(f"not a vertex id: {v!r}")
-            clean.append(fs)
-        object.__setattr__(self, "clusters", tuple(clean))
+        clean = tuple([frozenset(cluster) for cluster in clusters])
+        if not all(clean):
+            raise ValueError("clusters must be nonempty")
+        _check_non_negative("vertex id", *chain.from_iterable(clean))
+        object.__setattr__(self, "clusters", clean)
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -75,6 +70,7 @@ class Clustering:
 
     def membership(self, n: int) -> list[list[int]]:
         """For each vertex 0..n-1, the sorted list of cluster indices containing it."""
+        _check_non_negative("vertex count", n)
         idx: list[list[int]] = [[] for _ in range(n)]
         for i, cluster in enumerate(self.clusters):
             for v in cluster:
@@ -268,20 +264,10 @@ class RealizedGraph:
         ancestors, original_n = self.ancestors, self.original_n
         if len(ancestors) != self.base.n:
             raise ValueError("one ancestor per descendant vertex required")
-        if not _is_integer(original_n):
-            raise ValueError(
-                f"original vertex count must be an integer, got {original_n!r}"
-            )
-        if original_n < 0:
-            raise ValueError("negative original vertex count")
-        seen = set()
+        _check_non_negative("original_n", original_n)
         for a in ancestors:
-            if not _is_integer(a):
-                raise ValueError(f"ancestors must be integers, got {a!r}")
-            if not 0 <= a < original_n:
-                raise ValueError(f"ancestor {a} out of range for original n={original_n}")
-            seen.add(a)
-        if len(seen) != original_n:
+            _check_vertex(a, original_n)
+        if len(set(ancestors)) != original_n:
             raise ValueError("every original vertex needs at least one descendant")
 
     @property
@@ -319,11 +305,9 @@ def _consistent_components(g: CorrelationGraph) -> list[list[int]] | None:
     The components are labelled once, for the test and for the callers
     that read clusters off them.
     """
-    label, components = _blue_labels(g)
     if g.complete:
-        if all(_is_blue_clique(g, comp) for comp in components):
-            return components
-        return None
+        return _clique_components(g)
+    label, components = _blue_labels(g)
     for u, row in enumerate(g._red_adj):
         c = label[u]
         if any(label[v] == c for v in row):

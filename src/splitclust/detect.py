@@ -14,7 +14,7 @@ from bisect import insort
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .graphs import BLUE, RED, CorrelationGraph, _is_integer
+from .graphs import BLUE, RED, CorrelationGraph, _check_non_negative
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,7 @@ class BadStar:
     leaves: tuple[int, ...]
 
     def __post_init__(self):
-        for v in (self.center, *self.leaves):
-            if not _is_integer(v) or v < 0:
-                raise ValueError(f"not a vertex id: {v!r}")
+        _check_non_negative("vertex id", self.center, *self.leaves)
         if len(self.leaves) < 2:
             raise ValueError("a bad star needs at least two leaves")
         if any(a >= b for a, b in zip(self.leaves, self.leaves[1:])):

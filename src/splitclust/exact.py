@@ -65,7 +65,7 @@ from itertools import combinations
 
 from .clustering import Clustering
 from .detect import _suffix_bounds
-from .graphs import CorrelationGraph, _is_integer
+from .graphs import CorrelationGraph, _check_non_negative
 
 DEFAULT_VERTEX_CAP = 12
 # the search recurses once per vertex (see the module docstring)
@@ -80,10 +80,10 @@ class SearchBudget:
     node_limit: int = 5_000_000
 
     def __post_init__(self):
-        if not _is_integer(self.max_cost) or self.max_cost < 0:
-            raise ValueError(f"max_cost must be a non-negative integer, got {self.max_cost!r}")
-        if not _is_integer(self.node_limit) or self.node_limit <= 0:
-            raise ValueError(f"node_limit must be a positive integer, got {self.node_limit!r}")
+        _check_non_negative("max_cost", self.max_cost)
+        _check_non_negative("node_limit", self.node_limit)
+        if self.node_limit == 0:
+            raise ValueError("node_limit must be positive, got 0")
 
 
 class SearchLimitReached(RuntimeError):
@@ -236,8 +236,7 @@ def solve_exact(
     """
     if budget is None:
         budget = SearchBudget()
-    if not _is_integer(vertex_cap):
-        raise ValueError(f"vertex_cap must be an integer, got {vertex_cap!r}")
+    _check_non_negative("vertex_cap", vertex_cap)
     if g.n > vertex_cap:
         raise ValueError(f"graph has {g.n} vertices, exact search capped at {vertex_cap}")
     if g.n > _MAX_DEPTH:
@@ -256,7 +255,6 @@ def decide(
     node_limit: int | None = None,
 ) -> bool:
     """Whether some valid clustering has cost at most k."""
-    if not _is_integer(k) or k < 0:
-        raise ValueError(f"budget must be a non-negative integer, got {k!r}")
+    _check_non_negative("budget", k)
     budget = SearchBudget(max_cost=k) if node_limit is None else SearchBudget(k, node_limit)
     return solve_exact(g, budget) is not None

@@ -15,8 +15,8 @@ from .graphs import (
     RED,
     CorrelationGraph,
     _check_ids,
+    _check_non_negative,
     _check_vertex_count,
-    _is_integer,
     _pair,
     complete_graph,
 )
@@ -105,8 +105,7 @@ def gen_vertex_cover_gadget(g: PlainGraph, k: int) -> CorrelationGraph:
     k.  The budget and the vertex count g.n + k + 1 are checked before any
     of the O((g.n + k)^2) pairs is listed.
     """
-    if not _is_integer(k) or k < 0:
-        raise ValueError(f"cover budgets are non-negative integers, got {k!r}")
+    _check_non_negative("budget", k)
     total = g.n + k + 1
     _check_vertex_count(total)
     blue = [
@@ -127,8 +126,7 @@ def gen_coloring_gadget(g: PlainGraph, colors: int) -> MulticutInstance:
     iff g is properly colorable with the given number of colors (at least
     3).
     """
-    if not _is_integer(colors):
-        raise ValueError(f"color counts are integers, got {colors!r}")
+    _check_non_negative("colors", colors)
     if colors < 3:
         raise ValueError("coloring gadget needs at least three colors")
     apex = g.n

@@ -48,6 +48,14 @@ def _is_integer(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_non_negative(what: str, *xs: object) -> None:
+    """Each x is an int (not ``bool``) and at least 0: every id, count and budget."""
+    for x in xs:
+        # plain ints, by far the most common, skip the two isinstance calls
+        if (x.__class__ is not int and not _is_integer(x)) or x < 0:
+            raise ValueError(f"{what} must be a non-negative integer, got {x!r}")
+
+
 def _check_ids(u: int, v: int, n: int, what: str = "edge") -> None:
     """Both ids of a pair are integers (not ``bool``) in 0..n-1."""
     try:
@@ -82,8 +90,7 @@ def _check_vertices(vertices: Iterable[int], n: int) -> list[int]:
 
 def _check_vertex_count(n: int) -> None:
     """A graph's vertex count: an int (not ``bool``) in 0..MAX_VERTICES."""
-    if not _is_integer(n) or n < 0:
-        raise ValueError(f"vertex counts are non-negative integers, got {n!r}")
+    _check_non_negative("vertex count", n)
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
 
@@ -335,10 +342,14 @@ def cluster_decomposition(g: CorrelationGraph) -> list[frozenset[int]] | None:
     the decomposition lists the cliques ordered by smallest member.
     O(n + blue pairs).
     """
+    comps = _clique_components(g)
+    return None if comps is None else [frozenset(comp) for comp in comps]
+
+
+def _clique_components(g: CorrelationGraph) -> list[list[int]] | None:
+    """``blue_components(g)`` if every one is a blue clique, else None."""
     comps = blue_components(g)
-    if not all(_is_blue_clique(g, comp) for comp in comps):
-        return None
-    return [frozenset(comp) for comp in comps]
+    return comps if all(_is_blue_clique(g, comp) for comp in comps) else None
 
 
 def _is_blue_clique(g: CorrelationGraph, comp: list[int]) -> bool:

@@ -31,7 +31,7 @@ from .detect import BadStar, BadStarForest, _decompose
 from .graphs import (
     CorrelationGraph,
     FormatError,
-    _is_integer,
+    _check_non_negative,
     _read_document,
     _read_groups,
     _read_ids,
@@ -54,6 +54,7 @@ class KernelTranscript:
     original_n: int
 
     def __post_init__(self):
+        _check_non_negative("original_n", self.original_n)
         groups: list[frozenset[int]] = [self.forest_vertices, *self.removed_cliques]
         for clique, marked, removed in self.clusters:
             if not clique:
@@ -68,9 +69,7 @@ class KernelTranscript:
         for group in groups:
             union |= group
             total += len(group)
-        for v in union:
-            if not _is_integer(v):
-                raise ValueError(f"not a vertex id: {v!r}")
+        _check_non_negative("vertex id", *union)
         if len(union) != total:
             raise ValueError("transcript groups must be disjoint")
         if union != set(range(self.original_n)):
@@ -116,8 +115,7 @@ def kernelize(g: CorrelationGraph, k: int) -> KernelResult:
     """
     if not g.complete:
         raise ValueError("kernelization is defined on complete graphs")
-    if not _is_integer(k) or k < 0:
-        raise ValueError(f"budget must be a non-negative integer, got {k!r}")
+    _check_non_negative("budget", k)
     forest, cliques, edges = _decompose(g)
     if forest.weight > k:
         return NoInstance(forest)

@@ -50,6 +50,7 @@ from .graphs import (
     FormatError,
     _check_ids,
     _ascending_rows,
+    _check_non_negative,
     _check_vertex_count,
     _is_integer,
     _label_rows,
@@ -62,13 +63,6 @@ from .graphs import (
     _read_ints,
     _read_vertex_count,
 )
-
-
-def _check_counts(n: int, k: int) -> None:
-    """An instance's vertex count (0..MAX_VERTICES) and budget (>= 0)."""
-    _check_vertex_count(n)
-    if not _is_integer(k) or k < 0:
-        raise ValueError(f"split budgets are non-negative integers, got {k!r}")
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -84,7 +78,8 @@ class MulticutInstance:
     pair: integer ids (not ``bool``) in range, no self-loop, no pair both
     an edge and a terminal pair.  ``ccvs_to_mcvs`` and the bulk ``mcvs``
     reader, whose pairs are valid by construction, build through ``_of``,
-    which checks only the two counts and shares the graph it is given.
+    which checks only the budget (the graph checked its vertex count) and
+    shares the graph it is given.
     A frozen dataclass: equal by value, hashable, and it pickles and
     deep-copies.
     """
@@ -99,7 +94,8 @@ class MulticutInstance:
         terminals: Iterable[tuple[int, int]],
         k: int,
     ):
-        _check_counts(n, k)
+        _check_vertex_count(n)
+        _check_non_negative("budget", k)
         labels: dict[tuple[int, int], EdgeColor] = {}
         for u, v in edges:
             _check_ids(u, v, n)
@@ -123,7 +119,7 @@ class MulticutInstance:
     @classmethod
     def _of(cls, g: CorrelationGraph, k: int) -> "MulticutInstance":
         """The instance of an incomplete graph and a budget; g is shared, not copied."""
-        _check_counts(g.n, k)
+        _check_non_negative("budget", k)
         inst = object.__new__(cls)
         object.__setattr__(inst, "_graph", g)
         object.__setattr__(inst, "k", k)
@@ -161,11 +157,7 @@ class MulticutSolution:
     splits: tuple[tuple[int, tuple[frozenset[int], ...]], ...]
 
     def __init__(self, splits: Mapping[int, Iterable[Iterable[int]]]):
-        for v in splits:
-            if not _is_integer(v):
-                raise ValueError(f"split vertex must be an integer, got {v!r}")
-            if v < 0:
-                raise ValueError(f"negative vertex id {v}")
+        _check_non_negative("split vertex", *splits)
         normalized = []
         for v in sorted(splits):
             parts = [frozenset(p) for p in splits[v]]
@@ -178,9 +170,7 @@ class MulticutSolution:
                 total += len(part)
             if len(union) != total:
                 raise ValueError(f"parts of {v} must be disjoint")
-            for u in union:
-                if not _is_integer(u) or u < 0:
-                    raise ValueError(f"part member of {v} is not a vertex id: {u!r}")
+            _check_non_negative("part member", *union)
             parts.sort(key=lambda p: (not p and 1, min(p) if p else -1))
             normalized.append((v, tuple(parts)))
         object.__setattr__(self, "splits", tuple(normalized))

@@ -96,8 +96,9 @@ def test_min_vertex_cover_long_alternating_chain(pairs, tail, n_edges):
 def test_argument_errors():
     with pytest.raises(ValueError):
         approximate(incomplete_graph(3, [(0, 1)], [(0, 2)]))
-    with pytest.raises(ValueError):
-        approximate(complete_graph(0, []))
+    # the empty graph has the empty clustering, as lower_bound, kernelize
+    # and solve_exact already accept it
+    assert approximate(complete_graph(0, [])) == Clustering([])
 
 
 def test_cluster_graph_single_candidate():

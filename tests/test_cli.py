@@ -354,6 +354,7 @@ GOLDEN_FILES = {
     "s.ccg": "ccg 5 complete\ne 0 1 b\ne 1 2 b\ne 0 3 b\ne 0 4 b\n",
     "inc.ccg": "ccg 3 incomplete\ne 0 1 b\ne 1 2 r\n",
     "bad.ccg": "ccg nope\n",
+    "empty.ccg": "ccg 0 complete\n",
     "big.ccg": "ccg 100000 complete\n",
     "ok.clu": "clustering 2\nc 0 1\nc 1 2\n",
     "one.clu": "clustering 1\nc 0 1 2\n",
@@ -530,6 +531,13 @@ GOLDEN = [
         '"clusters": [[0, 1, 2, 3], [0, 4], [0], [1], [2]]}, {"guess": [4], "cost": '
         '4, "clusters": [[0, 1, 2, 4], [0, 3], [0], [1], [2]]}, {"guess": null, '
         '"cost": 5, "clusters": [[0, 1, 2], [0, 3], [0, 4], [0], [1], [2]]}]}\n',
+        "",
+    ),
+    # the empty graph has the empty clustering at cost 0
+    ("approx empty.ccg", 0, "clustering 0\n", ""),
+    (
+        "approx --json empty.ccg", 0,
+        '{"command": "approx", "input": "empty.ccg", "result": [], "cost": 0}\n',
         "",
     ),
     (
@@ -752,7 +760,7 @@ GOLDEN = [
     ),
     (
         "gen random --n -1 --p-blue 0.5 --p-red 0.5 --complete", 2, "",
-        "splitclust: vertex counts are non-negative integers, got -1\n",
+        "splitclust: vertex count must be a non-negative integer, got -1\n",
     ),
     (
         "gen random --n 3 --p-blue 0.5 --p-red 0.5", 2, "",

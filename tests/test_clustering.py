@@ -231,25 +231,30 @@ def test_realized_graph_validation():
         RealizedGraph(base, (0, 2), 2)  # ancestor out of range
 
 
+# the rule each case breaks, named apart from the wording of its error
+ANCESTORS = "ancestors must be integers"
+ORIGINAL_N = "original vertex count must be an integer"
+
+
 @pytest.mark.parametrize(
-    "ancestors, original_n, message",
+    "ancestors, original_n, rule, message",
     [
-        ((0.0, 1), 2, "ancestors must be integers, got 0.0"),
-        ((0, 1.0), 2, "ancestors must be integers, got 1.0"),
-        ((False, 1), 2, "ancestors must be integers, got False"),
-        ((0, True), 2, "ancestors must be integers, got True"),
-        ((0, "1"), 2, "ancestors must be integers, got '1'"),
-        ((0, 1), 2.0, "original vertex count must be an integer, got 2.0"),
-        ((0, 1), True, "original vertex count must be an integer, got True"),
-        ((0, 1), None, "original vertex count must be an integer, got None"),
+        ((0.0, 1), 2, ANCESTORS, "not a vertex id in 0..1: 0.0"),
+        ((0, 1.0), 2, ANCESTORS, "not a vertex id in 0..1: 1.0"),
+        ((False, 1), 2, ANCESTORS, "not a vertex id in 0..1: False"),
+        ((0, True), 2, ANCESTORS, "not a vertex id in 0..1: True"),
+        ((0, "1"), 2, ANCESTORS, "not a vertex id in 0..1: '1'"),
+        ((0, 1), 2.0, ORIGINAL_N, "original_n must be a non-negative integer, got 2.0"),
+        ((0, 1), True, ORIGINAL_N, "original_n must be a non-negative integer, got True"),
+        ((0, 1), None, ORIGINAL_N, "original_n must be a non-negative integer, got None"),
     ],
 )
-def test_realized_graph_rejects_non_integers(ancestors, original_n, message):
+def test_realized_graph_rejects_non_integers(ancestors, original_n, rule, message):
     # accepted, these would reach splits_to_clustering as list indices
     base = complete_graph(2, [])
     with pytest.raises(ValueError) as info:
         RealizedGraph(base, ancestors, original_n)
-    assert str(info.value) == message
+    assert str(info.value) == message, rule
     r = RealizedGraph(base, (0, 1), 2)
     assert r.split_count == 0 and splits_to_clustering(r) == Clustering([{0}, {1}])
 

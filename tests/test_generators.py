@@ -86,7 +86,7 @@ def test_gen_random_validation():
     with pytest.raises(ValueError):
         gen_random(MAX_VERTICES + 1, 0.5, 0.5, complete=True, seed=0)
     for bad in (1.5, 3.0, True):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="vertex count must be a non-negative integer"):
             gen_random(bad, 0.5, 0.5, complete=True, seed=0)
     with pytest.raises(ValueError):
         gen_random(3, 1.2, 0.0, complete=False, seed=0)
@@ -110,7 +110,7 @@ def test_plain_graph():
     for bad in (1.5, 1.0, True):
         with pytest.raises(ValueError, match="integers"):
             PlainGraph(3, [(0, bad)])
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="vertex count must be a non-negative integer"):
             PlainGraph(bad, [])
 
 
@@ -148,7 +148,7 @@ def test_vertex_cover_gadget_matches_labelled_construction():
 
 def test_vertex_cover_gadget_checks_budget_first():
     for bad in (-1, 1.5, 1.0, True, "1", None):
-        with pytest.raises(ValueError, match="non-negative integers"):
+        with pytest.raises(ValueError, match="budget must be a non-negative integer"):
             gen_vertex_cover_gadget(PlainGraph(2, []), bad)
     # over the cap it fails before listing the (cap + 1)^2 / 2 pairs; edges
     # that refuse lookups stop a gadget that lists them at the first pair
@@ -189,7 +189,7 @@ def test_coloring_gadget_frozen():
     with pytest.raises(ValueError):
         gen_coloring_gadget(triangle, 2)
     for bad in ("5", None, 3.5):
-        with pytest.raises(ValueError, match="color counts are integers"):
+        with pytest.raises(ValueError, match="colors must be a non-negative integer"):
             gen_coloring_gadget(triangle, bad)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from splitclust import (
@@ -86,7 +88,8 @@ CLIQUE = frozenset({0, True})  # a clique kept whole, holding the id True
 def test_transcript_rejects_ids_that_are_not_ints(transcript, bad):
     # accepted, these were written as ``S 0 True`` or ``S 0.0 1``, which
     # parse_transcript refuses
-    with pytest.raises(ValueError, match=f"^not a vertex id: {bad}$"):
+    message = f"^vertex id must be a non-negative integer, got {re.escape(bad)}$"
+    with pytest.raises(ValueError, match=message):
         KernelTranscript(*transcript)
 
 

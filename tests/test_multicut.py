@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,20 +63,20 @@ def test_instance_validation():
             MulticutInstance(3, [(0, bad)], [], 0)
         with pytest.raises(ValueError, match="integers"):
             MulticutInstance(3, [], [(bad, 2)], 0)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="vertex count must be a non-negative integer"):
             MulticutInstance(bad, [], [], 0)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="budget must be a non-negative integer"):
             MulticutInstance(3, [], [], bad)
     # bool is an int, but an instance holding one would be written as "True"
     with pytest.raises(ValueError, match="integers"):
         MulticutInstance(3, [(0, True)], [], 0)
     with pytest.raises(ValueError, match="integers"):
         MulticutInstance(3, [], [(False, 2)], 0)
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="vertex count must be a non-negative integer"):
         MulticutInstance(True, [], [], 0)
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="budget must be a non-negative integer"):
         MulticutInstance(3, [], [], True)
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="budget must be a non-negative integer"):
         ccvs_to_mcvs(BAD_TRIANGLE, True)
     with pytest.raises(ValueError):
         ccvs_to_mcvs(BAD_TRIANGLE, -1)
@@ -345,23 +344,33 @@ def test_written_solutions_parse_back(drawn):
     assert parse_multicut_solution(write_multicut_solution(n, sol)) == (n, sol)
 
 
+# the rule a case breaks, named apart from the wording of its error
+COUNTS = "vertex counts are non-negative integers"
+
+
 @pytest.mark.parametrize(
-    "n, splits, message",
+    "n, splits, rule, message",
     [
-        (2, {5: [[], []]}, "split vertex 5 out of range for n=2"),
-        (2, {0: [[7], []]}, "part member of 0 out of range for n=2"),
-        (2, {0: [[1], [2]]}, "part member of 0 out of range for n=2"),
-        (0, {0: [[], []]}, "split vertex 0 out of range for n=0"),
-        (-1, {}, "vertex counts are non-negative integers, got -1"),
-        (True, {}, "vertex counts are non-negative integers, got True"),
-        (2.0, {}, "vertex counts are non-negative integers, got 2.0"),
-        (MAX_VERTICES + 1, {}, f"vertex count {MAX_VERTICES + 1} exceeds the cap"),
+        (2, {5: [[], []]}, "split vertex 5 out of range", "split vertex 5 out of range for n=2"),
+        (2, {0: [[7], []]}, "part member of 0 out of range", "part member of 0 out of range for n=2"),
+        (2, {0: [[1], [2]]}, "part member of 0 out of range", "part member of 0 out of range for n=2"),
+        (0, {0: [[], []]}, "split vertex 0 out of range", "split vertex 0 out of range for n=0"),
+        (-1, {}, COUNTS, "vertex count must be a non-negative integer, got -1"),
+        (True, {}, COUNTS, "vertex count must be a non-negative integer, got True"),
+        (2.0, {}, COUNTS, "vertex count must be a non-negative integer, got 2.0"),
+        (
+            MAX_VERTICES + 1,
+            {},
+            f"vertex count {MAX_VERTICES + 1} over the cap",
+            f"vertex count {MAX_VERTICES + 1} exceeds the cap",
+        ),
     ],
 )
-def test_write_solution_rejects_what_it_cannot_write(n, splits, message):
+def test_write_solution_rejects_what_it_cannot_write(n, splits, rule, message):
     # each of these used to be written as a document the parser rejects
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError) as info:
         write_multicut_solution(n, MulticutSolution(splits))
+    assert message in str(info.value), rule
 
 
 @pytest.mark.parametrize(
