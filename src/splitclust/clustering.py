@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import Counter
 from collections.abc import Container, Iterable
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import chain
 
 from .graphs import (
@@ -124,13 +124,17 @@ def verify_clustering(g: CorrelationGraph, f: Clustering) -> ValidationReport:
     vertex, can be unresolved.  The pass counts the blue pairs inside each
     group, so a group that is a blue clique is skipped without a look at
     its pairs, and only the other groups' pairs and the uncovered
-    vertices' pairs are listed.
+    vertices' pairs are listed.  On an incomplete graph each row of a
+    vertex with one cluster is first screened by one C set operation
+    against that cluster, and pairs are walked only in the rows it fails.
     """
-    return _violations(g, f.membership(g.n))
+    return _violations(g, f.membership(g.n), f.clusters)
 
 
-def _violations(g: CorrelationGraph, where: list[list[int]]) -> ValidationReport:
-    """The report of the clustering whose membership lists are ``where``.
+def _violations(
+    g: CorrelationGraph, where: list[list[int]], clusters: tuple[frozenset[int], ...]
+) -> ValidationReport:
+    """The report of the clustering ``clusters``, whose membership lists are ``where``.
 
     ``sole[v]`` is the index of v's only cluster, -1 if v lies in several
     and -2 if in none.  A blue pair between two sole clusters is covered
@@ -140,46 +144,90 @@ def _violations(g: CorrelationGraph, where: list[list[int]]) -> ValidationReport
     (v, u) is read off the row of its larger end u, whose walk stops at
     the first neighbour above u, so no call is made per row.  Only the
     violations are sorted, into the order of ``blue_edges``/``red_edges``.
+
+    An incomplete graph's rows are screened first (see ``_screened_pairs``).
+    A complete graph's are all walked, since the walk also counts the blue
+    pairs inside each group, which ``_unresolved_red_complete`` needs.
     """
     sole = [w[0] if len(w) == 1 else -1 if w else -2 for w in where]
-    uncovered_blue = []
-    # blue pairs inside each sole group are counted for the complete case
-    inner = [0] * (max(sole, default=-1) + 1)
-    for u, row in enumerate(g._blue_adj):
-        a = sole[u]
-        if a >= 0:
-            same = 0
-            for v in row:
-                if v > u:
-                    break
-                b = sole[v]
-                if b == a:
-                    same += 1
-                elif b != -1 or a not in where[v]:
-                    uncovered_blue.append((v, u))
-            inner[a] += same
-        else:
-            for v in row:
-                if v > u:
-                    break
-                if a == -2 or sole[v] == -2 or set(where[u]).isdisjoint(where[v]):
-                    uncovered_blue.append((v, u))
-    if g._red_adj is None:
-        unresolved = _unresolved_red_complete(g, sole, inner)
+    if g._red_adj is not None:
+        uncovered_blue, unresolved = _screened_pairs(g, where, clusters, sole)
     else:
-        unresolved = []
-        for u, row in enumerate(g._red_adj):
+        uncovered_blue = []
+        # blue pairs inside each sole group are counted for the complete case
+        inner = [0] * (max(sole, default=-1) + 1)
+        for u, row in enumerate(g._blue_adj):
             a = sole[u]
-            for v in row:
-                if v > u:
-                    break
-                b = sole[v]
-                if a == -2 or b == -2 or a == b >= 0:
-                    unresolved.append((v, u))
-        unresolved.sort()
+            if a >= 0:
+                same = 0
+                for v in row:
+                    if v > u:
+                        break
+                    b = sole[v]
+                    if b == a:
+                        same += 1
+                    elif b != -1 or a not in where[v]:
+                        uncovered_blue.append((v, u))
+                inner[a] += same
+            else:
+                for v in row:
+                    if v > u:
+                        break
+                    if a == -2 or sole[v] == -2 or set(where[u]).isdisjoint(where[v]):
+                        uncovered_blue.append((v, u))
+        unresolved = _unresolved_red_complete(g, sole, inner)
     uncovered_blue.sort()
     uncovered_vertices = tuple([v for v, s in enumerate(sole) if s == -2])
     return ValidationReport(tuple(uncovered_blue), tuple(unresolved), uncovered_vertices)
+
+
+def _screened_pairs(
+    g: CorrelationGraph,
+    where: list[list[int]],
+    clusters: tuple[frozenset[int], ...],
+    sole: list[int],
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """An incomplete graph's uncovered blue pairs and sorted unresolved red pairs.
+
+    ``sole`` is as in ``_violations``.  A vertex u whose only cluster is
+    C passes its blue row when C holds the whole row, which covers every
+    blue pair at u, and its red row when C meets none of it, which
+    resolves every red pair at u unless the partner is uncovered.  Each
+    screen is one C-level ``issuperset`` or ``isdisjoint``.  A pair can be
+    a violation only when neither end passes, so walking the failing rows
+    over the partners below u, as the full walk does, finds each violation
+    once, and a failing blue row intersects membership lists pair by
+    pair.  Vertices in several clusters or in none always walk their blue
+    row.  The red pairs of a vertex in several clusters are resolved, so
+    its red row is skipped, unless some vertex is uncovered, in which
+    case every red row is walked.  O(n + stored pairs), nearly all of it
+    in C on a valid clustering.
+    """
+    uncovered_blue = []
+    for u, row in enumerate(g._blue_adj):
+        a = sole[u]
+        if a >= 0 and clusters[a].issuperset(row):
+            continue
+        mine = set(where[u])
+        for v in row:
+            if v > u:
+                break
+            if mine.isdisjoint(where[v]):
+                uncovered_blue.append((v, u))
+    screen = -2 not in sole
+    unresolved = []
+    for u, row in enumerate(g._red_adj):
+        a = sole[u]
+        if screen and (a == -1 or clusters[a].isdisjoint(row)):
+            continue
+        for v in row:
+            if v > u:
+                break
+            b = sole[v]
+            if a == -2 or b == -2 or a == b >= 0:
+                unresolved.append((v, u))
+    unresolved.sort()
+    return uncovered_blue, unresolved
 
 
 def _unresolved_red_complete(
@@ -293,8 +341,9 @@ def has_erroneous_cycle(g: CorrelationGraph) -> bool:
     Equivalent test: some red pair lies within one blue component.  In a
     complete graph every non-blue pair is red, so that happens iff some
     blue component is not a clique.  O(n + blue pairs) on complete graphs;
-    incomplete graphs label the blue components and check each stored red
-    pair, in O(n + stored pairs).
+    incomplete graphs find the blue components and check each member's
+    red row against its component with one C set operation, in O(n +
+    stored pairs).
     """
     return _consistent_components(g) is None
 
@@ -302,16 +351,22 @@ def has_erroneous_cycle(g: CorrelationGraph) -> bool:
 def _consistent_components(g: CorrelationGraph) -> list[list[int]] | None:
     """``blue_components(g)``, or None when a red pair lies within one.
 
-    The components are labelled once, for the test and for the callers
-    that read clusters off them.
+    The components are found once, for the test and for the callers that
+    read clusters off them.  On an incomplete graph each component of two
+    or more members is made a frozenset, and each member's red row is
+    checked against it by one C-level ``isdisjoint``: O(n + stored pairs),
+    with no Python step per red pair.  One set is alive at a time.
     """
     if g.complete:
         return _clique_components(g)
-    label, components = _blue_labels(g)
-    for u, row in enumerate(g._red_adj):
-        c = label[u]
-        if any(label[v] == c for v in row):
-            return None
+    components = _blue_labels(g)[1]
+    red = g._red_adj
+    for comp in components:
+        if len(comp) > 1:
+            members = frozenset(comp)
+            for u in comp:
+                if not members.isdisjoint(red[u]):
+                    return None
     return components
 
 
@@ -328,11 +383,13 @@ def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
     f is checked as by ``verify_clustering``.  The result's blue rows are
     one clique per cluster.  A complete graph's cross pairs are red by
     default and are never listed.  An incomplete graph's red rows are its
-    own mapped to the partners' copies, and no row is sorted.  O(n +
-    memberships + stored pairs + pairs the result stores).
+    own mapped to the partners' copies, and no row is sorted; a row of an
+    unsplit vertex that one ``isdisjoint`` finds free of split vertices
+    maps through each vertex's first copy.  O(n + memberships + stored
+    pairs + pairs the result stores).
     """
     where = f.membership(g.n)
-    report = _violations(g, where)
+    report = _violations(g, where, f.clusters)
     if not report.ok:
         raise ValueError(f"clustering is not valid for the graph: {report}")
     ancestors: list[int] = []
@@ -356,14 +413,16 @@ def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
         # descendants are numbered by vertex and then by cluster, so the
         # copies of a sorted red row's partners come out sorted
         red = []
+        first = [c.start for c in copies]
+        split = frozenset([v for v, c in enumerate(copies) if len(c) > 1])
         for u, row in enumerate(g._red_adj):
-            partners = [e for x in row for e in copies[x]]
             cu = copies[u]
-            if len(cu) == 1 and len(partners) == len(row):
+            if len(cu) == 1 and split.isdisjoint(row):
                 # f is valid, so two unsplit ends of a red pair lie in
-                # distinct clusters
-                red.append(partners)
+                # distinct clusters, and each end has one copy
+                red.append([first[x] for x in row])
                 continue
+            partners = [e for x in row for e in copies[x]]
             # a copy is red to the partners' copies in other clusters and
             # to its own siblings, which sit between the partners below u
             # and those above it
@@ -396,7 +455,13 @@ def splits_to_clustering(r: RealizedGraph) -> Clustering:
     each of them a singleton but the largest, and so do the consecutive
     pairs of them, which are all that is listed: O(N + blue pairs) for N
     descendants, and no red pair.  An incomplete graph lists the ancestor
-    pairs of its red pairs with a split end, in O(N + stored pairs).
+    pairs of its red pairs with a split end, and reads them only off the
+    red rows of split vertices' copies: each such pair lies in the row of
+    its split end's copy, whichever side of it the partner's id falls,
+    and the rows of unsplit vertices' copies are never walked.  The
+    erroneous-cycle test screens each red row with one C-level
+    ``isdisjoint`` against its blue component (see
+    ``_consistent_components``).  O(N + stored pairs).
     """
     base = r.base
     components = _consistent_components(base)
@@ -416,12 +481,14 @@ def splits_to_clustering(r: RealizedGraph) -> Clustering:
                 alone = [v for v in sorted(cluster) if inside[v] == 1]
                 pairs.update(zip(alone, alone[1:]))
     else:
-        for x, row in enumerate(base._red_adj):
-            a = ancestors[x]
-            for y in row[bisect_right(row, x) :]:
-                b = ancestors[y]
-                if a != b and (a in split or b in split):
-                    pairs.add(_pair(a, b))
+        # every red pair with a split end is in that end's copies' rows
+        red = base._red_adj
+        for x, a in enumerate(ancestors):
+            if counts[a] >= 2:
+                for y in red[x]:
+                    b = ancestors[y]
+                    if a != b:
+                        pairs.add(_pair(a, b))
     return _read_off(sets, r.original_n, sorted(pairs), split)
 
 

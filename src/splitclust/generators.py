@@ -17,6 +17,7 @@ from .graphs import (
     _check_ids,
     _check_non_negative,
     _check_vertex_count,
+    _is_integer,
     _pair,
     complete_graph,
 )
@@ -26,11 +27,18 @@ _MASK64 = (1 << 64) - 1
 
 
 class SplitMix64:
-    """splitmix64: tiny deterministic 64-bit generator."""
+    """splitmix64: tiny deterministic 64-bit generator.
+
+    The seed is any int but a ``bool``, negative ones included; it is
+    taken modulo 2^64, so -1 seeds the stream of 2^64 - 1.  Anything else
+    raises ``ValueError``.
+    """
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
+        if not _is_integer(seed):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self._state = seed & _MASK64
 
     def __reduce__(self):

@@ -27,9 +27,12 @@ the ancestor sets of its blue components are the clusters read off the
 solution.  So ``verify_multicut_solution`` and
 ``multicut_solution_to_clustering`` need only those components: they
 label them straight from the instance's adjacency lists and the parts,
-and never build the split graph.  The clusters and their singleton
-repair are then read off as ``splits_to_clustering`` reads them, by the
-one ``clustering._read_off``.
+and never build the split graph.  The terminal pairs are checked a row at
+a time: each unsplit vertex's row against the set of unsplit vertices in
+its component, by one C set operation, and only the split vertices' rows
+are walked pair by pair, to list the pairs the repair reads.  The
+clusters and their singleton repair are then read off as
+``splits_to_clustering`` reads them, by the one ``clustering._read_off``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from __future__ import annotations
 import re
 from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
-from bisect import bisect_right
 from itertools import repeat
 
 from .clustering import Clustering, _read_off, _violations
@@ -211,8 +213,12 @@ def _split_components(
     Raises ValueError when a split vertex is out of range or its parts do
     not cover exactly its neighborhood.  A copy reaches, for each neighbor
     u it keeps, u's only copy, or the copy of u that keeps it when u is
-    split; then one pass over the instance's pairs reads the terminal
-    pairs.  O(n + m + t + split neighborhoods) for m edges and t terminal
+    split.  Then each component of two or more copies becomes the
+    frozenset of the unsplit vertices it holds, and each of those
+    vertices' terminal rows is checked against it by one C-level
+    ``isdisjoint``; one set is alive at a time.  The pairs that touch a
+    split vertex are read off the split vertices' terminal rows alone and
+    sorted.  O(n + m + t + split neighborhoods) for m edges and t terminal
     pairs, and a sort of each component and of the listed pairs.
     """
     g = inst._graph
@@ -223,6 +229,7 @@ def _split_components(
             raise ValueError(f"split vertex {v} out of range")
     ancestors: list[int] = []
     plain: list[int] = []  # the copy of each unsplit vertex, -1 if split
+    unsplit: list[int] = []  # each copy's ancestor if unsplit, else -1
     kept: list[Collection[int]] = []  # the neighbors each copy keeps
     owner: dict[tuple[int, int], int] = {}  # (split vertex, neighbor) -> copy
     for v in range(g.n):
@@ -230,6 +237,7 @@ def _split_components(
         if parts is None:
             plain.append(len(ancestors))
             ancestors.append(v)
+            unsplit.append(v)
             kept.append(adj[v])
             continue
         if set().union(*parts) != set(adj[v]):
@@ -239,6 +247,7 @@ def _split_components(
             for u in part:
                 owner[v, u] = len(ancestors)
             ancestors.append(v)
+            unsplit.append(-1)
             kept.append(part)
     component = [-1] * len(ancestors)
     components: list[list[int]] = []
@@ -259,15 +268,21 @@ def _split_components(
                     comp.append(e)
         comp.sort()
         components.append(comp)
-    pairs = []
-    for u, row in enumerate(g._red_adj):
-        a = plain[u]
-        for v in row[bisect_right(row, u) :]:
-            b = plain[v]
-            if a < 0 or b < 0:
-                pairs.append((u, v))
-            elif component[a] == component[b]:
-                return ancestors, components, None
+    red = g._red_adj
+    for comp in components:
+        if len(comp) > 1:
+            # the unsplit vertices of one component, and -1 for its split copies
+            members = frozenset([unsplit[d] for d in comp])
+            for u in members:
+                if u >= 0 and not members.isdisjoint(red[u]):
+                    return ancestors, components, None
+    pairs = [
+        (v, u) if v < u else (u, v)
+        for v in split_parts
+        for u in red[v]
+        if u > v or plain[u] >= 0
+    ]
+    pairs.sort()
     return ancestors, components, pairs
 
 
@@ -286,12 +301,13 @@ _MAX_LISTED_RED_PAIRS = 1_000_000
 def ccvs_to_mcvs(g: CorrelationGraph, k: int) -> MulticutInstance:
     """Blue pairs become edges, red pairs become terminal pairs.
 
-    Only the budget and vertex count are checked.  An incomplete graph is
-    the instance's own graph, shared in O(1).  A complete graph's blue rows
-    are shared, and its red rows are listed, in O(n^2); one with more than
-    ``_MAX_LISTED_RED_PAIRS`` red pairs raises ``ValueError`` before any
-    pair is listed.
+    Only the budget and vertex count are checked, the budget first.  An
+    incomplete graph is the instance's own graph, shared in O(1).  A
+    complete graph's blue rows are shared, and its red rows are listed, in
+    O(n^2); one with more than ``_MAX_LISTED_RED_PAIRS`` red pairs raises
+    ``ValueError`` before any pair is listed.
     """
+    _check_non_negative("budget", k)
     if g.complete:
         red_count = g.count_colors()[1]
         if red_count > _MAX_LISTED_RED_PAIRS:
@@ -323,7 +339,7 @@ def clustering_to_multicut_solution(
     neighbors.
     """
     where = f.membership(g.n)
-    report = _violations(g, where)
+    report = _violations(g, where, f.clusters)
     if not report.ok:
         raise ValueError(f"clustering is not valid for the graph: {report}")
     splits: dict[int, list[set[int]]] = {}

@@ -15,8 +15,10 @@ recursive and the stack-based augmenting-path matchings (one search per
 left vertex, before Hopcroft-Karp phases), the split graph of a clustering
 built over all descendant pairs, and the clustering read off a split graph
 by repairing every red ancestor pair (or, for a multicut solution, every
-terminal pair), and the kernel's parts found by separate component and
-clique passes that rescan the forest vertices for every clique.  The fast versions must agree with them exactly, down to
+terminal pair), the terminal pairs of a multicut solution found by
+walking every terminal pair, and the kernel's parts found by separate
+component and clique passes that rescan the forest vertices for every
+clique.  The fast versions must agree with them exactly, down to
 order.
 
 The checked builders at the very end are the package's earlier versions
@@ -665,6 +667,37 @@ def checked_realize(inst: MulticutInstance, sol) -> RealizedGraph:
     ]
     base = CorrelationGraph(len(ancestors), edges, complete=False)
     return RealizedGraph(base, ancestors, inst.n)
+
+
+def walked_terminal_pairs(
+    inst: MulticutInstance, sol, components: list[list[int]]
+) -> list[tuple[int, int]] | None:
+    """The terminal pairs touching a split vertex, every terminal pair walked.
+
+    ``components`` are the blue components of the solution's split graph,
+    whose copies are numbered by vertex and then by part.  Returns None as
+    soon as a terminal pair of two unsplit vertices lies within one of
+    them.  This is the pass ``multicut._split_components`` made over all
+    terminal pairs before it screened each unsplit vertex's row against
+    the set of its component.
+    """
+    parts_of = dict(sol.splits)
+    plain: dict[int, int] = {}  # the copy of each unsplit vertex
+    copies = 0
+    for v in range(inst.n):
+        if v in parts_of:
+            copies += len(parts_of[v])
+        else:
+            plain[v] = copies
+            copies += 1
+    component = {d: i for i, comp in enumerate(components) for d in comp}
+    pairs = []
+    for u, v in sorted(inst.terminals):
+        if u in parts_of or v in parts_of:
+            pairs.append((u, v))
+        elif component[plain[u]] == component[plain[v]]:
+            return None
+    return pairs
 
 
 def checked_ccvs_to_mcvs(g: CorrelationGraph, k: int) -> MulticutInstance:

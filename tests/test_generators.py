@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import pytest
@@ -38,6 +39,21 @@ def test_splitmix64_reference_stream():
         0x599ED017FB08FC85,
         0x2C73F08458540FA5,
     ]
+
+
+def test_seed_is_any_int_but_a_bool():
+    # a negative seed is a valid 64-bit seed, taken modulo 2^64
+    r, s = SplitMix64(-1), SplitMix64((1 << 64) - 1)
+    assert [r.next_u64() for _ in range(5)] == [s.next_u64() for _ in range(5)]
+    assert gen_random(6, 0.5, 0.5, complete=True, seed=-1) == gen_random(
+        6, 0.5, 0.5, complete=True, seed=(1 << 64) - 1
+    )
+    for bad in (1.5, "1", None, True):
+        message = f"seed must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SplitMix64(bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_random(3, 0.5, 0.5, complete=True, seed=bad)
 
 
 def test_splitmix64_floats():

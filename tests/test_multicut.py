@@ -262,6 +262,16 @@ def test_ccvs_to_mcvs_caps_listed_red_pairs(monkeypatch):
     assert len(ccvs_to_mcvs(incomplete_graph(5, [], red), 0).terminals) == 10
 
 
+def test_ccvs_to_mcvs_checks_budget_before_listing_red_pairs(monkeypatch):
+    def refuse(self):
+        raise AssertionError("red pairs listed before the budget was checked")
+
+    monkeypatch.setattr(CorrelationGraph, "_red_rows", refuse)
+    for bad in (-1, True, 1.5):
+        with pytest.raises(ValueError, match="^budget must be a non-negative integer, got "):
+            ccvs_to_mcvs(complete_graph(1400, []), bad)
+
+
 def test_instance_format_round_trip():
     data = write_multicut_instance(PATH)
     assert data == b"mcvs 3 2 1 1\ne 0 1\ne 1 2\nt 0 2\n"

@@ -36,6 +36,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splitclust.clustering
 from splitclust import (
     BipartiteGraph,
     Clustering,
@@ -97,6 +98,7 @@ from oracles import (
     repairing_multicut_to_clustering,
     repairing_splits_to_clustering,
     rescanning_kernel_parts,
+    walked_terminal_pairs,
 )
 
 P_BLUE = st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9])
@@ -478,6 +480,57 @@ def test_verify_matches_pairwise_on_incomplete():
     assert min(valid.values()) >= 150, valid
 
 
+SCREEN_CASES = [
+    # (rule the case breaks, graph, clustering, expected report fields)
+    (
+        "a single-cluster vertex's blue neighbour lies outside its cluster",
+        incomplete_graph(4, blue=[(0, 1), (1, 2), (2, 3)], red=[(0, 3)]),
+        [{0, 1}, {2, 3}],
+        (((1, 2),), (), ()),
+    ),
+    (
+        "a red pair of two single-cluster vertices in one cluster",
+        incomplete_graph(4, blue=[(0, 1), (1, 2)], red=[(0, 2), (2, 3)]),
+        [{0, 1, 2}, {3}],
+        ((), ((0, 2),), ()),
+    ),
+    (
+        "the same red pair, one end in two clusters",
+        incomplete_graph(4, blue=[(0, 1), (1, 2)], red=[(0, 2), (2, 3)]),
+        [{0, 1, 2}, {2}, {3}],
+        ((), (), ()),
+    ),
+    (
+        "a blue pair between two multi-cluster vertices",
+        incomplete_graph(5, blue=[(0, 1), (0, 2), (0, 4), (1, 3), (1, 4)], red=[(2, 3)]),
+        [{0, 2}, {0, 4}, {1, 3}, {1, 4}],
+        (((0, 1),), (), ()),
+    ),
+    (
+        "an uncovered vertex",
+        incomplete_graph(4, blue=[(0, 1), (2, 3)], red=[(0, 2), (1, 2), (1, 3)]),
+        [{0, 1}, {3}],
+        (((2, 3),), ((0, 2), (1, 2)), (2,)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "g, clusters, expected", [case[1:] for case in SCREEN_CASES], ids=[c[0] for c in SCREEN_CASES]
+)
+def test_verify_matches_pairwise_where_the_row_screen_fails(g, clusters, expected):
+    """Incomplete graphs whose rows the screen cannot settle.
+
+    Each case makes a row fail its one set operation, or takes the walk
+    that vertices in several clusters and uncovered vertices keep; the
+    report must be the pairwise one, and both translations must refuse an
+    invalid clustering with it.
+    """
+    f = Clustering(clusters)
+    assert pairwise_verify(g, f) == expected
+    assert check_verify(g, f) == (expected == ((), (), ()))
+
+
 def arbitrary_family(n: int, rng: random.Random) -> Clustering:
     """Random clusters: uncovered vertices, several of them adjacent."""
     return Clustering(
@@ -679,6 +732,55 @@ def test_splits_to_clustering_lists_no_red_pairs_on_complete(monkeypatch):
     assert splits_to_clustering(r) == expected
 
 
+def test_splits_to_clustering_reads_split_rows_both_ways(monkeypatch):
+    """The ancestor pairs are listed from the red rows of split copies alone.
+
+    Those rows hold partners with smaller and with larger ids than the
+    split vertex, both unsplit and split; the listed pairs must be every
+    red ancestor pair with a split end, and the clustering the repairing
+    reference.
+    """
+    listed = []
+    real = splitclust.clustering._read_off
+
+    def capturing(sets, n, pairs, split):
+        listed.append(pairs)
+        return real(sets, n, pairs, split)
+
+    monkeypatch.setattr(splitclust.clustering, "_read_off", capturing)
+    # vertex 1 is split; its copies are red to unsplit 0 below and 2 above
+    one = RealizedGraph(
+        incomplete_graph(4, blue=[(0, 1), (2, 3)], red=[(0, 2), (1, 3)]), (1, 0, 2, 1), 3
+    )
+    # 0 and 1 are split, and their merged clusters need a singleton on 0
+    two = RealizedGraph(
+        incomplete_graph(5, blue=[(0, 1), (2, 3)], red=[(0, 3), (0, 4), (3, 4)]),
+        (1, 0, 1, 0, 2),
+        3,
+    )
+    assert splits_to_clustering(one) == Clustering([{0, 1}, {1, 2}])
+    assert listed[-1] == [(0, 1), (1, 2)]
+    assert splits_to_clustering(two) == Clustering([{0, 1}, {2}, {0}])
+    assert listed[-1] == [(0, 1), (0, 2), (1, 2)]
+    sides = {"below": 0, "above": 0, "split-split": 0}
+    for seed in range(300):
+        r = random_realized(False, seed)
+        ancestors = r.ancestors
+        counts = [ancestors.count(v) for v in range(r.original_n)]
+        expected = set()
+        for x, y in r.base.red_edges():
+            a, b = sorted((ancestors[x], ancestors[y]))
+            if a != b and max(counts[a], counts[b]) >= 2:
+                expected.add((a, b))
+                if min(counts[a], counts[b]) >= 2:
+                    sides["split-split"] += 1
+                else:
+                    sides["below" if counts[b] >= 2 else "above"] += 1
+        assert splits_to_clustering(r) == repairing_splits_to_clustering(r)[0]
+        assert listed[-1] == sorted(expected)
+    assert min(sides.values()) >= 100, sides
+
+
 def test_verify_multicut_matches_separates():
     """Random instances and solutions: separating, not separating, removing.
 
@@ -749,12 +851,15 @@ def test_multicut_translations_match_split_graph_references():
     The ancestors, components and verdict of ``_split_components`` must be
     those of the split graph built pair by pair, its pairs the terminal
     pairs that touch a split vertex, and both translations must raise
-    ValueError exactly where that graph refuses the solution.  A
-    separating solution must read back as the union-find reference that
-    repairs every terminal pair, at no more than its cost.
+    ValueError exactly where that graph refuses the solution.  Its pairs,
+    or None, must also be those of ``walked_terminal_pairs``, which walks
+    every terminal pair; separating solutions with a terminal pair of two
+    split vertices must occur many times.  A separating solution must read
+    back as the union-find reference that repairs every terminal pair, at
+    no more than its cost.
     """
     outcomes = {"refused": 0, "connected": 0, "separated": 0}
-    repaired = 0
+    repaired = split_split = 0
     for seed in range(600):
         rng = random.Random(seed)
         n = rng.randint(1, 12)
@@ -773,6 +878,7 @@ def test_multicut_translations_match_split_graph_references():
         ancestors, components, pairs = _split_components(inst, sol)
         assert tuple(ancestors) == ref.ancestors
         assert components == blue_components(ref.base)
+        assert pairs == walked_terminal_pairs(inst, sol, components)
         separated = not has_erroneous_cycle(ref.base)
         assert verify_multicut_solution(inst, sol) == separated == (pairs is not None)
         if not separated:
@@ -782,6 +888,7 @@ def test_multicut_translations_match_split_graph_references():
             continue
         split = sol.split_vertices
         assert pairs == sorted(p for p in inst.terminals if split.intersection(p))
+        split_split += any(split.issuperset(p) for p in pairs)
         f = multicut_solution_to_clustering(inst, sol)
         expected, added = repairing_multicut_to_clustering(inst, sol)
         assert f == expected
@@ -789,6 +896,7 @@ def test_multicut_translations_match_split_graph_references():
         outcomes["separated"] += 1
         repaired += added > 0
     assert min(outcomes.values()) >= 100 and repaired >= 10, (outcomes, repaired)
+    assert split_split >= 50, split_split
 
 
 def test_complete_graph_pipeline_makes_no_label_calls(monkeypatch):
