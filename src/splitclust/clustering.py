@@ -27,8 +27,8 @@ from .graphs import (
     CorrelationGraph,
     FormatError,
     _blue_labels,
+    _check_below,
     _check_non_negative,
-    _check_vertex,
     _clique_components,
     _pair,
     _read_counts,
@@ -74,8 +74,8 @@ class Clustering:
         idx: list[list[int]] = [[] for _ in range(n)]
         for i, cluster in enumerate(self.clusters):
             for v in cluster:
-                if v >= n:
-                    raise ValueError(f"cluster vertex {v} out of range for n={n}")
+                if v >= n:  # ids are non-negative ints, checked when f was built
+                    _check_below("cluster vertex", n, v)
                 idx[v].append(i)
         return idx
 
@@ -129,6 +129,15 @@ def verify_clustering(g: CorrelationGraph, f: Clustering) -> ValidationReport:
     against that cluster, and pairs are walked only in the rows it fails.
     """
     return _violations(g, f.membership(g.n), f.clusters)
+
+
+def _valid_membership(g: CorrelationGraph, f: Clustering) -> list[list[int]]:
+    """``f.membership(g.n)``, once ``_violations`` finds f valid for g."""
+    where = f.membership(g.n)
+    report = _violations(g, where, f.clusters)
+    if not report.ok:
+        raise ValueError(f"clustering is not valid for the graph: {report}")
+    return where
 
 
 def _violations(
@@ -313,8 +322,7 @@ class RealizedGraph:
         if len(ancestors) != self.base.n:
             raise ValueError("one ancestor per descendant vertex required")
         _check_non_negative("original_n", original_n)
-        for a in ancestors:
-            _check_vertex(a, original_n)
+        _check_below("ancestor", original_n, *ancestors)
         if len(set(ancestors)) != original_n:
             raise ValueError("every original vertex needs at least one descendant")
 
@@ -325,7 +333,7 @@ class RealizedGraph:
 
     def descendants(self, v: int) -> list[int]:
         """Sorted descendant ids of original vertex v."""
-        _check_vertex(v, self.original_n)
+        _check_below("vertex id", self.original_n, v)
         return [d for d, a in enumerate(self.ancestors) if a == v]
 
     def __repr__(self) -> str:
@@ -388,10 +396,7 @@ def clustering_to_splits(g: CorrelationGraph, f: Clustering) -> RealizedGraph:
     maps through each vertex's first copy.  O(n + memberships + stored
     pairs + pairs the result stores).
     """
-    where = f.membership(g.n)
-    report = _violations(g, where, f.clusters)
-    if not report.ok:
-        raise ValueError(f"clustering is not valid for the graph: {report}")
+    where = _valid_membership(g, f)
     ancestors: list[int] = []
     cluster: list[int] = []  # each copy's cluster
     members: list[list[int]] = [[] for _ in f.clusters]  # descendants per cluster

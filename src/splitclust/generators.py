@@ -14,11 +14,10 @@ from .graphs import (
     BLUE,
     RED,
     CorrelationGraph,
-    _check_ids,
     _check_non_negative,
     _check_vertex_count,
+    _checked_pair,
     _is_integer,
-    _pair,
     complete_graph,
 )
 from .multicut import MulticutInstance
@@ -66,14 +65,9 @@ class PlainGraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         _check_vertex_count(n)
-        normalized = set()
-        for u, v in edges:
-            _check_ids(u, v, n)
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            normalized.add(_pair(u, v))
+        normalized = frozenset([_checked_pair(u, v, n) for u, v in edges])
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(normalized))
+        object.__setattr__(self, "edges", normalized)
 
 
 def gen_random(

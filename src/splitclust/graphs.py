@@ -56,36 +56,23 @@ def _check_non_negative(what: str, *xs: object) -> None:
             raise ValueError(f"{what} must be a non-negative integer, got {x!r}")
 
 
-def _check_ids(u: int, v: int, n: int, what: str = "edge") -> None:
-    """Both ids of a pair are integers (not ``bool``) in 0..n-1."""
-    try:
-        # ``|`` raises TypeError on anything but integers, so this one
-        # test checks both the type and the range of the ids
-        if (u | v) < 0 or u >= n or v >= n:
-            raise ValueError(f"{what} ({u},{v}) out of range for n={n}")
-    except TypeError:
-        raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})") from None
-    if isinstance(u, bool) or isinstance(v, bool):
-        raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})")
+def _check_below(what: str, n: int, *xs: object) -> None:
+    """Each x is an int (not ``bool``) in 0..n-1: every id a vertex count bounds."""
+    for x in xs:
+        # plain ints, by far the most common, skip the two isinstance calls
+        if (x.__class__ is not int and not _is_integer(x)) or not 0 <= x < n:
+            raise ValueError(
+                f"{what} must be a non-negative integer below {n}, got {x!r}"
+            )
 
 
-def _check_vertex(v: int, n: int) -> None:
-    """A vertex id: an int (not ``bool``) in 0..n-1."""
-    if not (_is_integer(v) and 0 <= v < n):
-        raise ValueError(f"not a vertex id in 0..{n - 1}: {v!r}")
-
-
-def _check_vertices(vertices: Iterable[int], n: int) -> list[int]:
-    """The distinct ids in ascending order, each an int (not ``bool``) in 0..n-1."""
-    ids = list(vertices)
-    for v in ids:
-        if not _is_integer(v):
-            raise ValueError(f"vertex ids must be integers, got {v!r}")
-    ids = sorted(set(ids))
-    for v in ids:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range")
-    return ids
+def _checked_pair(u: int, v: int, n: int) -> tuple[int, int]:
+    """``_pair(u, v)`` of two distinct vertex ids below n."""
+    if not (u.__class__ is int and v.__class__ is int and 0 <= u < n and 0 <= v < n):
+        _check_below(f"vertex of pair ({u!r},{v!r})", n, u, v)
+    if u == v:
+        raise ValueError(f"self-loop on vertex {u}")
+    return _pair(u, v)
 
 
 def _check_vertex_count(n: int) -> None:
@@ -105,16 +92,13 @@ class CorrelationGraph:
     are implied, and its ``_red_adj`` is None.  ``label`` finds a pair by
     bisecting rows, in O(log d) for rows of at most d.
 
-    The public constructor checks every pair it is given: integer ids (not
-    ``bool``) in range, no self-loop, a colour allowed for the kind, and no
-    two colours for one pair; then it drops default-coloured pairs and
-    builds the rows with ``_label_rows``.  Code whose rows are valid by
-    construction (the bulk ``ccg`` and ``mcvs`` readers,
-    ``induced_subgraph``, split graphs, the graphs that store multicut
-    instances) builds through ``_trusted`` instead, which skips those
-    per-pair checks.  A frozen dataclass: equal by value (same kind and
-    rows), and it pickles and deep-copies; the rows are lists, so
-    ``__hash__`` is written out.
+    The public constructor checks every pair it is given, then drops
+    default-coloured pairs and builds the rows with ``_label_rows``.  Code
+    whose rows are valid by construction (the bulk ``ccg`` and ``mcvs``
+    readers, ``induced_subgraph``, split graphs, ``ccvs_to_mcvs``) builds
+    through ``_trusted`` instead, which skips those per-pair checks.  A
+    frozen dataclass: equal by value (same kind and rows), and it pickles
+    and deep-copies; the rows are lists, so ``__hash__`` is written out.
     """
 
     n: int
@@ -132,16 +116,13 @@ class CorrelationGraph:
         _check_vertex_count(n)
         labels: dict[tuple[int, int], EdgeColor] = {}
         for u, v, color in edges:
-            _check_ids(u, v, n)
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
+            key = _checked_pair(u, v, n)
             if not isinstance(color, EdgeColor):
                 raise ValueError(f"not an edge color: {color!r}")
             if color is NEUTRAL and complete:
                 raise ValueError(
                     f"pair ({u},{v}) marked neutral in a complete graph"
                 )
-            key = _pair(u, v)
             seen = labels.get(key, None)
             if seen is not None and seen is not color:
                 raise ValueError(f"conflicting colors for pair {key}")
@@ -179,12 +160,9 @@ class CorrelationGraph:
         """Color of the unordered pair (u, v).
 
         O(log d): a bisect in u's blue row of length d, and on incomplete
-        graphs in its red row.  Ids must be ints (not ``bool``).
+        graphs in its red row.
         """
-        if not (
-            _is_integer(u) and _is_integer(v) and 0 <= u < self.n and 0 <= v < self.n
-        ) or u == v:
-            raise ValueError(f"not a vertex pair of this graph: ({u!r},{v!r})")
+        _checked_pair(u, v, self.n)
         if _in_row(self._blue_adj[u], v):
             return BLUE
         if self._red_adj is None or _in_row(self._red_adj[u], v):
@@ -193,7 +171,7 @@ class CorrelationGraph:
 
     def blue_neighbors(self, v: int) -> list[int]:
         """Sorted blue neighbors of v."""
-        _check_vertex(v, self.n)
+        _check_below("vertex id", self.n, v)
         return list(self._blue_adj[v])
 
     def blue_edges(self) -> list[tuple[int, int]]:
@@ -224,13 +202,15 @@ class CorrelationGraph:
         """Subgraph induced on the given vertices, re-indexed to 0..m-1.
 
         Returns the subgraph and the sorted tuple mapping new ids to old.
-        The vertices must be integer ids in range; the kept pairs are not
-        checked again, because re-indexing in sorted order keeps them valid.
-        Each kept vertex's sorted rows are mapped through an index list;
-        the mapped rows stay sorted because the kept ids ascend, so they are
-        the subgraph's rows: O(n + the kept vertices' degrees).
+        The kept pairs are not checked again, because re-indexing in sorted
+        order keeps them valid.  Each kept vertex's sorted rows are mapped
+        through an index list; the mapped rows stay sorted because the kept
+        ids ascend, so they are the subgraph's rows: O(n + the kept
+        vertices' degrees).
         """
-        keep = _check_vertices(vertices, self.n)
+        ids = list(vertices)
+        _check_below("vertex id", self.n, *ids)
+        keep = sorted(set(ids))
         new_id: list[int | None] = [None] * self.n
         for new, old in enumerate(keep):
             new_id[old] = new

@@ -31,6 +31,7 @@ from .detect import BadStar, BadStarForest, _decompose
 from .graphs import (
     CorrelationGraph,
     FormatError,
+    _check_below,
     _check_non_negative,
     _read_document,
     _read_groups,
@@ -177,19 +178,14 @@ def lift_clustering(f: Clustering, transcript: KernelTranscript) -> Clustering:
     Removed clique vertices rejoin the cluster that absorbed their marked
     clique-mates (any budget-respecting solution keeps each marked part
     whole); removed isolated cliques come back as standalone clusters.
-    Raises ``ValueError`` when a kernel vertex is out of range or in no
-    cluster.
+    Raises ``ValueError`` when a kernel vertex is in no cluster.
     """
     id_map = transcript.id_map
     clusters: list[set[int]] = []
     covered: set[int] = set()
     for cluster in f:
-        mapped = set()
-        for v in cluster:
-            if v >= len(id_map):
-                raise ValueError(f"kernel vertex {v} out of range")
-            mapped.add(id_map[v])
-        clusters.append(mapped)
+        _check_below("kernel vertex", len(id_map), *cluster)
+        clusters.append({id_map[v] for v in cluster})
         covered |= cluster
     if len(covered) != len(id_map):
         missing = min(set(range(len(id_map))) - covered)

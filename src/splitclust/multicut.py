@@ -42,21 +42,17 @@ from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import repeat
 
-from .clustering import Clustering, _read_off, _violations
+from .clustering import Clustering, _read_off, _valid_membership
 from .graphs import (
     BLUE,
     MAX_VERTICES,
     RED,
     CorrelationGraph,
-    EdgeColor,
     FormatError,
-    _check_ids,
     _ascending_rows,
+    _check_below,
     _check_non_negative,
     _check_vertex_count,
-    _is_integer,
-    _label_rows,
-    _pair,
     _pair_columns,
     _pair_lines,
     _read_counts,
@@ -76,12 +72,11 @@ class MulticutInstance:
     terminal pairs, and the budget ``k``.  ``edges`` and ``terminals``
     list those pairs afresh on each access, in O(pairs).
 
-    The public constructor checks the vertex count and budget, and every
-    pair: integer ids (not ``bool``) in range, no self-loop, no pair both
-    an edge and a terminal pair.  ``ccvs_to_mcvs`` and the bulk ``mcvs``
-    reader, whose pairs are valid by construction, build through ``_of``,
-    which checks only the budget (the graph checked its vertex count) and
-    shares the graph it is given.
+    The public constructor checks the budget and hands the edges (blue)
+    and terminal pairs (red) to ``CorrelationGraph``, which checks them.
+    ``ccvs_to_mcvs`` and the bulk ``mcvs`` reader, whose pairs are valid by
+    construction, build through ``_of``, which checks only the budget (the
+    graph checked its vertex count) and shares the graph it is given.
     A frozen dataclass: equal by value, hashable, and it pickles and
     deep-copies.
     """
@@ -96,26 +91,10 @@ class MulticutInstance:
         terminals: Iterable[tuple[int, int]],
         k: int,
     ):
-        _check_vertex_count(n)
         _check_non_negative("budget", k)
-        labels: dict[tuple[int, int], EdgeColor] = {}
-        for u, v in edges:
-            _check_ids(u, v, n)
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            labels[_pair(u, v)] = BLUE
-        overlap = False
-        for u, v in terminals:
-            _check_ids(u, v, n, "terminal pair")
-            if u == v:
-                raise ValueError(f"terminal pair ({u},{u}) is degenerate")
-            overlap |= labels.setdefault(_pair(u, v), RED) is BLUE
-        if overlap:
-            raise ValueError("terminal pairs must not be edges")
-        g = CorrelationGraph._trusted(
-            n, _label_rows(n, labels, BLUE), _label_rows(n, labels, RED)
-        )
-        object.__setattr__(self, "_graph", g)
+        pairs = [(u, v, BLUE) for u, v in edges]
+        pairs += [(u, v, RED) for u, v in terminals]
+        object.__setattr__(self, "_graph", CorrelationGraph(n, pairs, complete=False))
         object.__setattr__(self, "k", k)
 
     @classmethod
@@ -186,8 +165,7 @@ class MulticutSolution:
         return frozenset(v for v, _ in self.splits)
 
     def parts_of(self, v: int) -> tuple[frozenset[int], ...] | None:
-        if not _is_integer(v):
-            raise ValueError(f"not a vertex id: {v!r}")
+        _check_non_negative("vertex id", v)
         for u, parts in self.splits:
             if u == v:
                 return parts
@@ -224,9 +202,7 @@ def _split_components(
     g = inst._graph
     adj = g._blue_adj
     split_parts = dict(sol.splits)
-    for v in split_parts:
-        if v >= g.n:
-            raise ValueError(f"split vertex {v} out of range")
+    _check_below("split vertex", g.n, *split_parts)
     ancestors: list[int] = []
     plain: list[int] = []  # the copy of each unsplit vertex, -1 if split
     unsplit: list[int] = []  # each copy's ancestor if unsplit, else -1
@@ -338,10 +314,7 @@ def clustering_to_multicut_solution(
     ``verify_clustering``, from the same membership lists that place the
     neighbors.
     """
-    where = f.membership(g.n)
-    report = _violations(g, where, f.clusters)
-    if not report.ok:
-        raise ValueError(f"clustering is not valid for the graph: {report}")
+    where = _valid_membership(g, f)
     splits: dict[int, list[set[int]]] = {}
     for v, w in enumerate(where):
         if len(w) < 2:
@@ -501,18 +474,17 @@ def parse_multicut_solution(data: bytes | str) -> tuple[int, MulticutSolution]:
 def write_multicut_solution(n: int, sol: MulticutSolution) -> bytes:
     """Canonical ``mcsol`` form: one s line per split vertex, ascending.
 
-    Raises ValueError unless n is a vertex count (0..MAX_VERTICES) and
-    every split vertex and part member is below n, so every document
-    written parses back to ``(n, sol)``.
+    Every document written parses back to ``(n, sol)``.
     """
     _check_vertex_count(n)
     out = [f"mcsol {n}"]
     for v, parts in sol.splits:
-        if v >= n:
-            raise ValueError(f"split vertex {v} out of range for n={n}")
         rows = [sorted(p) for p in parts]
-        if any(row and row[-1] >= n for row in rows):
-            raise ValueError(f"part member of {v} out of range for n={n}")
+        # ids are non-negative ints, checked when sol was built, and each
+        # row's largest member, the last, is below n iff all its members are
+        if v >= n or any(row and row[-1] >= n for row in rows):
+            _check_below("split vertex", n, v)
+            _check_below("part member", n, *[row[-1] for row in rows if row])
         rendered = " | ".join([" ".join(map(str, row)) for row in rows])
         out.append(f"s {v} : {rendered}".rstrip())
     return ("\n".join(out) + "\n").encode("utf-8")

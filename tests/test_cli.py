@@ -713,7 +713,7 @@ GOLDEN = [
     ),
     (
         "reduce clu-to-mcsol t.ccg far.clu", 2, "",
-        "splitclust: cluster vertex 3 out of range for n=3\n",
+        "splitclust: cluster vertex must be a non-negative integer below 3, got 3\n",
     ),
     ("reduce mcsol-to-clu t.mcvs t.mcsol", 0, "clustering 2\nc 0 1\nc 1 2\n", ""),
     (
@@ -784,7 +784,7 @@ GOLDEN = [
     ),
     (
         "gen vc-gadget --json --n 3 --edges 0-5 --budget 1", 2, "",
-        "splitclust: edge (0,5) out of range for n=3\n",
+        "splitclust: vertex of pair (0,5) must be a non-negative integer below 3, got 5\n",
     ),
     (
         "gen coloring-gadget --n 3 --edges 0-1,0-2,1-2 --colors 3", 0,

@@ -239,11 +239,11 @@ ORIGINAL_N = "original vertex count must be an integer"
 @pytest.mark.parametrize(
     "ancestors, original_n, rule, message",
     [
-        ((0.0, 1), 2, ANCESTORS, "not a vertex id in 0..1: 0.0"),
-        ((0, 1.0), 2, ANCESTORS, "not a vertex id in 0..1: 1.0"),
-        ((False, 1), 2, ANCESTORS, "not a vertex id in 0..1: False"),
-        ((0, True), 2, ANCESTORS, "not a vertex id in 0..1: True"),
-        ((0, "1"), 2, ANCESTORS, "not a vertex id in 0..1: '1'"),
+        ((0.0, 1), 2, ANCESTORS, "ancestor must be a non-negative integer below 2, got 0.0"),
+        ((0, 1.0), 2, ANCESTORS, "ancestor must be a non-negative integer below 2, got 1.0"),
+        ((False, 1), 2, ANCESTORS, "ancestor must be a non-negative integer below 2, got False"),
+        ((0, True), 2, ANCESTORS, "ancestor must be a non-negative integer below 2, got True"),
+        ((0, "1"), 2, ANCESTORS, "ancestor must be a non-negative integer below 2, got '1'"),
         ((0, 1), 2.0, ORIGINAL_N, "original_n must be a non-negative integer, got 2.0"),
         ((0, 1), True, ORIGINAL_N, "original_n must be a non-negative integer, got True"),
         ((0, 1), None, ORIGINAL_N, "original_n must be a non-negative integer, got None"),

@@ -288,8 +288,8 @@ def _fails(message: str) -> tuple[type, str]:
 # Documents with more than one fault, in every order, each with what it
 # reads as: the pinned error, or the canonical document of what it reads.
 # Syntax errors come first wherever they are, then the constructor's first
-# fault (for mcvs the first among edges, then among terminal pairs, then a
-# pair that is both), then the header counts of mcvs.
+# fault (for mcvs the first among edges, then among terminal pairs, where a
+# pair that is also an edge conflicts), then the header counts of mcvs.
 SEVERAL_FAULTS = {
     "ccg": [
         (b"ccg 3 complete\ne 0 3 b\ne 0 1 x\n", _fails("line 3: unknown color 'x'")),
@@ -308,7 +308,7 @@ SEVERAL_FAULTS = {
         ),
         (
             b"ccg 3 incomplete\ne -1 2 r\ne 0 5 b\n",
-            _fails("inconsistent graph: edge (-1,2) out of range for n=3"),
+            _fails("inconsistent graph: vertex of pair (-1,2) must be a non-negative integer below 3, got -1"),
         ),
         (
             b"ccg 3 incomplete\ne 0 1 r\ne 1 0 r\ne 0 2 b\n",
@@ -322,7 +322,7 @@ SEVERAL_FAULTS = {
         (b"ccg 3 complete\ne -0 02 b\n", b"ccg 3 complete\ne 0 2 b\n"),
         (
             "ccg 3 complete\n# \u00e9\ne 0 1 b\ne 2 -1 b\n".encode(),
-            _fails("inconsistent graph: edge (2,-1) out of range for n=3"),
+            _fails("inconsistent graph: vertex of pair (2,-1) must be a non-negative integer below 3, got -1"),
         ),
         (
             "ccg 3 complete\n# \u00e9\ne 0 \u00b2 b\n".encode(),
@@ -340,11 +340,11 @@ SEVERAL_FAULTS = {
         ),
         (
             b"mcvs 3 1 1 0\nt 0 0\ne 0 1\n",
-            _fails("inconsistent instance: terminal pair (0,0) is degenerate"),
+            _fails("inconsistent instance: self-loop on vertex 0"),
         ),
         (
             b"mcvs 3 1 1 0\nt 0 1\ne 1 0\n",
-            _fails("inconsistent instance: terminal pairs must not be edges"),
+            _fails("inconsistent instance: conflicting colors for pair (0, 1)"),
         ),
         (b"mcvs 3 1 1 0\ne 0 5\ne 0 q\n", _fails("line 3: expected integer vertex ids")),
         (
@@ -362,7 +362,7 @@ SEVERAL_FAULTS = {
         ),
         (
             b"mcvs 3 1 1 0\nt 2 -1\ne -1 2\n",
-            _fails("inconsistent instance: edge (-1,2) out of range for n=3"),
+            _fails("inconsistent instance: vertex of pair (-1,2) must be a non-negative integer below 3, got -1"),
         ),
         (b"mcvs 3 0 0 0\ne 0 1\n", _fails("header says 0 edges, found 1")),
         (b"mcvs 3 0 1 0\nt -0 02\n", b"mcvs 3 0 1 0\nt 0 2\n"),
@@ -428,11 +428,11 @@ def test_one_pass_parsers_match_references_on_corruptions(name, edits):
 CCG_SINGLE = {
     "id out of range": (
         b"ccg 4 incomplete\ne 0 1 b\ne 1 9 r\n",
-        _fails("inconsistent graph: edge (1,9) out of range for n=4"),
+        _fails("inconsistent graph: vertex of pair (1,9) must be a non-negative integer below 4, got 9"),
     ),
     "id equal to n": (
         b"ccg 4 complete\ne 0 1 b\ne 1 4 b\n",
-        _fails("inconsistent graph: edge (1,4) out of range for n=4"),
+        _fails("inconsistent graph: vertex of pair (1,4) must be a non-negative integer below 4, got 4"),
     ),
     "self-loop": (
         b"ccg 4 incomplete\ne 0 1 b\ne 2 2 r\n",
@@ -547,11 +547,11 @@ CCG_SINGLE = {
 MCVS_SINGLE = {
     "id out of range": (
         b"mcvs 4 2 1 0\ne 0 1\ne 1 9\nt 0 2\n",
-        _fails("inconsistent instance: edge (1,9) out of range for n=4"),
+        _fails("inconsistent instance: vertex of pair (1,9) must be a non-negative integer below 4, got 9"),
     ),
     "id equal to n": (
         b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 4\n",
-        _fails("inconsistent instance: terminal pair (0,4) out of range for n=4"),
+        _fails("inconsistent instance: vertex of pair (0,4) must be a non-negative integer below 4, got 4"),
     ),
     "self-loop": (
         b"mcvs 4 2 1 0\ne 0 1\ne 1 1\nt 0 2\n",
@@ -559,7 +559,7 @@ MCVS_SINGLE = {
     ),
     "degenerate terminal pair": (
         b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 3 3\n",
-        _fails("inconsistent instance: terminal pair (3,3) is degenerate"),
+        _fails("inconsistent instance: self-loop on vertex 3"),
     ),
     "u > v": (
         b"mcvs 4 2 1 0\ne 0 1\ne 2 1\nt 0 2\n",
@@ -607,7 +607,7 @@ MCVS_SINGLE = {
     ),
     "edge and terminal pair": (
         b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 1\n",
-        _fails("inconsistent instance: terminal pairs must not be edges"),
+        _fails("inconsistent instance: conflicting colors for pair (0, 1)"),
     ),
     "missing final newline": (
         b"mcvs 4 2 1 0\ne 0 1\ne 1 2\nt 0 2",
@@ -615,7 +615,7 @@ MCVS_SINGLE = {
     ),
     "missing final newline after a long id": (
         b"mcvs 4 1 0 0\ne 0 12",
-        _fails("inconsistent instance: edge (0,12) out of range for n=4"),
+        _fails("inconsistent instance: vertex of pair (0,12) must be a non-negative integer below 4, got 12"),
     ),
     "budget of 30 digits": (
         b"mcvs 4 1 0 " + b"9" * 30 + b"\ne 0 1\n",

@@ -124,7 +124,8 @@ def test_plain_graph():
     with pytest.raises(ValueError):
         PlainGraph(2, [(1, 1)])
     for bad in (1.5, 1.0, True):
-        with pytest.raises(ValueError, match="integers"):
+        message = f"vertex of pair (0,{bad!r}) must be a non-negative integer below 3, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PlainGraph(3, [(0, bad)])
         with pytest.raises(ValueError, match="vertex count must be a non-negative integer"):
             PlainGraph(bad, [])

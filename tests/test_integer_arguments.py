@@ -2,9 +2,12 @@
 
 Vertex ids, vertex counts and budgets are ints, not ``bool``, and at least
 0.  Anything else raises ``ValueError("<argument> must be a non-negative
-integer, got <value>")``, where the argument is named.  A
-``RealizedGraph``'s ancestors are ids bounded by its ``original_n``, so
-they raise the bounded id message instead.
+integer, got <value>")``, where the argument is named.  An id that a vertex
+count n bounds must also be below n, and anything else raises
+``ValueError("<argument> must be a non-negative integer below <n>, got
+<value>")``; a pair's ends are named with the pair, as ``vertex of pair
+(0,5)``.  A ``RealizedGraph``'s ancestors are ids bounded by its
+``original_n``, so the first table gives them the bounded message.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import re
 import pytest
 
 from splitclust import (
+    BLUE,
     BadStar,
     Clustering,
     CorrelationGraph,
@@ -30,8 +34,11 @@ from splitclust import (
     gen_coloring_gadget,
     gen_random,
     gen_vertex_cover_gadget,
+    incomplete_graph,
     kernelize,
+    lift_clustering,
     solve_exact,
+    verify_multicut_solution,
     write_multicut_solution,
 )
 
@@ -92,6 +99,7 @@ ARGUMENTS = [
     ),
     ("gen_vertex_cover_gadget k", lambda x: gen_vertex_cover_gadget(TRIANGLE, x), "budget"),
     ("gen_coloring_gadget colors", lambda x: gen_coloring_gadget(TRIANGLE, x), "colors"),
+    ("MulticutSolution.parts_of", lambda x: MulticutSolution({}).parts_of(x), "vertex id"),
 ]
 
 BAD_VALUES = [True, 1.0, -1, "1", None]
@@ -103,9 +111,150 @@ BAD_VALUES = [True, 1.0, -1, "1", None]
 )
 def test_integer_arguments_follow_one_rule(call, what, bad):
     if what is None:
-        message = f"not a vertex id in 0..0: {bad!r}"
+        message = f"ancestor must be a non-negative integer below 1, got {bad!r}"
     else:
         message = f"{what} must be a non-negative integer, got {bad!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(bad)
 
+
+
+class IntLike:
+    """An integer that is not an ``int``, as numpy's integers are not."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __or__(self, other) -> int:
+        return self.value | int(other)
+
+    __ror__ = __or__
+
+    def __eq__(self, other) -> bool:
+        return self.value == other
+
+    def __lt__(self, other) -> bool:
+        return self.value < other
+
+    def __le__(self, other) -> bool:
+        return self.value <= other
+
+    def __gt__(self, other) -> bool:
+        return self.value > other
+
+    def __ge__(self, other) -> bool:
+        return self.value >= other
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+    def __repr__(self) -> str:
+        return f"IntLike({self.value})"
+
+
+EDGE = complete_graph(2, [(0, 1)])
+NO_SPLITS = MulticutInstance(2, [], [], 0)
+ONE_KEPT = KernelTranscript(frozenset({0}), (), (), 1)
+
+# (argument, call with the bad value, its bound, what the message calls the
+# argument, with {x} for the value's repr, and the name under which the
+# object that holds the value first refuses it unbounded, or None).  A
+# ``Clustering`` or a ``MulticutSolution`` knows no vertex count, so it
+# refuses every value but a non-negative int by the unbounded rule; only
+# ids at or past the bound reach the bounded check.
+BOUNDED = [
+    (
+        "CorrelationGraph edges",
+        lambda x: CorrelationGraph(2, [(0, x, BLUE)], complete=False),
+        2,
+        "vertex of pair (0,{x})",
+        None,
+    ),
+    ("complete_graph blue", lambda x: complete_graph(2, [(x, 1)]), 2, "vertex of pair ({x},1)", None),
+    ("incomplete_graph blue", lambda x: incomplete_graph(2, [(0, x)]), 2, "vertex of pair (0,{x})", None),
+    (
+        "incomplete_graph red",
+        lambda x: incomplete_graph(2, red=[(x, 1)]),
+        2,
+        "vertex of pair ({x},1)",
+        None,
+    ),
+    ("label", lambda x: EDGE.label(0, x), 2, "vertex of pair (0,{x})", None),
+    ("blue_neighbors", lambda x: EDGE.blue_neighbors(x), 2, "vertex id", None),
+    ("induced_subgraph", lambda x: EDGE.induced_subgraph([0, x]), 2, "vertex id", None),
+    ("RealizedGraph ancestors", lambda x: RealizedGraph(EDGE, (0, x), 2), 2, "ancestor", None),
+    (
+        "descendants",
+        lambda x: RealizedGraph(ONE_VERTEX, (0,), 1).descendants(x),
+        1,
+        "vertex id",
+        None,
+    ),
+    ("membership", lambda x: Clustering([{x}]).membership(1), 1, "cluster vertex", "vertex id"),
+    ("cost", lambda x: cost(Clustering([{x}]), 1), 1, "cluster vertex", "vertex id"),
+    (
+        "MulticutInstance edges",
+        lambda x: MulticutInstance(2, [(0, x)], [], 0),
+        2,
+        "vertex of pair (0,{x})",
+        None,
+    ),
+    (
+        "MulticutInstance terminals",
+        lambda x: MulticutInstance(2, [], [(x, 1)], 0),
+        2,
+        "vertex of pair ({x},1)",
+        None,
+    ),
+    ("PlainGraph edges", lambda x: PlainGraph(2, [(0, x)]), 2, "vertex of pair (0,{x})", None),
+    (
+        "verify_multicut_solution split vertex",
+        lambda x: verify_multicut_solution(NO_SPLITS, MulticutSolution({x: [[], []]})),
+        2,
+        "split vertex",
+        "split vertex",
+    ),
+    (
+        "write_multicut_solution split vertex",
+        lambda x: write_multicut_solution(2, MulticutSolution({x: [[], []]})),
+        2,
+        "split vertex",
+        "split vertex",
+    ),
+    (
+        "write_multicut_solution part member",
+        lambda x: write_multicut_solution(2, MulticutSolution({0: [[x], []]})),
+        2,
+        "part member",
+        "part member",
+    ),
+    (
+        "lift_clustering kernel id",
+        lambda x: lift_clustering(Clustering([{x}]), ONE_KEPT),
+        1,
+        "kernel vertex",
+        "vertex id",
+    ),
+]
+
+# stands for each row's bound
+BOUND = "the bound"
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, -1, BOUND, "1", None, IntLike(1)], ids=repr)
+@pytest.mark.parametrize(
+    "call, n, what, first", [row[1:] for row in BOUNDED], ids=[row[0] for row in BOUNDED]
+)
+def test_bounded_ids_follow_one_rule(call, n, what, first, bad):
+    if bad is BOUND:
+        bad = n
+    if first is not None and not (bad.__class__ is int and bad >= 0):
+        message = f"{first} must be a non-negative integer, got {bad!r}"
+    else:
+        what = what.format(x=repr(bad))
+        message = f"{what} must be a non-negative integer below {n}, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)

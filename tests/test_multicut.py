@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,20 +58,25 @@ def test_instance_validation():
         MulticutInstance(3, [], [(1, 1)], 0)
     with pytest.raises(ValueError):  # a pair cannot be both edge and terminal
         MulticutInstance(3, [(0, 1)], [(1, 0)], 0)
+
+    def refused(u, v, bad):
+        message = f"vertex of pair ({u!r},{v!r}) must be a non-negative integer below 3, got {bad!r}"
+        return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
     # ids, n and k must be ints: a float edge used to raise TypeError
     for bad in (1.0, 1.5, "1", None):
-        with pytest.raises(ValueError, match="integers"):
+        with refused(0, bad, bad):
             MulticutInstance(3, [(0, bad)], [], 0)
-        with pytest.raises(ValueError, match="integers"):
+        with refused(bad, 2, bad):
             MulticutInstance(3, [], [(bad, 2)], 0)
         with pytest.raises(ValueError, match="vertex count must be a non-negative integer"):
             MulticutInstance(bad, [], [], 0)
         with pytest.raises(ValueError, match="budget must be a non-negative integer"):
             MulticutInstance(3, [], [], bad)
     # bool is an int, but an instance holding one would be written as "True"
-    with pytest.raises(ValueError, match="integers"):
+    with refused(0, True, True):
         MulticutInstance(3, [(0, True)], [], 0)
-    with pytest.raises(ValueError, match="integers"):
+    with refused(False, 2, False):
         MulticutInstance(3, [], [(False, 2)], 0)
     with pytest.raises(ValueError, match="vertex count must be a non-negative integer"):
         MulticutInstance(True, [], [], 0)
@@ -90,11 +96,11 @@ def test_solution_normalization():
     assert sol.cost == 2
     assert sol.split_vertices == frozenset({0})
     assert sol.parts_of(0) == (frozenset({2}), frozenset({3, 4}), frozenset())
-    assert sol.parts_of(9) is None
-    assert sol.parts_of(-1) is None  # a solution has no vertex count
+    assert sol.parts_of(9) is None  # a solution has no vertex count
     # True == 1 and 0.0 == 0, but neither is a vertex id
-    for v in (True, False, 0.0, "0", None):
-        with pytest.raises(ValueError, match="^not a vertex id: "):
+    for v in (-1, True, False, 0.0, "0", None):
+        message = f"vertex id must be a non-negative integer, got {v!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sol.parts_of(v)
     assert sol == MulticutSolution({0: [set(), {2}, {4, 3}]})
     with pytest.raises(ValueError):
@@ -361,10 +367,10 @@ COUNTS = "vertex counts are non-negative integers"
 @pytest.mark.parametrize(
     "n, splits, rule, message",
     [
-        (2, {5: [[], []]}, "split vertex 5 out of range", "split vertex 5 out of range for n=2"),
-        (2, {0: [[7], []]}, "part member of 0 out of range", "part member of 0 out of range for n=2"),
-        (2, {0: [[1], [2]]}, "part member of 0 out of range", "part member of 0 out of range for n=2"),
-        (0, {0: [[], []]}, "split vertex 0 out of range", "split vertex 0 out of range for n=0"),
+        (2, {5: [[], []]}, "split vertex 5 out of range", "split vertex must be a non-negative integer below 2, got 5"),
+        (2, {0: [[7], []]}, "part member of 0 out of range", "part member must be a non-negative integer below 2, got 7"),
+        (2, {0: [[1], [2]]}, "part member of 0 out of range", "part member must be a non-negative integer below 2, got 2"),
+        (0, {0: [[], []]}, "split vertex 0 out of range", "split vertex must be a non-negative integer below 0, got 0"),
         (-1, {}, COUNTS, "vertex count must be a non-negative integer, got -1"),
         (True, {}, COUNTS, "vertex count must be a non-negative integer, got True"),
         (2.0, {}, COUNTS, "vertex count must be a non-negative integer, got 2.0"),
