@@ -29,6 +29,7 @@ from .graphs import (
     _blue_labels,
     _check_below,
     _check_non_negative,
+    _check_vertex_count,
     _clique_components,
     _pair,
     _read_counts,
@@ -70,7 +71,7 @@ class Clustering:
 
     def membership(self, n: int) -> list[list[int]]:
         """For each vertex 0..n-1, the sorted list of cluster indices containing it."""
-        _check_non_negative("vertex count", n)
+        _check_vertex_count(n)
         idx: list[list[int]] = [[] for _ in range(n)]
         for i, cluster in enumerate(self.clusters):
             for v in cluster:
@@ -117,16 +118,14 @@ class ValidationReport:
 def verify_clustering(g: CorrelationGraph, f: Clustering) -> ValidationReport:
     """Check the three validity conditions and report every violation.
 
-    O(n + memberships + stored pairs + v log v) for v violations: one
-    pass over the stored rows (see ``_violations``) and no sort but of the
-    violations.  The red pairs of a complete graph are not stored; only
-    those inside one single-cluster group, or touching an uncovered
-    vertex, can be unresolved.  The pass counts the blue pairs inside each
-    group, so a group that is a blue clique is skipped without a look at
-    its pairs, and only the other groups' pairs and the uncovered
-    vertices' pairs are listed.  On an incomplete graph each row of a
-    vertex with one cluster is first screened by one C set operation
-    against that cluster, and pairs are walked only in the rows it fails.
+    O(n + memberships + stored pairs + v log v) for v violations, with no
+    sort but of the violations.  Each row of a vertex with one cluster is
+    first screened against that cluster by one C set operation, and pairs
+    are walked only in the rows that fail it (see ``_violations``).  The
+    red pairs of a complete graph are not stored: a vertex u passes when
+    its cluster is u plus its blue row, which a length compare settles,
+    and only the red pairs of vertices that fail, or that are uncovered,
+    are listed.
     """
     return _violations(g, f.membership(g.n), f.clusters)
 
@@ -146,136 +145,79 @@ def _violations(
     """The report of the clustering ``clusters``, whose membership lists are ``where``.
 
     ``sole[v]`` is the index of v's only cluster, -1 if v lies in several
-    and -2 if in none.  A blue pair between two sole clusters is covered
-    iff they are equal; only blue pairs touching a vertex in several
-    clusters need their lists intersected.  A red pair is unresolved iff
-    an endpoint has no cluster or both have the same sole one.  Each pair
-    (v, u) is read off the row of its larger end u, whose walk stops at
-    the first neighbour above u, so no call is made per row.  Only the
-    violations are sorted, into the order of ``blue_edges``/``red_edges``.
+    and -2 if in none.  A vertex u whose only cluster is C passes its blue
+    row when ``C.issuperset(row)``, which covers every blue pair at u.  A
+    blue pair can be uncovered only when neither end passes, so the
+    failing rows, and those of vertices in several clusters or in none,
+    are walked over the partners below u, intersecting membership lists
+    pair by pair; each violation is found once, in the row of its larger
+    end.  A red pair is unresolved iff an endpoint has no cluster or both
+    have the same sole one, so the red pairs of a vertex in several
+    clusters are resolved unless its partner is uncovered.
 
-    An incomplete graph's rows are screened first (see ``_screened_pairs``).
-    A complete graph's are all walked, since the walk also counts the blue
-    pairs inside each group, which ``_unresolved_red_complete`` needs.
+    An incomplete graph's red row passes when ``C.isdisjoint(row)``, and
+    the failing rows are walked as the blue ones are; when some vertex is
+    uncovered, every red row is walked.  A complete graph's red partners
+    of u inside C are C less u and its blue row, none iff, once the blue
+    screen holds, ``len(row) + 1 == len(C)``.  The sole vertices that fail
+    either test are unsure.  Only their clusters' ``alone`` sets, the
+    members whose only cluster is C, are built, and an unsure u lists the
+    partners in ``alone[C]`` outside its blue row and below u: O(row) when
+    ``alone[C]`` is pairwise blue, as on a valid clustering.  An uncovered
+    vertex lists every red partner, once per pair.  Only the violations
+    are sorted, into the order of ``blue_edges``/``red_edges``.
     """
     sole = [w[0] if len(w) == 1 else -1 if w else -2 for w in where]
-    if g._red_adj is not None:
-        uncovered_blue, unresolved = _screened_pairs(g, where, clusters, sole)
-    else:
-        uncovered_blue = []
-        # blue pairs inside each sole group are counted for the complete case
-        inner = [0] * (max(sole, default=-1) + 1)
-        for u, row in enumerate(g._blue_adj):
-            a = sole[u]
-            if a >= 0:
-                same = 0
-                for v in row:
-                    if v > u:
-                        break
-                    b = sole[v]
-                    if b == a:
-                        same += 1
-                    elif b != -1 or a not in where[v]:
-                        uncovered_blue.append((v, u))
-                inner[a] += same
-            else:
-                for v in row:
-                    if v > u:
-                        break
-                    if a == -2 or sole[v] == -2 or set(where[u]).isdisjoint(where[v]):
-                        uncovered_blue.append((v, u))
-        unresolved = _unresolved_red_complete(g, sole, inner)
-    uncovered_blue.sort()
-    uncovered_vertices = tuple([v for v, s in enumerate(sole) if s == -2])
-    return ValidationReport(tuple(uncovered_blue), tuple(unresolved), uncovered_vertices)
-
-
-def _screened_pairs(
-    g: CorrelationGraph,
-    where: list[list[int]],
-    clusters: tuple[frozenset[int], ...],
-    sole: list[int],
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """An incomplete graph's uncovered blue pairs and sorted unresolved red pairs.
-
-    ``sole`` is as in ``_violations``.  A vertex u whose only cluster is
-    C passes its blue row when C holds the whole row, which covers every
-    blue pair at u, and its red row when C meets none of it, which
-    resolves every red pair at u unless the partner is uncovered.  Each
-    screen is one C-level ``issuperset`` or ``isdisjoint``.  A pair can be
-    a violation only when neither end passes, so walking the failing rows
-    over the partners below u, as the full walk does, finds each violation
-    once, and a failing blue row intersects membership lists pair by
-    pair.  Vertices in several clusters or in none always walk their blue
-    row.  The red pairs of a vertex in several clusters are resolved, so
-    its red row is skipped, unless some vertex is uncovered, in which
-    case every red row is walked.  O(n + stored pairs), nearly all of it
-    in C on a valid clustering.
-    """
+    blue, red = g._blue_adj, g._red_adj
     uncovered_blue = []
-    for u, row in enumerate(g._blue_adj):
+    unsure = []  # sole vertices whose cluster may hold a red partner; complete only
+    for u, row in enumerate(blue):
         a = sole[u]
-        if a >= 0 and clusters[a].issuperset(row):
-            continue
+        if a >= 0:
+            c = clusters[a]
+            if c.issuperset(row):
+                if red is None and len(row) + 1 != len(c):
+                    unsure.append(u)
+                continue
+            unsure.append(u)
         mine = set(where[u])
         for v in row:
             if v > u:
                 break
             if mine.isdisjoint(where[v]):
                 uncovered_blue.append((v, u))
-    screen = -2 not in sole
+    uncovered_blue.sort()
+    uncovered = [v for v, s in enumerate(sole) if s == -2]
     unresolved = []
-    for u, row in enumerate(g._red_adj):
-        a = sole[u]
-        if screen and (a == -1 or clusters[a].isdisjoint(row)):
-            continue
-        for v in row:
-            if v > u:
-                break
-            b = sole[v]
-            if a == -2 or b == -2 or a == b >= 0:
-                unresolved.append((v, u))
+    if red is None:
+        alone: dict[int, set[int]] = {}
+        for u in unsure:
+            a = sole[u]
+            if a not in alone:
+                alone[a] = {v for v in clusters[a] if sole[v] == a}
+            unresolved.extend([(v, u) for v in alone[a].difference(blue[u]) if v < u])
+        for u in uncovered:
+            bu = set(blue[u])
+            # pairs of two uncovered vertices are taken from their smaller end
+            unresolved.extend(
+                _pair(u, v)
+                for v in range(g.n)
+                if v != u and v not in bu and (sole[v] != -2 or v > u)
+            )
+    else:
+        screen = not uncovered
+        for u, row in enumerate(red):
+            a = sole[u]
+            if screen and (a == -1 or clusters[a].isdisjoint(row)):
+                continue
+            for v in row:
+                if v > u:
+                    break
+                b = sole[v]
+                if a == -2 or b == -2 or a == b >= 0:
+                    unresolved.append((v, u))
     unresolved.sort()
-    return uncovered_blue, unresolved
-
-
-def _unresolved_red_complete(
-    g: CorrelationGraph, sole: list[int], inner: list[int]
-) -> list[tuple[int, int]]:
-    """Sorted red pairs of a complete graph left unresolved.
-
-    ``sole`` is as in ``_violations``, and ``inner[s]`` counts the blue
-    pairs with both ends in the group of vertices whose sole cluster is s.
-    A red pair is unresolved iff an endpoint is uncovered (-2), or both
-    endpoints lie in exactly one cluster and it is the same one.  A group
-    of m members with m(m-1)/2 inner blue pairs holds no red pair and is
-    skipped; the pairs of the other groups are checked one by one.
-    """
-    adj = g._blue_adj
-    groups: dict[int, list[int]] = {}
-    for v, s in enumerate(sole):
-        if s >= 0:
-            groups.setdefault(s, []).append(v)
-    unresolved = []
-    for s, members in groups.items():
-        m = len(members)
-        if inner[s] == m * (m - 1) // 2:
-            continue
-        for i, u in enumerate(members):
-            bu = set(adj[u])
-            unresolved.extend((u, v) for v in members[i + 1 :] if v not in bu)
-    for u, s in enumerate(sole):
-        if s != -2:
-            continue
-        bu = set(adj[u])
-        # pairs of two uncovered vertices are taken from their smaller end
-        unresolved.extend(
-            _pair(u, v)
-            for v in range(g.n)
-            if v != u and v not in bu and (sole[v] != -2 or v > u)
-        )
-    unresolved.sort()
-    return unresolved
+    return ValidationReport(tuple(uncovered_blue), tuple(unresolved), tuple(uncovered))
 
 
 def parse_clustering(data: bytes | str) -> Clustering:

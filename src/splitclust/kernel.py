@@ -73,7 +73,9 @@ class KernelTranscript:
         _check_non_negative("vertex id", *union)
         if len(union) != total:
             raise ValueError("transcript groups must be disjoint")
-        if union != set(range(self.original_n)):
+        # distinct non-negative ids are 0..original_n-1 iff there are
+        # original_n of them and none is larger
+        if len(union) != self.original_n or max(union, default=-1) >= self.original_n:
             raise ValueError("transcript groups must cover vertices 0..original_n-1")
 
     @property

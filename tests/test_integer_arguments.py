@@ -13,11 +13,13 @@ count n bounds must also be below n, and anything else raises
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import pytest
 
 from splitclust import (
     BLUE,
+    MAX_VERTICES,
     BadStar,
     Clustering,
     CorrelationGraph,
@@ -117,6 +119,34 @@ def test_integer_arguments_follow_one_rule(call, what, bad):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(bad)
 
+
+VERTEX_COUNTS = [row for row in ARGUMENTS if row[2] == "vertex count"]
+
+
+@pytest.mark.parametrize(
+    "call", [row[1] for row in VERTEX_COUNTS], ids=[row[0] for row in VERTEX_COUNTS]
+)
+def test_vertex_counts_above_the_cap_raise_before_allocating(call):
+    """A vertex count past ``MAX_VERTICES`` is refused before any per-vertex list."""
+    over = MAX_VERTICES + 1
+    message = f"vertex count {over} exceeds the cap of {MAX_VERTICES}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(over)
+
+
+def test_kernel_transcript_refuses_a_large_original_n_without_allocating():
+    """The cover check compares counts and the largest id, not a range set."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="must cover vertices 0..original_n-1"):
+            KernelTranscript(frozenset(), (), (), 4_000_000)
+        with pytest.raises(ValueError, match="must cover vertices 0..original_n-1"):
+            KernelTranscript(frozenset({0, 2}), (), (), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert KernelTranscript(frozenset({0, 1}), (frozenset({2}),), (), 3).original_n == 3
 
 
 class IntLike:

@@ -435,8 +435,9 @@ def test_verify_matches_pairwise_on_planted(n, clusters, overlaps, seed):
 def test_verify_matches_pairwise_on_complete_groups():
     """Groups of vertices with one sole cluster, on complete graphs.
 
-    A group that is a blue clique is skipped without listing its pairs;
-    one missing a blue pair, and an uncovered vertex, are listed.
+    A vertex whose cluster is itself plus its blue row passes the screen
+    without listing its pairs; a cluster missing one blue pair, and an
+    uncovered vertex, are listed.
     """
     for seed in range(40):
         g, f = planted(40, 4, 5, 0, seed)
@@ -512,6 +513,36 @@ SCREEN_CASES = [
         [{0, 1}, {3}],
         (((2, 3),), ((0, 2), (1, 2)), (2,)),
     ),
+    (
+        "complete: a blue row outside its cluster, one shorter than the cluster",
+        complete_graph(4, [(0, 2), (1, 2), (1, 3)]),
+        [{0}, {1, 2, 3}],
+        (((0, 2),), ((2, 3),), ()),
+    ),
+    (
+        "complete: a red partner in the cluster that lies in two clusters",
+        complete_graph(3, [(0, 1), (1, 2)]),
+        [{0, 1, 2}, {2}],
+        ((), (), ()),
+    ),
+    (
+        "complete: two single-cluster vertices in one cluster, red to each other",
+        complete_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+        [{0, 1, 2, 3}],
+        ((), ((0, 3),), ()),
+    ),
+    (
+        "complete: two uncovered vertices, red to each other",
+        complete_graph(4, [(0, 1)]),
+        [{0, 1}],
+        ((), ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), (2, 3)),
+    ),
+    (
+        "complete: an uncovered vertex between single-cluster vertices",
+        complete_graph(4, [(0, 1), (1, 2), (2, 3)]),
+        [{0, 1}, {3}],
+        (((1, 2), (2, 3)), ((0, 2),), (2,)),
+    ),
 ]
 
 
@@ -519,12 +550,13 @@ SCREEN_CASES = [
     "g, clusters, expected", [case[1:] for case in SCREEN_CASES], ids=[c[0] for c in SCREEN_CASES]
 )
 def test_verify_matches_pairwise_where_the_row_screen_fails(g, clusters, expected):
-    """Incomplete graphs whose rows the screen cannot settle.
+    """Graphs whose rows the screen cannot settle.
 
-    Each case makes a row fail its one set operation, or takes the walk
-    that vertices in several clusters and uncovered vertices keep; the
-    report must be the pairwise one, and both translations must refuse an
-    invalid clustering with it.
+    Each case makes a row fail its one set operation, or a complete
+    graph's row fail its length compare, or takes the walk that vertices
+    in several clusters and uncovered vertices keep; the report must be
+    the pairwise one, and both translations must refuse an invalid
+    clustering with it.
     """
     f = Clustering(clusters)
     assert pairwise_verify(g, f) == expected
