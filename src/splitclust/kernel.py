@@ -58,13 +58,13 @@ class KernelTranscript:
         _check_non_negative("original_n", self.original_n)
         groups: list[frozenset[int]] = [self.forest_vertices, *self.removed_cliques]
         for clique, marked, removed in self.clusters:
-            if not clique:
-                raise ValueError("empty clique in transcript")
             if not (marked <= clique) or marked | removed != clique or marked & removed:
                 raise ValueError("marked/removed must partition the clique")
             if removed and not marked:
                 raise ValueError("clique with removed vertices must keep marked ones")
             groups.append(clique)
+        if not all(groups[1:]):  # the forest vertices may be none, a clique never
+            raise ValueError("empty clique in transcript")
         union: set[int] = set()
         total = 0
         for group in groups:
@@ -147,7 +147,8 @@ def kernelize(g: CorrelationGraph, k: int) -> KernelResult:
         for blue in blue_by_s.values():
             marked.update(blue[: k + 1])
             blue_set = set(blue)
-            marked.update(islice((v for v in members if v not in blue_set), k + 1))
+            # islice takes no stop above sys.maxsize; a clique has fewer members
+            marked.update(islice((v for v in members if v not in blue_set), min(k + 1, len(clique))))
         clusters.append((clique, frozenset(marked), clique - marked))
         keep |= marked
 

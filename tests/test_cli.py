@@ -235,7 +235,7 @@ def test_reduce_chain(tmp_path, triangle_file):
 
 def test_reduce_errors(tmp_path, triangle_file):
     code, _, err = invoke(["reduce", "ccvs-to-mcvs", triangle_file, triangle_file])
-    assert code == 2 and "input document" in err
+    assert (code, err) == (2, f"splitclust: unrecognized arguments: {triangle_file}\n")
     mcvs = tmp_path / "i.mcvs"
     mcvs.write_text("mcvs 3 2 1 1\ne 0 1\ne 1 2\nt 0 2\n")
     sol = tmp_path / "s.mcsol"
@@ -300,7 +300,9 @@ def test_usage_and_format_errors(tmp_path, triangle_file):
     assert code == 2  # lower bound needs a complete graph
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]])
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["gen", "--help"], ["reduce", "ccvs-to-mcvs", "--help"]]
+)
 def test_help_goes_to_the_given_stdout(argv):
     code, out, err = invoke(argv)
     assert (code, err) == (0, "")
@@ -567,6 +569,13 @@ GOLDEN = [
         '"weight": 1}}\n',
         "",
     ),
+    # a budget of n or more keeps the whole graph, also beyond sys.maxsize
+    (
+        "kernel --json m.ccg --budget 9223372036854775807", 0,
+        '{"command": "kernel", "input": "m.ccg", "result": {"kind": "kernel", "n": '
+        "10}}\n",
+        "",
+    ),
     (
         "kernel inc.ccg --budget 1", 2, "",
         "splitclust: kernelization is defined on complete graphs\n",
@@ -732,11 +741,22 @@ GOLDEN = [
     ),
     (
         "reduce ccvs-to-mcvs t.ccg t.ccg", 2, "",
-        "splitclust: ccvs-to-mcvs takes 1 input document(s), got 2\n",
+        "splitclust: unrecognized arguments: t.ccg\n",
     ),
     (
         "reduce --json clu-to-mcsol t.ccg", 2, "",
-        "splitclust: clu-to-mcsol takes 2 input document(s), got 1\n",
+        "splitclust: the following arguments are required: clustering\n",
+    ),
+    # --json may follow the direction; only ccvs-to-mcvs takes a budget
+    (
+        "reduce ccvs-to-mcvs t.ccg --budget 1 --json", 0,
+        '{"command": "reduce", "input": "t.ccg", "result": "mcvs 3 2 1 1\\ne 0 1\\ne '
+        '1 2\\nt 0 2\\n"}\n',
+        "",
+    ),
+    (
+        "reduce mcvs-to-ccvs t.mcvs --budget 1", 2, "",
+        "splitclust: unrecognized arguments: --budget 1\n",
     ),
     (
         "reduce ccvs-to-mcvs big.ccg", 2, "",
@@ -758,6 +778,12 @@ GOLDEN = [
         '0 3 b\\ne 1 3 b\\ne 2 3 b\\n"}\n',
         "",
     ),
+    # --json may also come before the generator
+    (
+        "gen --json random --n 2 --p-blue 1 --p-red 0 --complete", 0,
+        '{"command": "gen", "input": null, "result": "ccg 2 complete\\ne 0 1 b\\n"}\n',
+        "",
+    ),
     (
         "gen random --n -1 --p-blue 0.5 --p-red 0.5 --complete", 2, "",
         "splitclust: vertex count must be a non-negative integer, got -1\n",
@@ -774,6 +800,12 @@ GOLDEN = [
     ),
     (
         "gen vc-gadget --json --n 2 --budget 1", 0,
+        '{"command": "gen", "input": null, "result": "ccg 4 complete\\ne 0 1 b\\ne 0 '
+        '2 b\\ne 0 3 b\\ne 1 2 b\\ne 1 3 b\\ne 2 3 b\\n"}\n',
+        "",
+    ),
+    (
+        "gen --json vc-gadget --n 2 --budget 1", 0,
         '{"command": "gen", "input": null, "result": "ccg 4 complete\\ne 0 1 b\\ne 0 '
         '2 b\\ne 0 3 b\\ne 1 2 b\\ne 1 3 b\\ne 2 3 b\\n"}\n',
         "",

@@ -57,6 +57,8 @@ def test_constructor_rejects_bad_edges():
         CorrelationGraph(2, [(0, 1, NEUTRAL)], complete=True)
     with pytest.raises(ValueError):
         CorrelationGraph(2, [(0, 1, BLUE), (1, 0, RED)], complete=True)
+    with pytest.raises(ValueError, match="^not an edge color: 'b'$"):
+        CorrelationGraph(3, [(0, 1, "b")], complete=True)
     with pytest.raises(ValueError):
         CorrelationGraph(-1, [], complete=True)
     with pytest.raises(ValueError):

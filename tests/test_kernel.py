@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,11 +24,14 @@ from splitclust import (
     is_bad_star,
     kernelize,
     lift_clustering,
+    parse_graph,
     parse_transcript,
     solve_exact,
     verify_clustering,
     write_transcript,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 BAD_TRIANGLE = complete_graph(3, [(0, 1), (1, 2)])
 
@@ -67,6 +72,9 @@ def test_transcript_validation():
         )
     with pytest.raises(ValueError):  # empty clique
         KernelTranscript(frozenset({0}), (), ((frozenset(), frozenset(), frozenset()),), 1)
+    # written, an empty removed clique was an "rc" line that parse_transcript refuses
+    with pytest.raises(ValueError, match="^empty clique in transcript$"):
+        KernelTranscript(frozenset({0}), (frozenset(),), (), 1)
     with pytest.raises(ValueError):  # removals need surviving marked mates
         KernelTranscript(
             frozenset({0}), (), ((frozenset({1}), frozenset(), frozenset({1})),), 2
@@ -198,6 +206,40 @@ def test_kernelize_marking():
     lifted = lift_clustering(f, result.transcript)
     assert verify_clustering(MARKING_GRAPH, lifted).ok
     assert cost(lifted, 10) == cost(f, result.graph.n) == 2
+
+
+def _planted_graphs():
+    """Five of the benchmark's planted complete graphs on 200 vertices."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from instances import planted_complete
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [parse_graph(planted_complete(seed, 200, 6, 2).ccg) for seed in range(1, 6)]
+
+
+def test_kernelize_budget_beyond_sys_maxsize():
+    # a budget of n or more marks every clique member; the red marks used to
+    # go through islice, which takes no stop above sys.maxsize
+    for g in [MARKING_GRAPH, *_planted_graphs()]:
+        kernel = kernelize(g, g.n)
+        assert isinstance(kernel, Kernelized)
+        assert kernelize(g, 2**63) == kernelize(g, 10**30) == kernel
+
+
+def test_kernelize_transcripts_round_trip():
+    graphs = _planted_graphs()
+    graphs += [gen_random(12, 0.6, 0.4, complete=True, seed=seed) for seed in range(20)]
+    written = 0
+    for g in graphs:
+        for k in (0, 1, 2, 3, 5, g.n):
+            result = kernelize(g, k)
+            if isinstance(result, Kernelized):
+                data = write_transcript(result.transcript)
+                assert parse_transcript(data) == result.transcript
+                assert write_transcript(parse_transcript(data)) == data
+                written += 1
+    assert written >= 60
 
 
 def test_lift_rejects_misshapen_solutions():
