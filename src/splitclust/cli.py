@@ -302,11 +302,11 @@ def _parser() -> _Parser:
 
     p = command("lift", "expand a kernel solution using a transcript", _cmd_lift)
     document(p, parse_clustering, "clustering", help="clu file or -")
-    document(p, parse_transcript, "--transcript", required=True, help="ktx transcript file")
+    document(p, parse_transcript, "--transcript", required=True, help="ktx transcript file or -")
 
     p = command("verify", "check a clustering against a graph", _cmd_verify)
-    document(p, parse_graph, "graph", help="ccg file")
-    document(p, parse_clustering, "clustering", help="clu file")
+    document(p, parse_graph, "graph", help="ccg file or -")
+    document(p, parse_clustering, "clustering", help="clu file or -")
 
     p = command("reduce", "convert between clustering and multicut documents")
     directions = p.add_subparsers(dest="direction", required=True)

@@ -38,17 +38,21 @@ prunes nothing.
   larger of the two.
 
 A placed vertex's memberships are a bitmask over the blocks: block b's
-members are read off the masks at a leaf.  Each unplaced vertex keeps
-need[x] & ~ban[x] as one mask of the single blocks it may still join, so
-its single-block tries are read off that mask, and placing a vertex ANDs
-a mask into those of its blue and red successors only.  A node undoes
-those updates before it tries its next placement, so the state a node
-sees depends on the placed vertices alone.  Multi-membership tries take
-their block subsets, in ``combinations`` order, from a table shared by
-all levels.  The predecessor and successor lists and that table are set
-up once per call.  The search order is the one of the earlier search
-that kept each block as a list of members, so it finds the same
-clustering, and it visits a subset of that search's nodes.
+members are read off the masks at a leaf.  The forward-checking state of
+a node is one int, with a lane of bits for each unplaced vertex x that
+holds the complement of need[x] & ~ban[x]: the blocks x may not join as
+a single block.  A vertex's single-block tries are read off its lane.
+Placing it ORs the lanes of all its blue successors, and of all its red
+ones, with one multiplication each, finds the stuck vertices with one
+addition and a popcount, and hands the child the int without its lane.
+A node never changes the int it was given, so it has nothing to undo,
+and the state a node sees depends on the placed vertices alone.
+Multi-membership tries take their block subsets, in ``combinations``
+order, from a table shared by all levels.  The predecessor lists, the
+lane constants and that table are set up once per call.  The search
+order is the one of the earlier search that kept each block as a list
+of members, so it finds the same clustering, and it visits a subset of
+that search's nodes.
 
 Only practical for small graphs: the vertex cap defaults to 12.  The
 search recurses once per vertex, so it refuses graphs above 500 vertices
@@ -109,20 +113,41 @@ def _search(g: CorrelationGraph, max_cost: int, limit: int) -> list[list[int]] |
     Deepening runs from the bound ``suffix[0]`` up to max_cost, and more
     than ``limit`` nodes over all levels raise SearchLimitReached.
 
-    ``free[x]`` is need[x] & ~ban[x] for each unplaced x (see the module
-    docstring): -1 less the banned blocks while no blue predecessor of x
-    is placed, so never 0 then, and x is stuck when it is 0.  ``dfs``
-    gets the stuck count of v..n-1.  A child is entered only if
+    ``dfs`` at depth v gets ``shut``, the state of v..n-1 (see the module
+    docstring) in one int of width-bit lanes: lane i, bits i * width up to
+    i * width + width - 2, holds ~free[v + i], where free[x] is
+    need[x] & ~ban[x], and its top bit, the guard, is 0.  The root gets 0.
+    Masks only use the bits below the block count, which is at most n
+    plus the level, and width is at least n + level + 2, so the lane bit
+    below the guard is set only once a blue predecessor is placed, and a
+    lane is full exactly when its vertex is stuck.  ``lane`` has a lane's
+    value bits set.  Placing v with mask ORs in
+    (lane ^ mask) * blue_lanes[v], which shuts every block outside mask to
+    v's blue successors, and, when mask is one block,
+    mask * red_lanes[v], which shuts it to v's red successors; v's lane
+    constants have a one at the foot of each successor's lane.  Adding
+    ``ones``, a one at the foot of every lane, carries into the guards of
+    exactly the full lanes, so the stuck count of v+1..n-1 is the popcount
+    of the sum's guard bits less v's own flag.  The child gets the int
+    shifted right by one lane, so v's lane leaves it.  ``dfs`` changes no
+    state in place, so a child that finds nothing leaves nothing to undo;
+    a solution or SearchLimitReached ends the search.
+
+    ``dfs`` gets the stuck count of v..n-1, and a child is entered only if
     used + cost + max(suffix[v + 1], stuck count of v+1..n-1) <= extra.
-    Placing v with mask ANDs mask into ``free`` of its blue successors and,
-    when mask is one block, ~mask into ``free`` of its red successors; the
-    stuck count moves by the successors that reach 0, and v's own flag
-    drops out.  ``dfs`` undoes both updates after each child that finds
-    nothing; a solution or SearchLimitReached ends the search.
     A placement can only make successors stuck, so v's multi-membership
-    tries spend at most extra - used - max(suffix[v + 1], stuck count
-    without v).  That budget is never negative: it is extra - suffix[1]
-    >= 0 at the root, and a child is entered only within the bound.
+    tries spend at most ``room``, extra - used - max(suffix[v + 1], stuck
+    count without v).  ``room`` is never negative: it is extra - suffix[1]
+    >= 0 at the root, a child is entered only within the bound, and the
+    suffix bounds never rise with v.  So no try's cost passes the suffix
+    bound, and a try checks the stuck count alone.
+
+    The lanes are sized for the first level with as much room again,
+    width n + 2 * level + 2, and rebuilt only when a level needs more: the
+    width follows the levels searched, never max_cost.  The int at depth
+    v and v's lane constants span n - v lanes, so each kind sums to about
+    n^2 * width / 2 bits over the depths: at most about 8 MB each at the
+    depth limit of 500 vertices and level 0.
 
     ``tries`` yields a node's placements (mask, cost, new block count) in
     search order, and ``dfs`` applies them itself.  A generator's frame is
@@ -132,20 +157,22 @@ def _search(g: CorrelationGraph, max_cost: int, limit: int) -> list[list[int]] |
     n = g.n
     suffix = _suffix_bounds(g)
     blue_pred: list[list[int]] = []
-    blue_succ: list[list[int]] = []
-    red_succ: list[list[int]] = []
-    for v, (row, red) in enumerate(zip(g._blue_adj, g._red_rows())):
+    # each vertex's successors as a bitmask of their distances from it
+    blue_after: list[int] = []
+    for v, row in enumerate(g._blue_adj):
         i = bisect_left(row, v)
         blue_pred.append(row[:i])
-        blue_succ.append(row[i:])
-        red_succ.append(red[bisect_left(red, v) :])
+        blue_after.append(sum(1 << (x - v) for x in row[i:]))
+    if g.complete:  # red is every other successor
+        red_after = [((1 << (n - v)) - 2) ^ b for v, b in enumerate(blue_after)]
+    else:
+        red_after = [sum(1 << (x - v) for x in row if x > v) for v, row in enumerate(g._red_adj)]
     # block subset masks by (block count, subset size), shared by all levels
     subsets: dict[tuple[int, int], list[int]] = {}
     vmask = [0] * n
-    free = [-1] * n
     nodes = 0
 
-    def tries(v: int, used: int, nb: int, rest: int, joinable: int):
+    def tries(v: int, nb: int, joinable: int, room: int):
         # single existing blocks: the set bits of joinable, lowest first
         while joinable:
             low = joinable & -joinable
@@ -155,13 +182,12 @@ def _search(g: CorrelationGraph, max_cost: int, limit: int) -> list[list[int]] |
         preds = blue_pred[v]
         if not preds:
             yield 1 << nb, 0, nb + 1
-        budget_left = extra - used - max(suffix[v + 1], rest)
-        if not budget_left:
+        if not room:
             return
         # m >= 2 memberships cost m - 1 extra: s existing blocks, each
         # subset in combinations order, and m - s fresh ones
         req = [vmask[u] for u in preds]
-        for m in range(2, budget_left + 2):
+        for m in range(2, room + 2):
             for s in range(min(m, nb) + 1):
                 fresh = ((1 << (m - s)) - 1) << nb
                 masks = subsets.get((nb, s))
@@ -176,48 +202,57 @@ def _search(g: CorrelationGraph, max_cost: int, limit: int) -> list[list[int]] |
                     else:
                         yield cm | fresh, m - 1, nb + m - s
 
-    def dfs(v: int, used: int, nb: int, stuck: int) -> list[list[int]] | None:
+    def dfs(v: int, used: int, nb: int, stuck: int, shut: int) -> list[list[int]] | None:
         nonlocal nodes
         if v == n:
             return [[u for u in range(n) if vmask[u] >> b & 1] for b in range(nb)]
         nodes += 1
         if nodes > limit:
             raise SearchLimitReached(nodes, extra)
-        rest = stuck - (not free[v])
+        own = shut & lane == lane
+        rest = stuck - own
         left = extra - used
         bound = suffix[v + 1]
-        bsucc = blue_succ[v]
-        rsucc = red_succ[v]
-        bfree = [free[x] for x in bsucc]
-        rfree = [free[x] for x in rsucc]
-        for mask, c, nb_next in tries(v, used, nb, rest, free[v] & ((1 << nb) - 1)):
+        blue = blue_lanes[v]
+        red = red_lanes[v]
+        room = left - (rest if rest > bound else bound)
+        for mask, c, nb_next in tries(v, nb, ~shut & ((1 << nb) - 1), room):
             # a blue successor keeps the blocks in mask; a red one loses
-            # mask when it is one block, so it is stuck if that was all
-            single = not mask & (mask - 1)
-            count = rest + rfree.count(mask) if single else rest
-            for f in bfree:
-                if f and not f & mask:
-                    count += 1
-            if c + max(bound, count) > left:
+            # mask when it is one block
+            placed = shut | (lane ^ mask) * blue
+            if not mask & (mask - 1):
+                placed |= mask * red
+            count = ((placed + ones) & guards).bit_count() - own
+            if c + count > left:
                 continue
             vmask[v] = mask
-            for x in bsucc:
-                free[x] &= mask
-            if single:
-                for x in rsucc:
-                    free[x] &= ~mask
-            found = dfs(v + 1, used + c, nb_next, count)
+            placed >>= width  # v's lane leaves
+            found = dfs(v + 1, used + c, nb_next, count, placed)
             if found is not None:
                 return found
-            for x, f in zip(bsucc, bfree):
-                free[x] = f
-            if single:
-                for x, f in zip(rsucc, rfree):
-                    free[x] = f
         return None
 
+    width = 0
     for extra in range(suffix[0], max_cost + 1):  # the level dfs and tries read
-        found = dfs(0, 0, 0, 0)
+        if n + extra + 2 > width:
+            width = n + 2 * extra + 2
+            lane = (1 << (width - 1)) - 1
+            ones = ((1 << n * width) - 1) // ((1 << width) - 1)
+            guards = ones << (width - 1)
+            # b * copies puts a copy of b at each multiple of width - 1, so
+            # copy d holds bit d of b at d * width, the foot of lane d.  The
+            # constants are first cut to v's n - v lanes: an & result keeps
+            # the allocation of its shorter operand, and these ints live as
+            # long as the search
+            step = ((1 << n * (width - 1)) - 1) // lane
+            blue_lanes = []
+            red_lanes = []
+            for v, (b, r) in enumerate(zip(blue_after, red_after)):
+                copies = step >> v * (width - 1)
+                feet = ones >> v * width
+                blue_lanes.append(b * copies & feet)
+                red_lanes.append(r * copies & feet)
+        found = dfs(0, 0, 0, 0, 0)
         if found is not None:
             return found
     return None

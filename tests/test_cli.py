@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import splitclust.graphs
 from splitclust import gen_random, write_graph
-from splitclust.cli import run
+from splitclust.cli import _parser, run
 
 BAD_TRIANGLE_CCG = "ccg 3 complete\ne 0 1 b\ne 1 2 b\n"
 MARKING_CCG = (
@@ -122,6 +123,15 @@ def test_exact_node_limit_names_level(tmp_path):
     code, out, err = invoke(["exact", str(path), "--node-limit", "20"])
     assert (code, out) == (3, "")
     assert err == "splitclust: search aborted after 21 nodes at cost level 4\n"
+
+
+def test_exact_huge_budget(tmp_path):
+    # the search sizes its ints by the levels it searches, not by the budget
+    path = tmp_path / "r8.ccg"
+    path.write_bytes(write_graph(gen_random(8, 0.5, 0.5, complete=True, seed=3)))
+    small = invoke(["exact", str(path), "--budget", "8"])
+    assert small[0] == 0 and small[1].startswith("clustering ")
+    assert invoke(["exact", str(path), "--budget", "1000000000"]) == small
 
 
 def test_approx(triangle_file):
@@ -307,6 +317,24 @@ def test_help_goes_to_the_given_stdout(argv):
     code, out, err = invoke(argv)
     assert (code, err) == (0, "")
     assert out.startswith(" ".join(["usage: splitclust", *argv[:-1], "[-h]"]))
+
+
+def test_every_document_help_names_stdin():
+    # run reads every declared document from stdin when it is given as -
+    def parsers(parser):
+        yield parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from parsers(sub)
+
+    helps = {}
+    for p in parsers(_parser()):
+        actions = {action.dest: action for action in p._actions}
+        for dest, _ in p.get_default("documents") or ():
+            helps[p.prog, dest] = actions[dest].help
+    assert len(helps) == 16
+    assert {key: text for key, text in helps.items() if not text.endswith("file or -")} == {}
 
 
 def test_identical_invocations_are_byte_identical(triangle_file):

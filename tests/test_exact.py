@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -112,6 +113,20 @@ def test_vertex_limit_below_recursion_limit():
     assert f is not None and len(f) == 250 and cost(f, 500) == 0
 
 
+def test_depth_limit_memory():
+    # the packed state at depth v spans the n - v unplaced vertices, so the
+    # search holds O(n^2 (n + level)) bits at the depth limit
+    g = complete_graph(500, [(i, i + 1) for i in range(0, 499, 2)])
+    tracemalloc.start()
+    try:
+        f = solve_exact(g, SearchBudget(max_cost=0), vertex_cap=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f is not None and len(f) == 250
+    assert peak < 32 * 2**20
+
+
 def test_node_limit():
     g = gen_random(8, 0.5, 0.5, complete=True, seed=11)
     with pytest.raises(SearchLimitReached):
@@ -173,6 +188,12 @@ _N8_NODES = [
     8, 21, 13, 16, 37, 13, 16, 10, 45, 35,
 ]  # seeds 0 to 49
 _LARGER_NODES = {(12, 0): 3612, (12, 2): 916, (13, 0): 540}
+# nodes on gen_random(n, .4, .35, complete=False, seed) with n = 8 + seed % 3,
+# recorded before the forward-checking state was packed into one int: the
+# stuck count, their only pruning, must stay as it was
+_INCOMPLETE_NODES = [
+    34, 125, 210, 60, 23, 201, 17, 333, 382, 31, 65, 509, 83, 64, 398, 47, 56, 741, 19, 96,
+]  # seeds 0 to 19
 
 
 def test_node_counts_pinned():
@@ -182,6 +203,25 @@ def test_node_counts_pinned():
         for n, seed in cases
     ]
     assert got == _N8_NODES + list(_LARGER_NODES.values())
+
+
+def test_incomplete_node_counts_pinned():
+    got = []
+    for seed in range(len(_INCOMPLETE_NODES)):
+        n = 8 + seed % 3
+        g = gen_random(n, 0.4, 0.35, complete=False, seed=seed)
+        got.append(_nodes_searched(g, n, 5_000))
+    assert got == _INCOMPLETE_NODES
+
+
+def test_huge_budget_searches_as_a_small_one():
+    # the search's ints grow with the levels it searches, not with max_cost
+    g = gen_random(8, 0.5, 0.5, complete=True, seed=3)
+    f = solve_exact(g, SearchBudget(max_cost=8))
+    assert f is not None
+    assert solve_exact(g, SearchBudget(max_cost=10**9)) == f
+    nodes = _nodes_searched(g, 8, 5_000)
+    assert solve_exact(g, SearchBudget(max_cost=10**9, node_limit=nodes)) == f
 
 
 def test_stuck_vertices_prune_incomplete_graphs():
